@@ -18,6 +18,7 @@ from coadjoint.kolmogorov import (
     interpolate,
     lie_poisson_generator,
     mc_expectation,
+    pde_mc_gate,
 )
 from coadjoint.noise import NoiseSpec
 
@@ -49,8 +50,7 @@ def main():
     system = lie_poisson_system(so3, K, NoiseSpec(channels=1, xi=xi, seed=0))
     mean, stderr = mc_expectation(system, f, m0, args.horizon, 256, args.paths, seed=2024)
 
-    dx = float(np.max(geometry.dx))
-    gate = 3.0 * stderr + 2.0 * dx ** 2
+    gate = pde_mc_gate(stderr, geometry)
     print(f"observable          : E[{f.name}(m(T))], T = {args.horizon}")
     print(f"PDE value at m0     : {pde_value:.6f}")
     print(f"MC mean (stderr)    : {mean:.6f} ({stderr:.2e}, {args.paths} paths)")

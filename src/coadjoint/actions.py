@@ -57,12 +57,6 @@ class PhaseState:
     def packed(self) -> np.ndarray:
         return np.concatenate([self.q, self.p], axis=-1)
 
-    @staticmethod
-    def unpack(x: np.ndarray) -> "PhaseState":
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1] // 2
-        return PhaseState(x[..., :n], x[..., n:])
-
 
 @dataclass(frozen=True)
 class ActionChart:

@@ -26,6 +26,7 @@ from .kolmogorov import (
     interpolate,
     lie_poisson_generator,
     mc_expectation,
+    pde_mc_gate,
     write_density,
     write_density_slice_csv,
 )
@@ -198,12 +199,11 @@ def cmd_kolmogorov(args) -> int:
     mean, stderr = mc_expectation(
         built.system, f0, built.x0, built.T, built.M, args.paths, built.seed
     )
-    dx = float(np.max(geometry.dx))
-    gate = 3.0 * stderr + 2.0 * dx ** 2
+    gate = pde_mc_gate(stderr, geometry)
     agree = abs(mean - pde_val) <= gate
     verdict = "agree" if agree else "disagree"
     if args.f0 == "casimir" and agree:
-        if abs(pde_val - f0(built.x0)) <= 2.0 * dx ** 2 + 1e-4:
+        if abs(pde_val - f0(built.x0)) <= 2.0 * float(np.max(geometry.dx)) ** 2 + 1e-4:
             verdict = "conserved"
     report = {
         "f0": args.f0,

@@ -262,12 +262,12 @@ def phase_space_system(
         dp = -np.einsum("...aji,...j,...a->...i", da, p, u) + L.grad_q(q)
         return np.concatenate([dq, dp], axis=-1)
 
-    def diffusion(t, x, k):
+    def diffusion(t, x):
         q, p = x[..., :n], x[..., n:]
         a = chart.coefficients(q)
         da = chart.d_coefficients(q)
-        dq = np.einsum("...ai,a->...i", a, xi[k])
-        dp = -np.einsum("...aji,...j,a->...i", da, p, xi[k])
+        dq = np.einsum("...ai,ka->...ki", a, xi)
+        dp = -np.einsum("...aji,...j,ka->...ki", da, p, xi)
         return np.concatenate([dq, dp], axis=-1)
 
     def correction(t, x):
@@ -347,8 +347,8 @@ def lie_poisson_system(
             u = _validated_u(u_of, t, m, alg.dim)
         return ad_star(alg, u, m)
 
-    def diffusion(t, m, k):
-        return ad_star(alg, np.broadcast_to(xi[k], m.shape), m)
+    def diffusion(t, m):
+        return ad_star(alg, xi, m[..., None, :])
 
     def correction(t, m):
         out = np.zeros_like(m)
@@ -360,10 +360,9 @@ def lie_poisson_system(
     post = None
     if reproject_casimir:
         def post(x_new, x0):
-            norm = np.linalg.norm(x_new)
-            if norm == 0.0:
-                return x_new
-            return x_new * (np.linalg.norm(x0) / norm)
+            norm = np.linalg.norm(x_new, axis=-1, keepdims=True)
+            target = np.linalg.norm(x0, axis=-1, keepdims=True)
+            return x_new * np.divide(target, norm, out=np.ones_like(norm), where=norm != 0.0)
 
     labels = tuple(f"m{i+1}" for i in range(alg.dim))
     return SdeSystem(
@@ -406,11 +405,11 @@ def hamel_system(
         dq = np.einsum("...bi,...b->...i", a, u)
         return np.concatenate([dm, dq], axis=-1)
 
-    def diffusion(t, x, k):
+    def diffusion(t, x):
         m, q = x[..., :r], x[..., r:]
         a = chart.coefficients(q)
-        dm = ad_star(alg, np.broadcast_to(xi[k], m.shape), m)
-        dq = np.einsum("...bi,b->...i", a, xi[k])
+        dm = ad_star(alg, xi, m[..., None, :])
+        dq = np.einsum("...bi,kb->...ki", a, xi)
         return np.concatenate([dm, dq], axis=-1)
 
     def correction(t, x):

@@ -1,13 +1,11 @@
-"""Time-stepping kernels and the trajectory driver.
+"""Time-stepping kernels and the one driver that steps every SDE state.
 
 Schemes: stochastic Heun (trapezoidal predictor-corrector) for Stratonovich
 systems, Euler-Maruyama for Ito systems carrying an analytic correction
 drift, and classical RK4 as the deterministic oracle.  Steps are pure
-functions; the driver ties the uniform time step to a Brownian grid so that
-pathwise comparisons reuse identical noise.
-
-All step kernels broadcast over leading state axes, which the Monte-Carlo
-ensemble estimator uses to advance every path at once.
+functions that broadcast over leading state axes; the driver ties the
+uniform time step to Brownian increments so that pathwise comparisons reuse
+identical noise, and steps single paths and Monte-Carlo ensembles alike.
 """
 
 from __future__ import annotations
@@ -31,41 +29,41 @@ __all__ = [
     "read_trajectory_csv",
 ]
 
-SCHEMES = ("heun_strat", "euler_ito", "rk4")
-
-
 class IntegrationDiverged(RuntimeError):
     """A state component became non-finite; carries the failing step index.
 
-    ``partial`` holds the trajectory up to the last finite state when the
-    driver raised this (step kernels raise without it).
+    ``path`` is the index of the failing ensemble path (None for a single
+    path); ``partial`` holds the trajectory up to the last finite state when
+    :func:`integrate` raised this.
     """
 
-    def __init__(self, step: int, last_state: np.ndarray, message: str = "",
-                 partial: "Trajectory | None" = None):
+    def __init__(self, step: int, last_state: np.ndarray, path: Optional[int] = None):
         self.step = step
         self.last_state = np.asarray(last_state)
-        self.partial = partial
+        self.partial = None
+        self.path = path
+        where = "integration" if path is None else f"ensemble path {path}"
         super().__init__(
-            message or f"integration diverged at step {step}; "
-            f"last finite state {self.last_state}"
+            f"{where} diverged at step {step}; last finite state {self.last_state}"
         )
 
 
 @dataclass(frozen=True)
 class SdeSystem:
-    """Drift, per-channel diffusion fields, and optional Ito correction drift.
+    """Drift, stacked diffusion fields, and optional Ito correction drift.
 
-    ``drift(t, x)`` and ``diffusion(t, x, k)`` return arrays shaped like x;
-    ``ito_correction`` is the bounded-variation extra drift that makes the
-    Euler-Maruyama scheme integrate the same law the Stratonovich fields
-    define.  Callbacks must be pure and broadcast over leading axes of x.
+    ``drift(t, x)`` returns ``(..., d)`` like x; ``diffusion(t, x)`` returns
+    all C channel fields stacked as ``(..., C, d)``.  ``ito_correction`` is
+    the bounded-variation extra drift that makes the Euler-Maruyama scheme
+    integrate the same law the Stratonovich fields define.  Callbacks must
+    be pure and broadcast over leading axes of x.  ``post_step(x_new, x0)``
+    maps each row given its initial row, on single paths and ensembles.
     """
 
     state_dim: int
     channels: int
     drift: Callable[[float, np.ndarray], np.ndarray]
-    diffusion: Callable[[float, np.ndarray, int], np.ndarray]
+    diffusion: Callable[[float, np.ndarray], np.ndarray]
     ito_correction: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     labels: tuple = ()
     name: str = ""
@@ -118,13 +116,17 @@ def heun_stratonovich_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.nda
     dW = np.asarray(dW, dtype=float)
     fx = sys.drift(t, x)
     incr = fx * dt
-    for k in range(sys.channels):
-        incr = incr + sys.diffusion(t, x, k) * dW[..., k, None]
+    if sys.channels:
+        gx = sys.diffusion(t, x)
+        for k in range(sys.channels):
+            incr = incr + gx[..., k, :] * dW[..., k, None]
     xp = x + incr
     tp = t + dt
     out = x + 0.5 * dt * (fx + sys.drift(tp, xp))
-    for k in range(sys.channels):
-        out = out + 0.5 * (sys.diffusion(t, x, k) + sys.diffusion(tp, xp, k)) * dW[..., k, None]
+    if sys.channels:
+        gp = sys.diffusion(tp, xp)
+        for k in range(sys.channels):
+            out = out + 0.5 * (gx[..., k, :] + gp[..., k, :]) * dW[..., k, None]
     return out
 
 
@@ -142,8 +144,10 @@ def euler_ito_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     dW = np.asarray(dW, dtype=float)
     out = x + (sys.drift(t, x) + sys.ito_correction(t, x)) * dt
-    for k in range(sys.channels):
-        out = out + sys.diffusion(t, x, k) * dW[..., k, None]
+    if sys.channels:
+        gx = sys.diffusion(t, x)
+        for k in range(sys.channels):
+            out = out + gx[..., k, :] * dW[..., k, None]
     return out
 
 
@@ -158,14 +162,52 @@ def rk4_step(drift: Callable[[float, np.ndarray], np.ndarray], t: float, x,
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+_KERNELS = {
+    "heun_strat": heun_stratonovich_step,
+    "euler_ito": euler_ito_step,
+    "rk4": lambda sys, t, x, dt, dW: rk4_step(sys.drift, t, x, dt),
+}
+
+
+def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
+           first_path: int = 0) -> np.ndarray:
+    """Step ``x0``, one state (d,) or a batch (E, d), over the rows of ``dW``,
+    (M, C) or (M, E, C), and return the final state.
+
+    ``states[i]``, if given, receives the state after i steps.  The first
+    non-finite row raises :class:`IntegrationDiverged` with the step, its
+    last finite state and, for a batch, its path index ``first_path + row``.
+    """
+    step = _KERNELS[scheme]
+    x = np.array(x0, dtype=float)
+    if states is not None:
+        states[0] = x
+    for i in range(len(dW)):
+        # blowup is detected and reported below; suppress the transient
+        # overflow warnings the diverging step itself emits
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_new = step(sys, i * dt, x, dt, dW[i])
+        if not np.all(np.isfinite(x_new)):
+            if x.ndim == 1:
+                raise IntegrationDiverged(step=i + 1, last_state=x)
+            bad = int(np.argmin(np.all(np.isfinite(x_new), axis=-1)))
+            raise IntegrationDiverged(step=i + 1, last_state=x[bad], path=first_path + bad)
+        if sys.post_step is not None:
+            x_new = sys.post_step(x_new, x0)
+        if states is not None:
+            states[i + 1] = x_new
+        x = x_new
+    return x
+
+
 def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
     """Apply the chosen step over every grid interval, recording every state.
 
     Deterministic given (sys, scheme, grid, x0).  Raises
     :class:`IntegrationDiverged` on the first non-finite component.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if scheme not in _KERNELS:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {tuple(_KERNELS)}")
     if scheme != "rk4" and grid.channels != sys.channels:
         raise ValueError(
             f"grid has {grid.channels} channels, system expects {sys.channels}"
@@ -175,40 +217,6 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.state_dim},)")
     M = grid.steps
     dt = grid.dt
-    states = np.empty((M + 1, sys.state_dim))
-    states[0] = x
-    for i in range(M):
-        t = i * dt
-        # blowup is detected and reported below; suppress the transient
-        # overflow warnings the diverging step itself emits
-        with np.errstate(over="ignore", invalid="ignore"):
-            if scheme == "heun_strat":
-                x_new = heun_stratonovich_step(sys, t, x, dt, grid.dW[i])
-            elif scheme == "euler_ito":
-                x_new = euler_ito_step(sys, t, x, dt, grid.dW[i])
-            else:
-                x_new = rk4_step(sys.drift, t, x, dt)
-        if not np.all(np.isfinite(x_new)):
-            partial = Trajectory(
-                times=np.arange(i + 1) * dt,
-                states=states[: i + 1],
-                labels=tuple(sys.labels),
-                metadata={
-                    "system": sys.name,
-                    "scheme": scheme,
-                    "seed": int(grid.seed),
-                    "M": int(M),
-                    "T": float(grid.T),
-                    "generator": grid.generator,
-                    "diverged_at": i + 1,
-                },
-            )
-            raise IntegrationDiverged(step=i + 1, last_state=x, partial=partial)
-        if sys.post_step is not None:
-            x_new = sys.post_step(x_new, states[0])
-        states[i + 1] = x_new
-        x = x_new
-    times = np.arange(M + 1) * dt
     meta = {
         "system": sys.name,
         "scheme": scheme,
@@ -217,6 +225,15 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
         "T": float(grid.T),
         "generator": grid.generator,
     }
+    states = np.empty((M + 1, sys.state_dim))
+    try:
+        _drive(sys, scheme, x, dt, grid.dW, states=states)
+    except IntegrationDiverged as err:
+        err.partial = Trajectory(times=np.arange(err.step) * dt, states=states[: err.step],
+                                 labels=tuple(sys.labels),
+                                 metadata={**meta, "diverged_at": err.step})
+        raise
+    times = np.arange(M + 1) * dt
     return Trajectory(times=times, states=states, labels=tuple(sys.labels), metadata=meta)
 
 

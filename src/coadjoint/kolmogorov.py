@@ -28,7 +28,7 @@ from .algebra import LieAlgebraSpec, ad_star
 from .actions import ActionChart
 from .dynamics import ReducedHamiltonian
 from .fields import HamelBracket, LiePoissonBracket, PoissonBracket, ScalarField, double_bracket
-from .integrators import IntegrationDiverged, SdeSystem, heun_stratonovich_step, integrate
+from .integrators import SdeSystem, _drive, integrate
 from .noise import NoiseSpec, sample_grid
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "interpolate",
     "ensemble_finals",
     "mc_expectation",
+    "pde_mc_gate",
     "path_seed",
     "write_density",
     "read_density",
@@ -55,17 +56,11 @@ __all__ = [
 
 @dataclass(frozen=True, kw_only=True)
 class GeneratorSpec:
-    """Bracket structure plus channel-contracted noise Hamiltonians g_k and drift psi.
-
-    ``boundaryless_assumed`` records the hypothesis under which the stated
-    adjoint formula is the true formal adjoint (no boundary terms in the
-    bracket integration by parts).
-    """
+    """Bracket structure plus channel-contracted noise Hamiltonians g_k and drift psi."""
 
     bracket: PoissonBracket
     phi: tuple
     psi: ScalarField
-    boundaryless_assumed: bool = True
 
     @property
     def channels(self) -> int:
@@ -183,7 +178,6 @@ class DensityGrid:
     geometry: GridGeometry
     values: np.ndarray
     time: float = 0.0
-    boundary_policy: str = "linear-extrapolation-ghost"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -403,53 +397,43 @@ def path_seed(seed: int, index: int) -> int:
     return (seed + index) % (2 ** 64)
 
 
-def _ensemble_block(sys: SdeSystem, x0: np.ndarray, T: float, M: int,
-                    seeds) -> np.ndarray:
-    """Advance one block of paths simultaneously; returns final states (E, d)."""
-    E = len(seeds)
-    dW = np.empty((E, M, sys.channels))
-    for j, s in enumerate(seeds):
-        spec = NoiseSpec(channels=sys.channels, xi=np.zeros((sys.channels, 1)), seed=s)
-        dW[j] = sample_grid(spec, T, M).dW
-    x = np.broadcast_to(x0, (E, x0.size)).copy()
-    dt = T / M
-    for i in range(M):
-        x = heun_stratonovich_step(sys, i * dt, x, dt, dW[:, i, :])
-        finite = np.all(np.isfinite(x), axis=-1)
-        if not np.all(finite):
-            bad = int(np.argmin(finite))
-            raise IntegrationDiverged(
-                step=i + 1,
-                last_state=x[bad],
-                message=f"ensemble path with seed {seeds[bad]} diverged at step {i + 1}",
-            )
-    return x
+def _ensemble_noise(channels: int, T: float, M: int, seed: int, paths) -> np.ndarray:
+    """Brownian increments (M, len(paths), C); path j draws on ``path_seed(seed, j)``."""
+    dW = np.empty((M, len(paths), channels))
+    for e, j in enumerate(paths):
+        spec = NoiseSpec(channels=channels, xi=np.zeros((channels, 1)),
+                         seed=path_seed(seed, int(j)))
+        dW[:, e, :] = sample_grid(spec, T, M).dW
+    return dW
+
+
+def _ensemble_block(sys: SdeSystem, x0: np.ndarray, T: float, M: int, seed: int,
+                    paths) -> np.ndarray:
+    """Final Heun states (len(paths), d) of consecutive ensemble paths."""
+    dW = _ensemble_noise(sys.channels, T, M, seed, paths)
+    x = np.broadcast_to(x0, (len(paths), x0.size))
+    return _drive(sys, "heun_strat", x, T / M, dW, first_path=int(paths[0]))
 
 
 def ensemble_finals(sys: SdeSystem, x0, T: float, M: int, ensemble: int,
                     seed: int) -> np.ndarray:
     """Final states (ensemble, state_dim) of independent Heun paths.
 
-    Path j runs on its own Brownian grid with seed ``path_seed(seed, j)``.
-    The COADJOINT_THREADS environment variable caps the number of path
-    blocks advanced in parallel; blocks recombine in path order, so the
-    result does not depend on the thread count.
+    Path j runs on its own Brownian grid with seed ``path_seed(seed, j)``
+    and ends bit for bit where ``integrate`` on that grid ends.  The
+    COADJOINT_THREADS environment variable caps the number of path blocks
+    advanced in parallel; blocks recombine in path order, so the result does
+    not depend on the thread count.
     """
     if ensemble <= 0:
         raise ValueError(f"ensemble count must be positive, got {ensemble}")
     x0 = np.asarray(x0, dtype=float)
     threads = max(1, int(os.environ.get("COADJOINT_THREADS", "1")))
-    seeds = [path_seed(seed, j) for j in range(ensemble)]
     if threads == 1 or ensemble < 2 * threads:
-        return _ensemble_block(sys, x0, T, M, seeds)
+        return _ensemble_block(sys, x0, T, M, seed, range(ensemble))
     blocks = np.array_split(np.arange(ensemble), threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda ix: _ensemble_block(sys, x0, T, M, [seeds[i] for i in ix]),
-                blocks,
-            )
-        )
+        parts = list(pool.map(lambda b: _ensemble_block(sys, x0, T, M, seed, b), blocks))
     return np.concatenate(parts, axis=0)
 
 
@@ -472,6 +456,11 @@ def mc_expectation(sys: SdeSystem, f: ScalarField, x0, T: float, M: int,
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(ensemble)) if ensemble > 1 else 0.0
     return mean, stderr
+
+
+def pde_mc_gate(stderr: float, geometry: GridGeometry) -> float:
+    """Bound on |MC mean - PDE value|: 3 MC standard errors plus 2 max(dx)^2."""
+    return 3.0 * stderr + 2.0 * float(np.max(geometry.dx)) ** 2
 
 
 _DMAGIC = b"COADDENS"

@@ -52,6 +52,7 @@ from .kolmogorov import (
     interpolate,
     lie_poisson_generator,
     mc_expectation,
+    pde_mc_gate,
 )
 from .noise import NoiseSpec, coarsen, sample_grid, time_grid
 
@@ -291,8 +292,8 @@ def suite_casimir(seeds: int = 8) -> list:
         m = rng.normal(size=3)
         grad = C.gradient(m)
         worst = max(worst, abs(grad @ sys.drift(0.0, m)))
-        for k in range(noise.channels):
-            worst = max(worst, abs(grad @ sys.diffusion(0.0, m, k)))
+        for g in sys.diffusion(0.0, m):
+            worst = max(worst, abs(grad @ g))
     rows = [_row_max("grad C . (drift, diffusion) orthogonality", worst, 1e-12)]
     hs, errs = casimir_drift_errors(seeds)
     rows.append(_row_min(f"casimir pathwise drift order ({seeds} seeds)", empirical_order(hs, errs), 1.0))
@@ -402,8 +403,7 @@ def suite_kolmogorov(seeds: int = 8) -> list:
     mean, stderr = mc_expectation(
         sys, f, cfg["m0"], cfg["T"], cfg["mc_steps"], cfg["paths"], cfg["seed"]
     )
-    dx = float(geo.dx[0])
-    gate = 3.0 * stderr + 2.0 * dx ** 2
+    gate = pde_mc_gate(stderr, geo)
     rows.append(_row_max("PDE vs MC expectation (rigid body)", abs(mean - pde_val), gate))
     return rows
 

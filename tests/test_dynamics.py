@@ -24,7 +24,8 @@ from coadjoint.fields import (
     ScalarField,
     double_bracket,
 )
-from coadjoint.integrators import integrate
+from coadjoint.integrators import _drive, integrate
+from coadjoint.kolmogorov import _ensemble_noise, ensemble_finals
 from coadjoint.noise import NoiseSpec, sample_grid, time_grid
 
 SO3 = builtin("so3")
@@ -231,6 +232,24 @@ class TestLiePoissonSystem:
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
+    def test_casimir_reprojection_in_ensembles(self):
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0]], seed=5)
+        sys = lie_poisson_system(SO3, K_RIGID, noise, reproject_casimir=True)
+        m0 = np.array([0.6, 0.0, 0.8]) * 0.99
+        finals = ensemble_finals(sys, m0, T=1.0, M=256, ensemble=64, seed=9)
+        norms = np.linalg.norm(finals, axis=1)
+        assert np.max(np.abs(norms - np.linalg.norm(m0))) <= 1e-12
+
+    def test_casimir_reprojection_rowwise(self):
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0]], seed=5)
+        sys = lie_poisson_system(SO3, K_RIGID, noise, reproject_casimir=True)
+        x0 = np.array([[0.6, 0.0, 0.8], [0.0, 3.0, 4.0]])
+        x_new = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 2.0]])
+        out = sys.post_step(x_new, x0)
+        assert np.allclose(np.linalg.norm(out, axis=1), [1.0, 5.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(out[1], [0.0, 0.0, 5.0], rtol=0.0, atol=0.0)
+        assert np.array_equal(sys.post_step(np.zeros((2, 3)), x0), np.zeros((2, 3)))
+
 
 class TestHamelSystem:
     def test_decouples_without_potential(self):
@@ -435,16 +454,5 @@ class TestCasimir:
 
 
 def _euler_ensemble(sys, x0, T, M, ensemble, seed):
-    from coadjoint.integrators import euler_ito_step
-    from coadjoint.kolmogorov import path_seed
-
-    dW = np.empty((ensemble, M, sys.channels))
-    for j in range(ensemble):
-        spec = NoiseSpec(channels=sys.channels, xi=np.zeros((sys.channels, 1)),
-                         seed=path_seed(seed, j))
-        dW[j] = sample_grid(spec, T, M).dW
-    x = np.broadcast_to(np.asarray(x0, float), (ensemble, len(x0))).copy()
-    dt = T / M
-    for i in range(M):
-        x = euler_ito_step(sys, i * dt, x, dt, dW[:, i, :])
-    return x
+    dW = _ensemble_noise(sys.channels, T, M, seed, range(ensemble))
+    return _drive(sys, "euler_ito", np.broadcast_to(x0, (ensemble, len(x0))), T / M, dW)

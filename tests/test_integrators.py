@@ -23,7 +23,7 @@ def scalar_multiplicative(with_correction=True):
         state_dim=1,
         channels=1,
         drift=lambda t, x: np.zeros_like(x),
-        diffusion=lambda t, x, k: x,
+        diffusion=lambda t, x: x[..., None, :],
         ito_correction=(lambda t, x: 0.5 * x) if with_correction else None,
         labels=("x",),
         name="geometric",
@@ -35,7 +35,7 @@ def additive(sigma=0.7):
         state_dim=1,
         channels=1,
         drift=lambda t, x: np.zeros_like(x),
-        diffusion=lambda t, x, k: np.full_like(x, sigma),
+        diffusion=lambda t, x: np.full_like(x, sigma)[..., None, :],
         ito_correction=lambda t, x: np.zeros_like(x),
         labels=("x",),
     )
@@ -45,7 +45,7 @@ class TestHeunStep:
     def test_deterministic_reduction_linear_drift(self):
         a = 1.3
         sys = SdeSystem(1, 0, drift=lambda t, x: a * x,
-                        diffusion=lambda t, x, k: x, ito_correction=None)
+                        diffusion=lambda t, x: x[..., None, :], ito_correction=None)
         dt = 1e-2
         x1 = heun_stratonovich_step(sys, 0.0, np.array([1.0]), dt, np.zeros(0))
         exact = np.exp(a * dt)
@@ -96,7 +96,7 @@ class TestEulerItoStep:
 
     def test_zero_noise_is_explicit_euler(self):
         sys = SdeSystem(1, 0, drift=lambda t, x: 2.0 * x,
-                        diffusion=lambda t, x, k: x,
+                        diffusion=lambda t, x: x[..., None, :],
                         ito_correction=lambda t, x: np.zeros_like(x))
         x1 = euler_ito_step(sys, 0.0, np.array([1.0]), 0.25, np.zeros(0))
         assert x1[0] == pytest.approx(1.5, abs=0.0)
@@ -120,7 +120,7 @@ class TestRk4:
         A = rng.normal(size=(3, 3))
         x0 = rng.normal(size=3)
         grid = time_grid(1.0, 1000)
-        sys = SdeSystem(3, 0, drift=lambda t, x: A @ x, diffusion=lambda t, x, k: x)
+        sys = SdeSystem(3, 0, drift=lambda t, x: A @ x, diffusion=lambda t, x: x[..., None, :])
         traj = integrate(sys, "rk4", grid, x0)
         exact = expm(A) @ x0
         rel = np.linalg.norm(traj.final() - exact) / np.linalg.norm(exact)
@@ -131,7 +131,7 @@ class TestRk4:
             return np.array([x[1], -x[0]])
 
         grid = time_grid(10.0, 10_000)
-        sys = SdeSystem(2, 0, drift=drift, diffusion=lambda t, x, k: x)
+        sys = SdeSystem(2, 0, drift=drift, diffusion=lambda t, x: x[..., None, :])
         traj = integrate(sys, "rk4", grid, np.array([1.0, 0.0]))
         energy = 0.5 * np.sum(traj.states ** 2, axis=1)
         assert np.max(np.abs(energy - energy[0])) <= 10.0 * (1e-3) ** 4
@@ -141,7 +141,7 @@ class TestIntegrate:
     def test_single_step_two_states(self):
         g = time_grid(1.0, 1)
         sys = SdeSystem(1, 0, drift=lambda t, x: np.ones_like(x),
-                        diffusion=lambda t, x, k: x)
+                        diffusion=lambda t, x: x[..., None, :])
         traj = integrate(sys, "rk4", g, np.array([0.0]))
         assert traj.states.shape == (2, 1)
         assert traj.times[-1] == 1.0
@@ -167,7 +167,7 @@ class TestIntegrate:
 
     def test_divergence_carries_step_and_partial(self):
         sys = SdeSystem(1, 0, drift=lambda t, x: x ** 3,
-                        diffusion=lambda t, x, k: x)
+                        diffusion=lambda t, x: x[..., None, :])
         g = time_grid(10.0, 64)
         with pytest.raises(IntegrationDiverged) as err:
             integrate(sys, "rk4", g, np.array([5.0]))

@@ -10,25 +10,27 @@ from coadjoint.dynamics import (
     phase_space_system,
 )
 from coadjoint.fields import ScalarField
-from coadjoint.integrators import integrate
+from coadjoint.integrators import IntegrationDiverged, SdeSystem, integrate
 from coadjoint.kolmogorov import (
     DensityGrid,
     GridGeometry,
     adjoint_apply,
     admissible_dt,
     backward_solve,
+    ensemble_finals,
     forward_solve,
     generator_apply,
     hamel_generator,
     interpolate,
     lie_poisson_generator,
     mc_expectation,
+    path_seed,
     read_density,
     write_density,
     write_density_slice_csv,
 )
-from coadjoint.kolmogorov import _GridOperator
-from coadjoint.noise import NoiseSpec, time_grid
+from coadjoint.kolmogorov import _GridOperator, _ensemble_block
+from coadjoint.noise import NoiseSpec, sample_grid, time_grid
 from coadjoint.actions import builtin_chart
 
 SO3 = builtin("so3")
@@ -251,6 +253,53 @@ class TestMcExpectation:
         monkeypatch.setenv("COADJOINT_THREADS", "4")
         threaded = mc_expectation(sys, f, x0, T=0.2, M=32, ensemble=64, seed=5)
         assert serial == threaded
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("j", [3, 10, 40])
+    def test_path_independent_of_batch(self, monkeypatch, j, threads):
+        # path j ends bit for bit alike alone, in a batch of 7 and in the
+        # full ensemble, whatever COADJOINT_THREADS is
+        if threads is None:
+            monkeypatch.delenv("COADJOINT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("COADJOINT_THREADS", threads)
+        xi = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
+        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=2, xi=xi, seed=0))
+        x0 = np.array([0.8, 0.3, 0.5])
+        seed, T, M = 17, 0.5, 64
+        alone = integrate(sys, "heun_strat",
+                          sample_grid(NoiseSpec(channels=2, xi=xi, seed=path_seed(seed, j)), T, M),
+                          x0).final()
+        batch = _ensemble_block(sys, x0, T, M, seed, range(j - 3, j + 4))
+        full = ensemble_finals(sys, x0, T, M, ensemble=64, seed=seed)
+        assert np.array_equal(batch[3], alone)
+        assert np.array_equal(full[j], alone)
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_divergent_path_reported(self, monkeypatch, threads):
+        # dx = x^3 dt + 0.8 dW from 0 blows up on one of these 16 paths (j = 15,
+        # in the second block when threaded)
+        if threads is None:
+            monkeypatch.delenv("COADJOINT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("COADJOINT_THREADS", threads)
+        sys = SdeSystem(1, 1, drift=lambda t, x: x ** 3,
+                        diffusion=lambda t, x: np.full_like(x, 0.8)[..., None, :])
+        x0, seed, T, M, paths = np.array([0.0]), 42, 1.0, 64, 16
+        fates = []
+        for j in range(paths):
+            grid = sample_grid(NoiseSpec(channels=1, xi=np.zeros((1, 1)),
+                                         seed=path_seed(seed, j)), T, M)
+            try:
+                integrate(sys, "heun_strat", grid, x0)
+            except IntegrationDiverged as err:
+                fates.append((err.step, j, err.last_state))
+        assert len(fates) == 1
+        step, j, last = fates[0]
+        with pytest.raises(IntegrationDiverged, match=f"path {j} diverged at step {step}") as err:
+            ensemble_finals(sys, x0, T, M, ensemble=paths, seed=seed)
+        assert (err.value.step, err.value.path) == (step, j)
+        assert np.array_equal(err.value.last_state, last)
 
 
 class TestDensityIO:
