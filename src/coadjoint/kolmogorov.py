@@ -28,8 +28,8 @@ from .algebra import LieAlgebraSpec, ad_star
 from .actions import ActionChart
 from .dynamics import ReducedHamiltonian
 from .fields import HamelBracket, LiePoissonBracket, PoissonBracket, ScalarField, double_bracket
-from .integrators import SdeSystem, _drive, integrate
-from .noise import NoiseSpec, sample_grid
+from .integrators import IntegrationDiverged, SdeSystem, _drive, integrate
+from .noise import NoiseSpec, _increments, sample_grid
 
 __all__ = [
     "GeneratorSpec",
@@ -47,7 +47,6 @@ __all__ = [
     "ensemble_finals",
     "mc_expectation",
     "pde_mc_gate",
-    "path_seed",
     "write_density",
     "read_density",
     "write_density_slice_csv",
@@ -311,12 +310,6 @@ def admissible_dt(spec: LiePoissonGeneratorSpec, geometry: GridGeometry,
 
 
 def _evaluate_on_nodes(f: ScalarField, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f.value(nodes), dtype=float)
-        if vals.shape == nodes.shape[:-1]:
-            return vals
-    except Exception:
-        pass
     flat = nodes.reshape(-1, nodes.shape[-1])
     return np.array([f(x) for x in flat]).reshape(nodes.shape[:-1])
 
@@ -392,48 +385,41 @@ def interpolate(grid: DensityGrid, x) -> float:
     return float(out)
 
 
-def path_seed(seed: int, index: int) -> int:
-    """Seed of ensemble path ``index``: base seed plus index, wrapped to 64 bits."""
-    return (seed + index) % (2 ** 64)
-
-
-def _ensemble_noise(channels: int, T: float, M: int, seed: int, paths) -> np.ndarray:
-    """Brownian increments (M, len(paths), C); path j draws on ``path_seed(seed, j)``."""
-    dW = np.empty((M, len(paths), channels))
-    for e, j in enumerate(paths):
-        spec = NoiseSpec(channels=channels, xi=np.zeros((channels, 1)),
-                         seed=path_seed(seed, int(j)))
-        dW[:, e, :] = sample_grid(spec, T, M).dW
-    return dW
-
-
-def _ensemble_block(sys: SdeSystem, x0: np.ndarray, T: float, M: int, seed: int,
-                    paths) -> np.ndarray:
-    """Final Heun states (len(paths), d) of consecutive ensemble paths."""
-    dW = _ensemble_noise(sys.channels, T, M, seed, paths)
-    x = np.broadcast_to(x0, (len(paths), x0.size))
-    return _drive(sys, "heun_strat", x, T / M, dW, first_path=int(paths[0]))
-
-
 def ensemble_finals(sys: SdeSystem, x0, T: float, M: int, ensemble: int,
                     seed: int) -> np.ndarray:
     """Final states (ensemble, state_dim) of independent Heun paths.
 
-    Path j runs on its own Brownian grid with seed ``path_seed(seed, j)``
-    and ends bit for bit where ``integrate`` on that grid ends.  The
-    COADJOINT_THREADS environment variable caps the number of path blocks
-    advanced in parallel; blocks recombine in path order, so the result does
-    not depend on the thread count.
+    Path j takes draws j*M ... j*M + M - 1 of each channel's Philox stream
+    keyed (seed, k), so path 0 runs on ``sample_grid``'s grid for this seed
+    and ensembles on different seeds share no increment.  Each path ends
+    bit for bit where ``integrate`` on its own grid ends.  The
+    COADJOINT_THREADS environment variable caps the number of column
+    blocks of the increment table advanced in parallel; blocks recombine
+    in path order and a divergence reports the earliest (step, path), so
+    the outcome does not depend on the thread count.
     """
     if ensemble <= 0:
         raise ValueError(f"ensemble count must be positive, got {ensemble}")
     x0 = np.asarray(x0, dtype=float)
+    dW = _increments(seed, sys.channels, T, M, ensemble)
+    x = np.broadcast_to(x0, (ensemble, x0.size))
     threads = max(1, int(os.environ.get("COADJOINT_THREADS", "1")))
     if threads == 1 or ensemble < 2 * threads:
-        return _ensemble_block(sys, x0, T, M, seed, range(ensemble))
-    blocks = np.array_split(np.arange(ensemble), threads)
+        return _drive(sys, "heun_strat", x, T / M, dW)
+
+    def block(cols):
+        try:
+            return _drive(sys, "heun_strat", x[cols], T / M, dW[:, cols],
+                          first_path=cols.start)
+        except IntegrationDiverged as err:
+            return err
+
+    edges = [ensemble * i // threads for i in range(threads + 1)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda b: _ensemble_block(sys, x0, T, M, seed, b), blocks))
+        parts = list(pool.map(block, map(slice, edges[:-1], edges[1:])))
+    diverged = [p for p in parts if isinstance(p, IntegrationDiverged)]
+    if diverged:
+        raise min(diverged, key=lambda err: (err.step, err.path))
     return np.concatenate(parts, axis=0)
 
 

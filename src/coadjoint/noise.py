@@ -1,9 +1,12 @@
 """Reproducible multichannel Brownian increment grids with exact dyadic coarsening.
 
-Channel streams use the counter-based Philox generator keyed by
-``(seed, channel)``, so each channel is an independent stream and the same
-``(seed, T, M)`` always reproduces the same grid bit for bit, across runs
-and platforms.  Increments are stored at the finest level only; coarser
+Channel k of seed s is the counter-based Philox stream keyed ``(s, k)``
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
+each channel is an independent stream and the same ``(seed, T, M)`` always
+reproduces the same grid bit for bit, across runs and platforms.  Path j of
+a Monte-Carlo ensemble takes draws j*M ... j*M + M - 1 of each stream, so
+path 0 is the single-path grid and ensembles on different seeds share no
+increment.  Increments are stored at the finest level only; coarser
 views are derived by :func:`coarsen`, which sums adjacent pairs repeatedly
 (factor 2 at a time) so that coarsening twice by 2 is bitwise identical to
 coarsening once by 4.
@@ -105,22 +108,42 @@ class BrownianGrid:
         return float(np.max(np.abs(sample - target)) / (target * np.sqrt(2.0 / self.steps)))
 
 
-def sample_grid(spec: NoiseSpec, T: float, M: int) -> BrownianGrid:
-    """Sample a grid of M Brownian increments for each of the spec's channels.
+# Paths drawn per call when filling an ensemble table; it bounds the
+# temporary block and changes no value, since consecutive calls continue
+# the same stream.
+_FILL_ROWS = 1024
 
-    Channel k draws from Philox keyed by (seed, k), making the grid a
-    deterministic function of (seed, T, M, channels).
+
+def _increments(seed: int, channels: int, T: float, M: int, paths: int) -> np.ndarray:
+    """Brownian increments (M, paths, C), each N(0, T/M).
+
+    Path j of channel k is draws j*M ... j*M + M - 1 of the Philox stream
+    keyed (seed, k).
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
     if not _is_power_of_two(M):
         raise ValueError(f"step count must be a power of two, got {M}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
     scale = np.sqrt(T / M)
-    cols = []
-    for k in range(spec.channels):
-        gen = np.random.Generator(np.random.Philox(key=[spec.seed, k]))
-        cols.append(gen.standard_normal(M) * scale)
-    dW = np.stack(cols, axis=1) if cols else np.zeros((M, 0))
+    dW = np.empty((M, paths, channels))
+    for k in range(channels):
+        gen = np.random.Generator(np.random.Philox(key=[seed, k]))
+        for j in range(0, paths, _FILL_ROWS):
+            rows = min(_FILL_ROWS, paths - j)
+            dW[:, j:j + rows, k] = (gen.standard_normal((rows, M)) * scale).T
+    return dW
+
+
+def sample_grid(spec: NoiseSpec, T: float, M: int) -> BrownianGrid:
+    """Sample a grid of M Brownian increments for each of the spec's channels.
+
+    Channel k is the first M draws of the Philox stream keyed (seed, k),
+    making the grid a deterministic function of (seed, T, M, channels); it
+    is path 0 of every ensemble on that seed.
+    """
+    dW = _increments(spec.seed, spec.channels, T, M, 1)[:, 0, :]
     return BrownianGrid(T=T, steps=M, dW=dW, seed=spec.seed)
 
 

@@ -229,23 +229,23 @@ def _nested_correction_residual(seed: int = 303) -> dict:
     return out
 
 
-def coupled_scheme_errors(seeds: int = 8):
-    """Strat-vs-Ito strong errors on shared paths, averaged across seeds."""
-    so3 = lie.builtin("so3")
-    hs = [2.0 ** -ex for ex in M_EXPONENTS]
+def _coupled_study(seeds: int, exponents, error):
+    """Mean across seeds of ``error(grid)`` on each dyadic coarsening of one
+    fine XI_PAIR grid per seed; returns (step sizes, mean errors)."""
+    top = max(exponents)
     all_errs = []
     for seed in range(seeds):
-        noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=seed)
-        sys = lie_poisson_system(so3, K_RIGID, noise)
-        fine = sample_grid(noise, 1.0, 2 ** max(M_EXPONENTS))
-        errs = []
-        for ex in M_EXPONENTS:
-            g = coarsen(fine, 2 ** max(M_EXPONENTS) // 2 ** ex)
-            th = integrate(sys, "heun_strat", g, M0)
-            ti = integrate(sys, "euler_ito", g, M0)
-            errs.append(strong_error(th, ti))
-        all_errs.append(errs)
-    return hs, np.mean(all_errs, axis=0)
+        fine = sample_grid(NoiseSpec(channels=2, xi=XI_PAIR, seed=seed), 1.0, 2 ** top)
+        all_errs.append([error(coarsen(fine, 2 ** (top - ex))) for ex in exponents])
+    return [2.0 ** -ex for ex in exponents], np.mean(all_errs, axis=0)
+
+
+def coupled_scheme_errors(seeds: int = 8):
+    """Strat-vs-Ito strong errors on shared paths, averaged across seeds."""
+    noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
+    sys = lie_poisson_system(lie.builtin("so3"), K_RIGID, noise)
+    return _coupled_study(seeds, M_EXPONENTS, lambda g: strong_error(
+        integrate(sys, "heun_strat", g, M0), integrate(sys, "euler_ito", g, M0)))
 
 
 def suite_ito(seeds: int = 8) -> list:
@@ -266,19 +266,9 @@ def casimir_drift_errors(seeds: int = 8):
     """Pathwise sup Casimir drift under Heun, averaged across seeds."""
     so3 = lie.builtin("so3")
     C = casimir(so3)
-    hs = [2.0 ** -ex for ex in M_EXPONENTS]
-    all_errs = []
-    for seed in range(seeds):
-        noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=seed)
-        sys = lie_poisson_system(so3, K_RIGID, noise)
-        fine = sample_grid(noise, 1.0, 2 ** max(M_EXPONENTS))
-        errs = []
-        for ex in M_EXPONENTS:
-            g = coarsen(fine, 2 ** max(M_EXPONENTS) // 2 ** ex)
-            t = integrate(sys, "heun_strat", g, M0)
-            errs.append(observable_series(t, C).sup())
-        all_errs.append(errs)
-    return hs, np.mean(all_errs, axis=0)
+    sys = lie_poisson_system(so3, K_RIGID, NoiseSpec(channels=2, xi=XI_PAIR, seed=0))
+    return _coupled_study(seeds, M_EXPONENTS, lambda g: observable_series(
+        integrate(sys, "heun_strat", g, M0), C).sup())
 
 
 def suite_casimir(seeds: int = 8) -> list:
@@ -316,22 +306,12 @@ def collectivization_errors(seeds: int = 4, exponents=range(8, 13)):
     chart = builtin_chart("so3_on_r3")
     x0 = np.concatenate([Q0, P0])
     m0 = momentum_map(chart, PhaseState(Q0, P0))
-    hs = [2.0 ** -ex for ex in exponents]
-    all_errs = []
-    for seed in range(seeds):
-        noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=seed)
-        L = QuadraticLagrangian(alg=so3, kinetic=G_RIGID, chart=chart)
-        ps = phase_space_system(L, noise)
-        lp = lie_poisson_system(so3, K_RIGID, noise)
-        fine = sample_grid(noise, 1.0, 2 ** max(exponents))
-        errs = []
-        for ex in exponents:
-            g = coarsen(fine, 2 ** max(exponents) // 2 ** ex)
-            tp = integrate(ps, "heun_strat", g, x0)
-            tl = integrate(lp, "heun_strat", g, m0)
-            errs.append(strong_error(reconstruct_momentum(tp, chart), tl))
-        all_errs.append(errs)
-    return hs, np.mean(all_errs, axis=0)
+    noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
+    ps = phase_space_system(QuadraticLagrangian(alg=so3, kinetic=G_RIGID, chart=chart), noise)
+    lp = lie_poisson_system(so3, K_RIGID, noise)
+    return _coupled_study(seeds, exponents, lambda g: strong_error(
+        reconstruct_momentum(integrate(ps, "heun_strat", g, x0), chart),
+        integrate(lp, "heun_strat", g, m0)))
 
 
 def suite_collectivize(seeds: int = 8) -> list:

@@ -25,8 +25,8 @@ from coadjoint.fields import (
     double_bracket,
 )
 from coadjoint.integrators import _drive, integrate
-from coadjoint.kolmogorov import _ensemble_noise, ensemble_finals
-from coadjoint.noise import NoiseSpec, sample_grid, time_grid
+from coadjoint.kolmogorov import ensemble_finals
+from coadjoint.noise import NoiseSpec, _increments, sample_grid, time_grid
 
 SO3 = builtin("so3")
 K_RIGID = np.diag([1.0, 0.5, 1.0 / 3.0])
@@ -454,5 +454,5 @@ class TestCasimir:
 
 
 def _euler_ensemble(sys, x0, T, M, ensemble, seed):
-    dW = _ensemble_noise(sys.channels, T, M, seed, range(ensemble))
+    dW = _increments(seed, sys.channels, T, M, ensemble)
     return _drive(sys, "euler_ito", np.broadcast_to(x0, (ensemble, len(x0))), T / M, dW)

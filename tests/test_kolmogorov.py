@@ -10,7 +10,7 @@ from coadjoint.dynamics import (
     phase_space_system,
 )
 from coadjoint.fields import ScalarField
-from coadjoint.integrators import IntegrationDiverged, SdeSystem, integrate
+from coadjoint.integrators import IntegrationDiverged, SdeSystem, _drive, integrate
 from coadjoint.kolmogorov import (
     DensityGrid,
     GridGeometry,
@@ -24,13 +24,12 @@ from coadjoint.kolmogorov import (
     interpolate,
     lie_poisson_generator,
     mc_expectation,
-    path_seed,
     read_density,
     write_density,
     write_density_slice_csv,
 )
-from coadjoint.kolmogorov import _GridOperator, _ensemble_block
-from coadjoint.noise import NoiseSpec, sample_grid, time_grid
+from coadjoint.kolmogorov import _GridOperator
+from coadjoint.noise import BrownianGrid, NoiseSpec, _increments, sample_grid, time_grid
 from coadjoint.actions import builtin_chart
 
 SO3 = builtin("so3")
@@ -267,35 +266,45 @@ class TestMcExpectation:
         sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=2, xi=xi, seed=0))
         x0 = np.array([0.8, 0.3, 0.5])
         seed, T, M = 17, 0.5, 64
-        alone = integrate(sys, "heun_strat",
-                          sample_grid(NoiseSpec(channels=2, xi=xi, seed=path_seed(seed, j)), T, M),
-                          x0).final()
-        batch = _ensemble_block(sys, x0, T, M, seed, range(j - 3, j + 4))
+        grid = BrownianGrid(T=T, steps=M, dW=_increments(seed, 2, T, M, j + 1)[:, j], seed=seed)
+        alone = integrate(sys, "heun_strat", grid, x0).final()
+        dW = _increments(seed, 2, T, M, 64)[:, j - 3:j + 4]
+        batch = _drive(sys, "heun_strat", np.broadcast_to(x0, (7, 3)), T / M, dW)
         full = ensemble_finals(sys, x0, T, M, ensemble=64, seed=seed)
         assert np.array_equal(batch[3], alone)
         assert np.array_equal(full[j], alone)
 
+    def test_neighbouring_seeds_share_no_path(self):
+        # dX = dW, so each final state is the sum of its path's increments
+        eye = np.eye(2)
+        sys = SdeSystem(2, 2, drift=lambda t, x: np.zeros_like(x),
+                        diffusion=lambda t, x: np.broadcast_to(eye, x.shape[:-1] + eye.shape))
+        a = ensemble_finals(sys, np.zeros(2), 1.0, 16, ensemble=32, seed=8)
+        b = ensemble_finals(sys, np.zeros(2), 1.0, 16, ensemble=32, seed=9)
+        assert np.intersect1d(a, b).size == 0
+
     @pytest.mark.parametrize("threads", [None, "2"])
     def test_divergent_path_reported(self, monkeypatch, threads):
-        # dx = x^3 dt + 0.8 dW from 0 blows up on one of these 16 paths (j = 15,
-        # in the second block when threaded)
+        # dx = x^3 dt + 0.8 dW from 0 on seed 2 blows up on path 0 at step 58
+        # and on path 13 at step 38; with 2 threads they are in different
+        # blocks, and the earlier one (second block) must be reported
         if threads is None:
             monkeypatch.delenv("COADJOINT_THREADS", raising=False)
         else:
             monkeypatch.setenv("COADJOINT_THREADS", threads)
         sys = SdeSystem(1, 1, drift=lambda t, x: x ** 3,
                         diffusion=lambda t, x: np.full_like(x, 0.8)[..., None, :])
-        x0, seed, T, M, paths = np.array([0.0]), 42, 1.0, 64, 16
+        x0, seed, T, M, paths = np.array([0.0]), 2, 1.0, 64, 16
+        dW = _increments(seed, 1, T, M, paths)
         fates = []
         for j in range(paths):
-            grid = sample_grid(NoiseSpec(channels=1, xi=np.zeros((1, 1)),
-                                         seed=path_seed(seed, j)), T, M)
+            grid = BrownianGrid(T=T, steps=M, dW=dW[:, j], seed=seed)
             try:
                 integrate(sys, "heun_strat", grid, x0)
             except IntegrationDiverged as err:
                 fates.append((err.step, j, err.last_state))
-        assert len(fates) == 1
-        step, j, last = fates[0]
+        step, j, last = min(fates, key=lambda fate: fate[:2])
+        assert len(fates) > 1 and j >= paths // 2
         with pytest.raises(IntegrationDiverged, match=f"path {j} diverged at step {step}") as err:
             ensemble_finals(sys, x0, T, M, ensemble=paths, seed=seed)
         assert (err.value.step, err.value.path) == (step, j)

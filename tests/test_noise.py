@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coadjoint import noise
 from coadjoint.noise import (
     GENERATOR_ID,
     NoiseSpec,
@@ -11,6 +12,7 @@ from coadjoint.noise import (
     sample_grid,
     time_grid,
     write_grid,
+    _increments,
 )
 
 
@@ -57,6 +59,41 @@ class TestSampling:
         g = time_grid(1.0, 10000)
         assert g.steps == 10000
         assert g.channels == 0
+
+
+class TestEnsembleKeying:
+    def test_channel_is_philox_stream(self):
+        # channel k of seed s is the first M draws of Philox keyed (s, k)
+        g = sample_grid(spec(seed=11), 0.5, 64)
+        for k in range(2):
+            gen = np.random.Generator(np.random.Philox(key=[11, k]))
+            assert np.array_equal(g.dW[:, k], gen.standard_normal(64) * np.sqrt(0.5 / 64))
+
+    def test_path_zero_is_sample_grid(self):
+        table = _increments(42, 2, 1.0, 256, 5)
+        assert table.shape == (256, 5, 2)
+        assert np.array_equal(table[:, 0, :], sample_grid(spec(), 1.0, 256).dW)
+
+    @pytest.mark.parametrize("seed", [0, 41, 2 ** 32 + 7])
+    def test_neighbouring_seeds_share_no_increment(self, seed):
+        a = _increments(seed, 2, 1.0, 64, 16)
+        b = _increments(seed + 1, 2, 1.0, 64, 16)
+        assert np.intersect1d(a, b).size == 0
+        assert np.unique(a).size == a.size
+
+    @pytest.mark.parametrize("fill_rows", [1, 7, 1024])
+    @pytest.mark.parametrize("j", [0, 1023, 1024, 9999])
+    def test_path_independent_of_ensemble_size_and_fill(self, monkeypatch, j, fill_rows):
+        alone = _increments(5, 2, 1.0, 8, j + 1)[:, j, :]
+        monkeypatch.setattr(noise, "_FILL_ROWS", fill_rows)
+        assert np.array_equal(_increments(5, 2, 1.0, 8, j + 1)[:, j, :], alone)
+        assert np.array_equal(_increments(5, 2, 1.0, 8, 10_000)[:, j, :], alone)
+
+    def test_seed_range_checked(self):
+        with pytest.raises(ValueError, match="64 bits"):
+            _increments(-1, 1, 1.0, 8, 4)
+        with pytest.raises(ValueError, match="64 bits"):
+            _increments(2 ** 64, 1, 1.0, 8, 4)
 
 
 class TestCoarsen:
