@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from coadjoint.algebra import builtin
-from coadjoint.dynamics import casimir, lie_poisson_system
+from coadjoint.dynamics import casimir
 from coadjoint.fields import ScalarField
 from coadjoint.kolmogorov import (
     GridGeometry,
@@ -20,7 +20,6 @@ from coadjoint.kolmogorov import (
     mc_expectation,
     pde_mc_gate,
 )
-from coadjoint.noise import NoiseSpec
 
 
 def main():
@@ -47,8 +46,7 @@ def main():
     rho = backward_solve(spec, f, args.horizon, geometry)
     pde_value = interpolate(rho, m0)
 
-    system = lie_poisson_system(so3, K, NoiseSpec(channels=1, xi=xi, seed=0))
-    mean, stderr = mc_expectation(system, f, m0, args.horizon, 256, args.paths, seed=2024)
+    mean, stderr = mc_expectation(spec.system, f, m0, args.horizon, 256, args.paths, seed=2024)
 
     gate = pde_mc_gate(stderr, geometry)
     print(f"observable          : E[{f.name}(m(T))], T = {args.horizon}")

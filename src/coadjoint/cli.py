@@ -40,11 +40,6 @@ EXIT_DIVERGED = 2
 EXIT_VALIDATION = 3
 
 
-def _load_and_build(path: str) -> BuiltScenario:
-    scn = load_scenario(path)
-    return build_scenario(scn)
-
-
 def _scenario_grid(built: BuiltScenario):
     if built.scheme == "rk4":
         return time_grid(built.T, built.M)
@@ -106,7 +101,7 @@ def _phase_energy_field(built: BuiltScenario) -> ScalarField:
 
 def cmd_simulate(args) -> int:
     try:
-        built = _load_and_build(args.scenario)
+        built = build_scenario(load_scenario(args.scenario))
         grid = _scenario_grid(built)
     except (ScenarioError, OSError, ValueError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -152,10 +147,16 @@ def _parse_f0(spec: str, alg) -> ScalarField:
 
 def cmd_kolmogorov(args) -> int:
     try:
-        built = _load_and_build(args.scenario)
+        scn = load_scenario(args.scenario)
+        built = build_scenario(scn)
         if not built.system.name.startswith("lie_poisson") or built.alg.name != "so3":
             raise ScenarioError(
                 "the kolmogorov command needs an so3 lie_poisson scenario"
+            )
+        if scn.get("u_policy", {"id": "legendre"})["id"] != "legendre":
+            raise ScenarioError(
+                "$.u_policy: the kolmogorov generator has psi = h, so u = K m; "
+                "only 'legendre' applies"
             )
         f0 = _parse_f0(args.f0, built.alg)
         nx, ny, nz = (int(v) for v in args.grid.split(","))
@@ -197,7 +198,7 @@ def cmd_kolmogorov(args) -> int:
 
     pde_val = interpolate(rho, built.x0)
     mean, stderr = mc_expectation(
-        built.system, f0, built.x0, built.T, built.M, args.paths, built.seed
+        spec.system, f0, built.x0, built.T, built.M, args.paths, built.seed
     )
     gate = pde_mc_gate(stderr, geometry)
     agree = abs(mean - pde_val) <= gate
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_kol = sub.add_parser("kolmogorov", help="backward solve plus Monte-Carlo cross-check")
-    p_kol.add_argument("scenario", help="so3 lie_poisson scenario JSON file")
+    p_kol.add_argument("scenario", help="so3 lie_poisson scenario JSON file (u_policy legendre)")
     p_kol.add_argument("--f0", required=True,
                        help="initial observable: casimir | const | m1 | m2 | m3")
     p_kol.add_argument("--grid", required=True, help="nodes per axis, e.g. 48,48,48")

@@ -318,6 +318,30 @@ def _check_noise(noise: NoiseSpec, r: int) -> None:
         )
 
 
+def _coadjoint_noise(alg: LieAlgebraSpec, noise: NoiseSpec):
+    """Noise fields of the dual-algebra block, shared by the collective and Hamel builders.
+
+    Returns ``(diffusion, correction)`` as ``(t, m)`` callbacks:
+    ``diffusion`` stacks the channel fields ad*(xi_k, m) as ``(..., C, r)``
+    and ``correction`` is the Ito double-bracket drift
+    (1/2) sum_k ad*(xi_k, ad*(xi_k, m)).
+    """
+    # (0, r) without noise, so the grid solvers can evaluate a zero diffusion
+    xi = noise.xi.reshape(noise.channels, alg.dim)
+
+    def diffusion(t, m):
+        return ad_star(alg, xi, m[..., None, :])
+
+    def correction(t, m):
+        out = np.zeros_like(m)
+        for k in range(noise.channels):
+            xk = np.broadcast_to(xi[k], m.shape)
+            out = out + ad_star(alg, xk, ad_star(alg, xk, m))
+        return 0.5 * out
+
+    return diffusion, correction
+
+
 def lie_poisson_system(
     alg: LieAlgebraSpec,
     K,
@@ -338,7 +362,7 @@ def lie_poisson_system(
     """
     K = _check_spd(K, "kinetic inverse K")
     _check_noise(noise, alg.dim)
-    xi = noise.xi
+    diffusion, correction = _coadjoint_noise(alg, noise)
 
     def drift(t, m):
         if u_of is None:
@@ -346,16 +370,6 @@ def lie_poisson_system(
         else:
             u = _validated_u(u_of, t, m, alg.dim)
         return ad_star(alg, u, m)
-
-    def diffusion(t, m):
-        return ad_star(alg, xi, m[..., None, :])
-
-    def correction(t, m):
-        out = np.zeros_like(m)
-        for k in range(noise.channels):
-            xk = np.broadcast_to(xi[k], m.shape)
-            out = out + ad_star(alg, xk, ad_star(alg, xk, m))
-        return 0.5 * out
 
     post = None
     if reproject_casimir:
@@ -395,6 +409,7 @@ def hamel_system(
     r, n = h.alg.dim, chart.n
     alg = h.alg
     xi = noise.xi
+    m_diffusion, m_correction = _coadjoint_noise(alg, noise)
 
     def drift(t, x):
         m, q = x[..., :r], x[..., r:]
@@ -408,23 +423,19 @@ def hamel_system(
     def diffusion(t, x):
         m, q = x[..., :r], x[..., r:]
         a = chart.coefficients(q)
-        dm = ad_star(alg, xi, m[..., None, :])
         dq = np.einsum("...bi,kb->...ki", a, xi)
-        return np.concatenate([dm, dq], axis=-1)
+        return np.concatenate([m_diffusion(t, m), dq], axis=-1)
 
     def correction(t, x):
         m, q = x[..., :r], x[..., r:]
         a = chart.coefficients(q)
         da = chart.d_coefficients(q)
-        dm = np.zeros_like(m)
         dq = np.zeros_like(q)
         for k in range(noise.channels):
-            xk = np.broadcast_to(xi[k], m.shape)
-            dm = dm + ad_star(alg, xk, ad_star(alg, xk, m))
             b = np.einsum("...bi,b->...i", a, xi[k])
             db = np.einsum("...bij,b->...ij", da, xi[k])
             dq = dq + np.einsum("...ij,...j->...i", db, b)
-        return 0.5 * np.concatenate([dm, dq], axis=-1)
+        return np.concatenate([m_correction(t, m), 0.5 * dq], axis=-1)
 
     labels = tuple(f"m{i+1}" for i in range(r)) + tuple(f"q{i+1}" for i in range(n))
     return SdeSystem(

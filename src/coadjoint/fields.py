@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec
+from .algebra import LieAlgebraSpec, ad_star
 
 __all__ = [
     "ScalarField",
@@ -159,7 +159,9 @@ class LiePoissonBracket(PoissonBracket):
         self.dim = alg.dim
 
     def tensor(self, m: np.ndarray) -> np.ndarray:
-        return -np.einsum("abg,g->ab", self.alg.c, m)
+        # column b is ad*(e_b, m); copied to C order so that the bracket's
+        # matrix products round as they do on a row-major tensor
+        return ad_star(self.alg, np.eye(self.dim), m).T.copy()
 
 
 class HamelBracket(PoissonBracket):
@@ -181,7 +183,7 @@ class HamelBracket(PoissonBracket):
         m, q = x[:r], x[r:]
         a = self.chart.coefficients(q)
         out = np.zeros((r + n, r + n))
-        out[:r, :r] = -np.einsum("abg,g->ab", self.alg.c, m)
+        out[:r, :r] = ad_star(self.alg, np.eye(r), m).T
         out[:r, r:] = -a
         out[r:, :r] = a.T
         return out

@@ -10,7 +10,10 @@ the first-order part only.  The backward equation d rho/dt = L rho is
 discretized with central differences on a box in the dual of so(3); the
 forward (Fokker-Planck) equation reuses the same stepper with the adjoint
 coefficients and a narrow-Gaussian surrogate for the delta initial datum.
-Monte-Carlo expectations over Heun ensembles cross-validate both.
+The grid coefficients are the drift, Ito correction and noise fields of the
+collective SdeSystem that ``lie_poisson_generator`` builds, and Monte-Carlo
+expectations over Heun ensembles of that same system cross-validate both
+solves; the bracket form of L is kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ad_star
+from .algebra import LieAlgebraSpec
 from .actions import ActionChart
-from .dynamics import ReducedHamiltonian
+from .dynamics import ReducedHamiltonian, lie_poisson_system
 from .fields import HamelBracket, LiePoissonBracket, PoissonBracket, ScalarField, double_bracket
 from .integrators import IntegrationDiverged, SdeSystem, _drive, integrate
 from .noise import NoiseSpec, _increments, sample_grid
@@ -70,29 +73,26 @@ class GeneratorSpec:
 class LiePoissonGeneratorSpec(GeneratorSpec):
     """Generator data for the collective system on the dual of a Lie algebra.
 
-    Keeps the structured coefficients (algebra, kinetic inverse, noise
-    directions) so grid solvers can evaluate drift and diffusion fields on
-    whole node arrays at once.
+    ``system`` is the collective SDE dm = ad*(K m, m) dt + ad*(xi_k, m) o dW^k
+    itself: the grid solvers evaluate its drift, Ito correction and stacked
+    diffusion on whole node arrays, and Monte-Carlo cross-checks run it, so
+    both sides solve one equation.  The bracket-form ``phi`` and ``psi`` are
+    the independent oracle for the same generator.
     """
 
-    alg: LieAlgebraSpec
-    kinetic_inverse: np.ndarray
-    xi: np.ndarray
+    system: SdeSystem
 
 
 def lie_poisson_generator(alg: LieAlgebraSpec, K, xi) -> LiePoissonGeneratorSpec:
     """Generator of the stochastic coadjoint flow with Hamiltonian (1/2) m.Km."""
-    K = np.asarray(K, dtype=float)
-    xi = np.atleast_2d(np.asarray(xi, dtype=float)) if np.size(xi) else np.zeros((0, alg.dim))
+    noise = NoiseSpec.make(xi, 0)
     h = ReducedHamiltonian(alg=alg, kinetic_inverse=K)
-    phi = tuple(ScalarField.linear(x, name=f"g{k+1}") for k, x in enumerate(xi))
+    phi = tuple(ScalarField.linear(x, name=f"g{k+1}") for k, x in enumerate(noise.xi))
     return LiePoissonGeneratorSpec(
         bracket=LiePoissonBracket(alg),
         phi=phi,
         psi=h.as_field(),
-        alg=alg,
-        kinetic_inverse=K,
-        xi=xi,
+        system=lie_poisson_system(alg, K, noise),
     )
 
 
@@ -111,6 +111,15 @@ def hamel_generator(chart: ActionChart, h: ReducedHamiltonian, xi) -> GeneratorS
     return GeneratorSpec(bracket=HamelBracket(chart), phi=phi, psi=h.as_mq_field(chart.n))
 
 
+def _apply(spec: GeneratorSpec, f: ScalarField, x, sign: float) -> float:
+    """sign {f, psi}(x) + (1/2) sum_k {g_k, {g_k, f}}(x)."""
+    x = np.asarray(x, dtype=float)
+    out = sign * spec.bracket(f, spec.psi, x)
+    for g in spec.phi:
+        out += 0.5 * double_bracket(spec.bracket, g, f, x)
+    return float(out)
+
+
 def generator_apply(spec: GeneratorSpec, f: ScalarField, x) -> float:
     """L f(x) = {f, psi}(x) + (1/2) sum_k {g_k, {g_k, f}}(x).
 
@@ -118,20 +127,12 @@ def generator_apply(spec: GeneratorSpec, f: ScalarField, x) -> float:
     outer bracket differentiates actual inner-bracket evaluations by central
     differences.
     """
-    x = np.asarray(x, dtype=float)
-    out = spec.bracket(f, spec.psi, x)
-    for g in spec.phi:
-        out += 0.5 * double_bracket(spec.bracket, g, f, x)
-    return float(out)
+    return _apply(spec, f, x, 1.0)
 
 
 def adjoint_apply(spec: GeneratorSpec, f: ScalarField, x) -> float:
     """L* f(x) = -{f, psi}(x) + (1/2) sum_k {g_k, {g_k, f}}(x)."""
-    x = np.asarray(x, dtype=float)
-    out = -spec.bracket(f, spec.psi, x)
-    for g in spec.phi:
-        out += 0.5 * double_bracket(spec.bracket, g, f, x)
-    return float(out)
+    return _apply(spec, f, x, -1.0)
 
 
 @dataclass(frozen=True)
@@ -223,10 +224,10 @@ class _GridOperator:
 
     First and second derivatives use central differences; one ghost layer of
     linear extrapolation supplies one-sided behaviour at the faces.  The
-    transport coefficient is the Ito drift (Stratonovich drift plus the
-    double-bracket correction, the drift sign flipped for the adjoint) and
-    the diffusion matrix is (1/2) sum_k sigma_k sigma_k^T with
-    sigma_k = ad*(xi_k, m).
+    coefficients are the generator's own SdeSystem on the node array: the
+    transport is the Ito drift (Stratonovich drift, sign flipped for the
+    adjoint, plus the double-bracket correction) and the diffusion matrix is
+    (1/2) sum_k sigma_k sigma_k^T over the stacked channel fields sigma_k.
     """
 
     def __init__(self, spec: LiePoissonGeneratorSpec, geometry: GridGeometry,
@@ -236,26 +237,17 @@ class _GridOperator:
                 "grid solvers support generators on the dual of so(3) built "
                 "by lie_poisson_generator"
             )
-        if spec.alg.dim != 3:
+        sys = spec.system
+        if sys.state_dim != 3:
             raise ValueError("grid solvers are limited to 3-dimensional duals")
         if mode not in ("backward", "forward"):
             raise ValueError(f"mode must be 'backward' or 'forward', not {mode!r}")
         self.geometry = geometry
         nodes = geometry.nodes()
-        u = np.einsum("ab,...b->...a", spec.kinetic_inverse, nodes)
-        b_strat = ad_star(spec.alg, u, nodes)
-        corr = np.zeros_like(nodes)
-        sigmas = []
-        for k in range(spec.xi.shape[0]):
-            xk = np.broadcast_to(spec.xi[k], nodes.shape)
-            sk = ad_star(spec.alg, xk, nodes)
-            sigmas.append(sk)
-            corr += 0.5 * ad_star(spec.alg, xk, sk)
         sign = 1.0 if mode == "backward" else -1.0
-        self.transport = sign * b_strat + corr
-        self.diff = 0.5 * sum(
-            np.einsum("...i,...j->...ij", s, s) for s in sigmas
-        ) if sigmas else np.zeros(nodes.shape + (3,))
+        self.transport = sign * sys.drift(0.0, nodes) + sys.ito_correction(0.0, nodes)
+        sigma = sys.diffusion(0.0, nodes)
+        self.diff = 0.5 * np.einsum("...ki,...kj->...ij", sigma, sigma)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         dx = self.geometry.dx

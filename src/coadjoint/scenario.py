@@ -23,6 +23,7 @@ from .dynamics import (
     Potential,
     QuadraticLagrangian,
     ReducedHamiltonian,
+    _check_spd,
     hamel_system,
     lie_poisson_system,
     linear_potential,
@@ -119,13 +120,10 @@ def _semantic_checks(doc: dict) -> None:
     if doc["scheme"] != "rk4" and M & (M - 1):
         raise ScenarioError(f"$.M: {M} is not a power of two")
     kin_key = "G" if "G" in doc["kinetic"] else "K"
-    mat = np.asarray(doc["kinetic"][kin_key], dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ScenarioError(f"$.kinetic.{kin_key}: must be a square matrix")
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * (1.0 + np.max(np.abs(mat))):
-        raise ScenarioError(f"$.kinetic.{kin_key}: matrix is not symmetric")
-    if np.linalg.eigvalsh(mat)[0] <= 0:
-        raise ScenarioError(f"$.kinetic.{kin_key}: matrix is not positive definite")
+    try:
+        _check_spd(doc["kinetic"][kin_key], "matrix")
+    except ValueError as exc:
+        raise ScenarioError(f"$.kinetic.{kin_key}: {exc}") from None
     if system == "lie_poisson":
         if "m0" not in doc:
             raise ScenarioError("$.m0: required for system 'lie_poisson'")

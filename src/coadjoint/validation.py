@@ -35,13 +35,7 @@ from .dynamics import (
     phase_space_system,
     reconstruct_momentum,
 )
-from .fields import (
-    CanonicalBracket,
-    HamelBracket,
-    LiePoissonBracket,
-    ScalarField,
-    double_bracket,
-)
+from .fields import CanonicalBracket, ScalarField, double_bracket
 from .integrators import integrate
 from .kolmogorov import (
     GridGeometry,
@@ -49,6 +43,7 @@ from .kolmogorov import (
     ensemble_finals,
     generator_apply,
     adjoint_apply,
+    hamel_generator,
     interpolate,
     lie_poisson_generator,
     mc_expectation,
@@ -166,66 +161,31 @@ def _nested_correction_residual(seed: int = 303) -> dict:
     so3 = lie.builtin("so3")
     chart = builtin_chart("so3_on_r3")
     noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
-    out = {}
-
-    sys_lp = lie_poisson_system(so3, K_RIGID, noise)
-    br = LiePoissonBracket(so3)
-    worst = 0.0
-    for _ in range(20):
-        m = rng.normal(size=3)
-        closed = sys_lp.ito_correction(0.0, m)
-        oracle = np.array(
-            [
-                sum(
-                    0.5 * double_bracket(br, ScalarField.linear(noise.xi[k]),
-                                         ScalarField.coordinate(a, 3), m)
-                    for k in range(noise.channels)
-                )
-                for a in range(3)
-            ]
-        )
-        worst = max(worst, float(np.max(np.abs(closed - oracle))))
-    out["lie_poisson"] = worst
-
-    L = QuadraticLagrangian(alg=so3, kinetic=G_RIGID, chart=chart)
-    sys_ps = phase_space_system(L, noise)
-    cb = CanonicalBracket(3)
-    gks = [momentum_pairing_field(chart, noise.xi[k]) for k in range(noise.channels)]
-    worst = 0.0
-    for _ in range(20):
-        x = rng.normal(size=6)
-        closed = sys_ps.ito_correction(0.0, x)
-        oracle = np.array(
-            [
-                sum(0.5 * double_bracket(cb, g, ScalarField.coordinate(i, 6), x) for g in gks)
-                for i in range(6)
-            ]
-        )
-        worst = max(worst, float(np.max(np.abs(closed - oracle))))
-    out["phase_space"] = worst
-
     h = ReducedHamiltonian(alg=so3, kinetic_inverse=K_RIGID)
-    sys_h = hamel_system(chart, h, noise)
-    hb = HamelBracket(chart)
-    gmq = [
-        ScalarField(
-            value=lambda y, w=noise.xi[k]: float(w @ y[:3]),
-            grad=lambda y, w=noise.xi[k]: np.concatenate([w, np.zeros(3)]),
-        )
-        for k in range(noise.channels)
-    ]
-    worst = 0.0
-    for _ in range(20):
-        x = rng.normal(size=6)
-        closed = sys_h.ito_correction(0.0, x)
-        oracle = np.array(
-            [
-                sum(0.5 * double_bracket(hb, g, ScalarField.coordinate(i, 6), x) for g in gmq)
-                for i in range(6)
-            ]
-        )
-        worst = max(worst, float(np.max(np.abs(closed - oracle))))
-    out["hamel"] = worst
+    L = QuadraticLagrangian(alg=so3, kinetic=G_RIGID, chart=chart)
+    lp = lie_poisson_generator(so3, K_RIGID, XI_PAIR)
+    hamel = hamel_generator(chart, h, XI_PAIR)
+    cases = {
+        "lie_poisson": (lp.system, lp.bracket, lp.phi, 3),
+        "phase_space": (phase_space_system(L, noise), CanonicalBracket(3),
+                        [momentum_pairing_field(chart, x) for x in noise.xi], 6),
+        "hamel": (hamel_system(chart, h, noise), hamel.bracket, hamel.phi, 6),
+    }
+    out = {}
+    for name, (sys, br, gks, dim) in cases.items():
+        worst = 0.0
+        for _ in range(20):
+            x = rng.normal(size=dim)
+            closed = sys.ito_correction(0.0, x)
+            oracle = np.array(
+                [
+                    sum(0.5 * double_bracket(br, g, ScalarField.coordinate(i, dim), x)
+                        for g in gks)
+                    for i in range(dim)
+                ]
+            )
+            worst = max(worst, float(np.max(np.abs(closed - oracle))))
+        out[name] = worst
     return out
 
 
@@ -336,10 +296,8 @@ def short_time_consistency(xi, h: float, seed: int = 7, ensemble: int = 200_000)
     """Worst |(E f(X_h) - f(x))/h - Lf(x)| / (h + stderr/h) over f in {m1, m2, m3}."""
     so3 = lie.builtin("so3")
     spec = lie_poisson_generator(so3, K_RIGID, xi)
-    noise = NoiseSpec(channels=len(xi), xi=np.asarray(xi, dtype=float), seed=0)
-    sys = lie_poisson_system(so3, K_RIGID, noise)
     x0 = MC_CROSSCHECK["m0"]
-    finals = ensemble_finals(sys, x0, T=h, M=2, ensemble=ensemble, seed=seed)
+    finals = ensemble_finals(spec.system, x0, T=h, M=2, ensemble=ensemble, seed=seed)
     worst = 0.0
     for i in range(3):
         f = ScalarField.coordinate(i, 3, name=f"m{i+1}")
@@ -378,10 +336,8 @@ def suite_kolmogorov(seeds: int = 8) -> list:
     f = ScalarField.coordinate(2, 3, "m3")
     rho = backward_solve(spec, f, cfg["T"], geo)
     pde_val = interpolate(rho, cfg["m0"])
-    noise = NoiseSpec(channels=1, xi=XI_SINGLE, seed=0)
-    sys = lie_poisson_system(so3, K_RIGID, noise)
     mean, stderr = mc_expectation(
-        sys, f, cfg["m0"], cfg["T"], cfg["mc_steps"], cfg["paths"], cfg["seed"]
+        spec.system, f, cfg["m0"], cfg["T"], cfg["mc_steps"], cfg["paths"], cfg["seed"]
     )
     gate = pde_mc_gate(stderr, geo)
     rows.append(_row_max("PDE vs MC expectation (rigid body)", abs(mean - pde_val), gate))

@@ -53,6 +53,12 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="kinetic.K.*positive definite"):
             load_scenario(path)
 
+    def test_ragged_kinetic_names_matrix(self, tmp_path):
+        doc = rigid_body_doc(kinetic={"G": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]})
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ScenarioError, match=r"\$\.kinetic\.G"):
+            load_scenario(path)
+
     def test_m_power_of_two_for_stochastic(self, tmp_path):
         path = write_scenario(tmp_path, rigid_body_doc(M=100))
         with pytest.raises(ScenarioError, match="power of two"):
@@ -218,6 +224,17 @@ class TestKolmogorovCommand:
         ])
         assert code == 1
         assert "admissible" in capsys.readouterr().err
+
+    def test_rejects_non_legendre_policy(self, tmp_path, capsys):
+        # the generator's psi = h fixes u = K m; a constant u would make the
+        # Monte-Carlo side solve a different equation than the grid
+        doc = rigid_body_doc(u_policy={"id": "constant", "value": [0, 0, 3]})
+        path = write_scenario(tmp_path, doc)
+        code = main(["kolmogorov", str(path), "--f0", "m1",
+                     "--grid", "16,16,16", "--box=-1.2,1.2",
+                     "--paths", "50", "--out", str(tmp_path)])
+        assert code == 1
+        assert "u_policy" in capsys.readouterr().err
 
     def test_requires_lie_poisson_scenario(self, tmp_path, capsys):
         doc = {

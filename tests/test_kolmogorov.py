@@ -78,13 +78,12 @@ class TestGenerator:
     def test_noise_free_is_liouville(self):
         spec = rigid_spec(xi=np.zeros((0, 3)))
         rng = np.random.default_rng(1)
-        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=0, xi=np.zeros((0, 3)), seed=0))
         for i in range(3):
             f = ScalarField.coordinate(i, 3)
             for _ in range(5):
                 m = rng.normal(size=3)
                 assert generator_apply(spec, f, m) == pytest.approx(
-                    sys.drift(0.0, m)[i], abs=1e-10
+                    spec.system.drift(0.0, m)[i], abs=1e-10
                 )
                 # noise-free adjoint is minus the generator
                 assert adjoint_apply(spec, f, m) == pytest.approx(
@@ -164,13 +163,12 @@ class TestBackwardSolve:
         geo = GridGeometry.cube(-1.2, 1.2, 24)
         T = 0.05
         rho = backward_solve(spec, f0, T, geometry=geo)
-        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=0, xi=np.zeros((0, 3)), seed=0))
         grid = time_grid(T, 64)
         nodes = geo.nodes()
         dx = float(geo.dx[0])
         for idx in [(6, 6, 6), (12, 12, 12), (16, 8, 10), (9, 14, 5)]:
             x = nodes[idx]
-            flow_end = integrate(sys, "rk4", grid, x).final()
+            flow_end = integrate(spec.system, "rk4", grid, x).final()
             exact = float(f0v(flow_end))
             assert abs(rho.values[idx] - exact) <= 5.0 * (dx ** 2 + 1e-3)
 
