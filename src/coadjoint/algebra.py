@@ -50,7 +50,7 @@ class LieAlgebraSpec:
     def __post_init__(self):
         if self.dim <= 0:
             raise ValueError(f"algebra dimension must be positive, got {self.dim}")
-        c = np.asarray(self.c, dtype=float)
+        c = np.array(self.c, dtype=float)
         if c.shape != (self.dim, self.dim, self.dim):
             raise ValueError(
                 f"structure constants must have shape {(self.dim,) * 3}, got {c.shape}"

@@ -12,11 +12,15 @@ Three state spaces, one set of sign conventions (all routed through
 * the collective level on the dual algebra,
   dm = ad*(u, m) dt + ad*(xi_k, m) o dW^k with u = K m.
 
-Every builder also supplies the analytic Ito correction drift, a closed-form
-contraction of the structure constants and chart derivatives equal to the
-nested double bracket (1/2) sum_k {{f, <m, xi_k>}, <m, xi_k>} per coordinate
-function f; the bracket evaluation itself is kept as the independent test
-oracle.
+At every level dx couples to the state through the momentum map mu: the
+algebra element w moves the state along the action field X_w, the
+Hamiltonian vector field of <mu, w>.  One private coupling builds all three
+systems from a level's X_w, its derivative DX_w and mu: drift X_u + force,
+diffusion X_{xi_k}, and the Ito correction (1/2) sum_k DX_{xi_k} X_{xi_k},
+which per coordinate function f is the nested double bracket
+(1/2) sum_k {{f, <mu, xi_k>}, <mu, xi_k>}.  The bracket evaluation itself,
+in :mod:`coadjoint.fields` and :mod:`coadjoint.kolmogorov`, is kept as the
+independent test oracle.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ def quadratic_potential(k: float) -> Potential:
 
 
 def _check_spd(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
+    """A read-only copy of ``mat`` after checking it is symmetric positive definite."""
+    mat = np.array(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {mat.shape}")
     if np.max(np.abs(mat - mat.T)) > 1e-12 * (1.0 + np.max(np.abs(mat))):
@@ -98,6 +103,7 @@ def _check_spd(mat: np.ndarray, what: str) -> np.ndarray:
     eigs = np.linalg.eigvalsh(mat)
     if eigs[0] <= 0:
         raise ValueError(f"{what} must be positive definite (min eigenvalue {eigs[0]:.3e})")
+    mat.setflags(write=False)
     return mat
 
 
@@ -120,7 +126,6 @@ class QuadraticLagrangian:
             raise ValueError(
                 f"kinetic matrix is {G.shape[0]}x{G.shape[0]}, algebra dimension is {self.alg.dim}"
             )
-        G.setflags(write=False)
         object.__setattr__(self, "kinetic", G)
 
     @property
@@ -153,7 +158,6 @@ class ReducedHamiltonian:
             raise ValueError(
                 f"K is {K.shape[0]}x{K.shape[0]}, algebra dimension is {self.alg.dim}"
             )
-        K.setflags(write=False)
         object.__setattr__(self, "kinetic_inverse", K)
 
     @staticmethod
@@ -210,21 +214,101 @@ def legendre(L: QuadraticLagrangian, u, q=None):
     return m, h
 
 
-def _legendre_feedback(chart: ActionChart, K: np.ndarray):
-    """u(t, x) = K m(q, p): the default velocity policy on phase space."""
-
-    def u_of(t, x):
-        m = momentum_map(chart, x)
-        return np.einsum("ab,...b->...a", K, m)
-
-    return u_of
-
-
 def _validated_u(u_of, t, x, r: int) -> np.ndarray:
     u = np.asarray(u_of(t, x), dtype=float)
     if u.shape[-1] != r:
         raise ValueError(f"u policy returned dimension {u.shape[-1]}, expected {r}")
     return u
+
+
+def _directions(noise: NoiseSpec, r: int) -> np.ndarray:
+    """The noise directions as a (C, r) array, (0, r) without noise."""
+    if noise.channels and noise.xi.shape[1] != r:
+        raise ValueError(
+            f"noise directions have dimension {noise.xi.shape[1]}, algebra needs {r}"
+        )
+    return noise.xi.reshape(noise.channels, r)
+
+
+def _ito_drift(field, dfield, xi: np.ndarray, x) -> np.ndarray:
+    """(1/2) sum_k DX_{xi_k}(x)[X_{xi_k}(x)] for the action field X of one level.
+
+    X_w is the Hamiltonian vector field of <mu, w>, so per coordinate
+    function f this is the double bracket (1/2) sum_k {{f, <mu, xi_k>}, <mu, xi_k>}.
+    All channels are evaluated in one call of ``field`` and ``dfield``.
+    """
+    x = np.asarray(x, dtype=float)
+    xs = x[..., None, :]
+    terms = dfield(xi, xs, field(xi, xs))
+    out = np.zeros_like(x)
+    # a fixed channel order keeps each row independent of the batch size
+    for k in range(xi.shape[0]):
+        out = out + terms[..., k, :]
+    return 0.5 * out
+
+
+def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
+                    u_of: Optional[Callable] = None, force=None, **system_kw) -> SdeSystem:
+    """The SDE dx = X_u(x) dt + force(x) dt + X_{xi_k}(x) o dW^k of one level.
+
+    A level supplies its action field ``field(w, x)`` = X_w(x), broadcasting
+    algebra elements w against states x, the directional derivative
+    ``dfield(w, x, v)`` = DX_w(x)[v] and its momentum map ``momentum(x)``.
+    The velocity u is ``u_of(t, x)`` or the Legendre feedback K mu(x);
+    ``force`` is ``(block, f)``, adding f(x) to the drift's coordinates
+    ``[..., block]`` only.  The remaining keyword arguments go to
+    :class:`SdeSystem`.
+    """
+    r = K.shape[0]
+    xi = _directions(noise, r)
+
+    def drift(t, x):
+        if u_of is None:
+            u = np.einsum("ab,...b->...a", K, momentum(x))
+        else:
+            u = _validated_u(u_of, t, x, r)
+        out = field(u, x)
+        if force is not None:
+            block, f = force
+            out[..., block] += f(x)
+        return out
+
+    def diffusion(t, x):
+        return field(xi, x[..., None, :])
+
+    def correction(t, x):
+        return _ito_drift(field, dfield, xi, x)
+
+    return SdeSystem(channels=noise.channels, drift=drift, diffusion=diffusion,
+                     ito_correction=correction, **system_kw)
+
+
+def _chart_jacobian(chart: ActionChart, q, w) -> np.ndarray:
+    """dB^i/dq^j of the configuration field B^i = A_a^i(q) w^a, shape (..., n, n)."""
+    return np.einsum("...aij,...a->...ij", chart.d_coefficients(q), w)
+
+
+def _phase_fields(chart: ActionChart):
+    """X_w(q, p) = (A(q)^T w, -dA(q)^T p . w), the cotangent lift, and its derivative."""
+    n = chart.n
+
+    def field(w, x):
+        q, p = x[..., :n], x[..., n:]
+        dq = np.einsum("...ai,...a->...i", chart.coefficients(q), w)
+        dp = -np.einsum("...aji,...j,...a->...i", chart.d_coefficients(q), p, w)
+        return np.concatenate([dq, dp], axis=-1)
+
+    def dfield(w, x, v):
+        q, p = x[..., :n], x[..., n:]
+        vq, vp = v[..., :n], v[..., n:]
+        db = _chart_jacobian(chart, q, w)
+        d2b = np.einsum("...aijl,...a->...ijl", chart.d2_coefficients(q), w)
+        dq = np.einsum("...ij,...j->...i", db, vq)
+        dp = (-np.einsum("...lij,...l,...j->...i", d2b, p, vq)
+              - np.einsum("...li,...l->...i", db, vp))
+        return np.concatenate([dq, dp], axis=-1)
+
+    return field, dfield
 
 
 def phase_space_system(
@@ -235,111 +319,35 @@ def phase_space_system(
 ) -> SdeSystem:
     """Stratonovich dynamics on T*Q driven through the momentum map.
 
-    Drift: dq^i = A_a^i(q) u^a, dp_i = -p_j dA_a^j/dq^i u^a - dV/dq^i;
-    channel k replaces u by xi_k (no potential force).  The Ito correction
-    applies (1/2) sum_k X_k(X_k .) to each coordinate function, in closed
-    form from A, dA, d2A.  ``u_of(t, state)`` defaults to the Legendre
-    feedback u = K m(q, p).
+    The algebra acts by the cotangent lift X_w = (A(q)^T w, -dA(q)^T p . w):
+    dq^i = A_a^i(q) u^a, dp_i = -p_j dA_a^j/dq^i u^a - dV/dq^i in the
+    drift, and channel k replaces u by xi_k (no potential force).  The Ito
+    correction is (1/2) sum_k DX_{xi_k} X_{xi_k}.  ``u_of(t, state)``
+    defaults to the Legendre feedback u = K m(q, p).
     """
     chart = L.chart
     if chart is None:
         raise ValueError("Lagrangian carries no chart; phase-space dynamics needs one")
     if chart.alg.dim != L.alg.dim:
         raise ValueError("chart and Lagrangian algebras must conform")
-    _check_noise(noise, L.alg.dim)
     n = chart.n
-    r = L.alg.dim
-    if u_of is None:
-        u_of = _legendre_feedback(chart, L.kinetic_inverse)
-    xi = noise.xi
-
-    def drift(t, x):
-        q, p = x[..., :n], x[..., n:]
-        u = _validated_u(u_of, t, x, r)
-        a = chart.coefficients(q)
-        da = chart.d_coefficients(q)
-        dq = np.einsum("...ai,...a->...i", a, u)
-        dp = -np.einsum("...aji,...j,...a->...i", da, p, u) + L.grad_q(q)
-        return np.concatenate([dq, dp], axis=-1)
-
-    def diffusion(t, x):
-        q, p = x[..., :n], x[..., n:]
-        a = chart.coefficients(q)
-        da = chart.d_coefficients(q)
-        dq = np.einsum("...ai,ka->...ki", a, xi)
-        dp = -np.einsum("...aji,...j,ka->...ki", da, p, xi)
-        return np.concatenate([dq, dp], axis=-1)
-
-    def correction(t, x):
-        return ito_correction_phase(chart, noise, x)
-
+    field, dfield = _phase_fields(chart)
     labels = tuple(f"q{i+1}" for i in range(n)) + tuple(f"p{i+1}" for i in range(n))
-    return SdeSystem(
-        state_dim=2 * n,
-        channels=noise.channels,
-        drift=drift,
-        diffusion=diffusion,
-        ito_correction=correction,
-        labels=labels,
-        name=name or f"phase_space[{chart.name}]",
+    return _coupled_system(
+        field, dfield, lambda x: momentum_map(chart, x), L.kinetic_inverse, noise, u_of,
+        force=(slice(n, None), lambda x: L.grad_q(x[..., :n])),
+        state_dim=2 * n, labels=labels, name=name or f"phase_space[{chart.name}]",
     )
 
 
 def ito_correction_phase(chart: ActionChart, noise: NoiseSpec, state) -> np.ndarray:
-    """Closed-form Stratonovich-to-Ito drift correction on T*Q.
+    """Stratonovich-to-Ito drift correction on T*Q, (1/2) sum_k DX_{xi_k} X_{xi_k}.
 
     Per channel, with B^i = A_a^i xi^a:
       q-block: (1/2) dB^i/dq^j B^j,
       p-block: (1/2) [ -p_l d2B^l/dq^i dq^j B^j + dB^l/dq^i p_m dB^m/dq^l ].
     """
-    x = np.asarray(state, dtype=float)
-    n = chart.n
-    q, p = x[..., :n], x[..., n:]
-    a = chart.coefficients(q)
-    da = chart.d_coefficients(q)
-    d2a = chart.d2_coefficients(q)
-    dq = np.zeros_like(q)
-    dp = np.zeros_like(p)
-    for k in range(noise.channels):
-        xi = noise.xi[k]
-        b = np.einsum("...ai,a->...i", a, xi)            # B^i
-        db = np.einsum("...aij,a->...ij", da, xi)        # dB^i/dq^j
-        d2b = np.einsum("...aijl,a->...ijl", d2a, xi)    # d2B^i/dq^j dq^l
-        dq = dq + np.einsum("...ij,...j->...i", db, b)
-        dp = dp - np.einsum("...lij,...l,...j->...i", d2b, p, b)
-        dp = dp + np.einsum("...li,...ml,...m->...i", db, db, p)
-    return 0.5 * np.concatenate([dq, dp], axis=-1)
-
-
-def _check_noise(noise: NoiseSpec, r: int) -> None:
-    if noise.channels and noise.xi.shape[1] != r:
-        raise ValueError(
-            f"noise directions have dimension {noise.xi.shape[1]}, algebra needs {r}"
-        )
-
-
-def _coadjoint_noise(alg: LieAlgebraSpec, noise: NoiseSpec):
-    """Noise fields of the dual-algebra block, shared by the collective and Hamel builders.
-
-    Returns ``(diffusion, correction)`` as ``(t, m)`` callbacks:
-    ``diffusion`` stacks the channel fields ad*(xi_k, m) as ``(..., C, r)``
-    and ``correction`` is the Ito double-bracket drift
-    (1/2) sum_k ad*(xi_k, ad*(xi_k, m)).
-    """
-    # (0, r) without noise, so the grid solvers can evaluate a zero diffusion
-    xi = noise.xi.reshape(noise.channels, alg.dim)
-
-    def diffusion(t, m):
-        return ad_star(alg, xi, m[..., None, :])
-
-    def correction(t, m):
-        out = np.zeros_like(m)
-        for k in range(noise.channels):
-            xk = np.broadcast_to(xi[k], m.shape)
-            out = out + ad_star(alg, xk, ad_star(alg, xk, m))
-        return 0.5 * out
-
-    return diffusion, correction
+    return _ito_drift(*_phase_fields(chart), _directions(noise, chart.alg.dim), state)
 
 
 def lie_poisson_system(
@@ -352,24 +360,15 @@ def lie_poisson_system(
 ) -> SdeSystem:
     """Collective Stratonovich dynamics on the dual algebra.
 
-    Drift ad*(u, m) with u = K m (or a supplied policy), diffusion channel k
-    is ad*(xi_k, m), and the Ito correction is
-    (1/2) sum_k ad*(xi_k, ad*(xi_k, m)).
+    The algebra acts by X_w(m) = ad*(w, m) with momentum map m itself:
+    drift ad*(u, m) with u = K m (or a supplied policy), diffusion channel k
+    ad*(xi_k, m), and the Ito correction (1/2) sum_k ad*(xi_k, ad*(xi_k, m)).
 
     ``reproject_casimir`` renormalizes |m| to its initial value after every
     step (off by default; the unprojected Casimir drift is itself a
     diagnostic quantity).
     """
     K = _check_spd(K, "kinetic inverse K")
-    _check_noise(noise, alg.dim)
-    diffusion, correction = _coadjoint_noise(alg, noise)
-
-    def drift(t, m):
-        if u_of is None:
-            u = np.einsum("ab,...b->...a", K, m)
-        else:
-            u = _validated_u(u_of, t, m, alg.dim)
-        return ad_star(alg, u, m)
 
     post = None
     if reproject_casimir:
@@ -378,16 +377,11 @@ def lie_poisson_system(
             target = np.linalg.norm(x0, axis=-1, keepdims=True)
             return x_new * np.divide(target, norm, out=np.ones_like(norm), where=norm != 0.0)
 
-    labels = tuple(f"m{i+1}" for i in range(alg.dim))
-    return SdeSystem(
-        state_dim=alg.dim,
-        channels=noise.channels,
-        drift=drift,
-        diffusion=diffusion,
-        ito_correction=correction,
-        labels=labels,
-        name=name or f"lie_poisson[{alg.name}]",
-        post_step=post,
+    return _coupled_system(
+        lambda w, m: ad_star(alg, w, m), lambda w, m, v: ad_star(alg, w, v),
+        lambda m: m, K, noise, u_of,
+        state_dim=alg.dim, labels=tuple(f"m{i+1}" for i in range(alg.dim)),
+        name=name or f"lie_poisson[{alg.name}]", post_step=post,
     )
 
 
@@ -399,53 +393,35 @@ def hamel_system(
 ) -> SdeSystem:
     """Stratonovich dynamics on the mixed (m, q) level.
 
-    Drift: dm_a = -c_ab^g m_g dh/dm_b - A_a^j dh/dq^j, dq^i = A_b^i dh/dm_b.
-    Channel k replaces dh/dm by xi_k and drops the dh/dq term, which enters
-    only through the bounded-variation part of the stochastic Hamiltonian.
+    The algebra acts by X_w(m, q) = (ad*(w, m), A(q)^T w) with momentum map
+    m: dm_a = -c_ab^g m_g dh/dm_b - A_a^j dh/dq^j, dq^i = A_b^i dh/dm_b in
+    the drift.  Channel k replaces dh/dm by xi_k and drops the dh/dq term,
+    which enters only through the bounded-variation part of the stochastic
+    Hamiltonian.  The Ito correction is (1/2) sum_k DX_{xi_k} X_{xi_k}.
     """
     if chart.alg.dim != h.alg.dim:
         raise ValueError("chart and Hamiltonian algebras must conform")
-    _check_noise(noise, h.alg.dim)
     r, n = h.alg.dim, chart.n
     alg = h.alg
-    xi = noise.xi
-    m_diffusion, m_correction = _coadjoint_noise(alg, noise)
 
-    def drift(t, x):
+    def field(w, x):
         m, q = x[..., :r], x[..., r:]
-        u = h.velocity(m)
-        a = chart.coefficients(q)
-        vq = h.potential.grad(q)
-        dm = ad_star(alg, u, m) - np.einsum("...aj,...j->...a", a, vq)
-        dq = np.einsum("...bi,...b->...i", a, u)
-        return np.concatenate([dm, dq], axis=-1)
+        dq = np.einsum("...bi,...b->...i", chart.coefficients(q), w)
+        return np.concatenate([ad_star(alg, w, m), dq], axis=-1)
 
-    def diffusion(t, x):
-        m, q = x[..., :r], x[..., r:]
-        a = chart.coefficients(q)
-        dq = np.einsum("...bi,kb->...ki", a, xi)
-        return np.concatenate([m_diffusion(t, m), dq], axis=-1)
+    def dfield(w, x, v):
+        dq = np.einsum("...ij,...j->...i", _chart_jacobian(chart, x[..., r:], w), v[..., r:])
+        return np.concatenate([ad_star(alg, w, v[..., :r]), dq], axis=-1)
 
-    def correction(t, x):
-        m, q = x[..., :r], x[..., r:]
-        a = chart.coefficients(q)
-        da = chart.d_coefficients(q)
-        dq = np.zeros_like(q)
-        for k in range(noise.channels):
-            b = np.einsum("...bi,b->...i", a, xi[k])
-            db = np.einsum("...bij,b->...ij", da, xi[k])
-            dq = dq + np.einsum("...ij,...j->...i", db, b)
-        return np.concatenate([m_correction(t, m), 0.5 * dq], axis=-1)
+    def force(x):
+        q = x[..., r:]
+        return -np.einsum("...aj,...j->...a", chart.coefficients(q), h.potential.grad(q))
 
     labels = tuple(f"m{i+1}" for i in range(r)) + tuple(f"q{i+1}" for i in range(n))
-    return SdeSystem(
-        state_dim=r + n,
-        channels=noise.channels,
-        drift=drift,
-        diffusion=diffusion,
-        ito_correction=correction,
-        labels=labels,
-        name=name or f"hamel[{chart.name}]",
+    return _coupled_system(
+        field, dfield, lambda x: x[..., :r], h.kinetic_inverse, noise,
+        force=(slice(0, r), force),
+        state_dim=r + n, labels=labels, name=name or f"hamel[{chart.name}]",
     )
 
 

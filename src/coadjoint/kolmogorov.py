@@ -32,7 +32,7 @@ from .actions import ActionChart
 from .dynamics import ReducedHamiltonian, lie_poisson_system
 from .fields import HamelBracket, LiePoissonBracket, PoissonBracket, ScalarField, double_bracket
 from .integrators import IntegrationDiverged, SdeSystem, _drive, integrate
-from .noise import NoiseSpec, _increments, sample_grid
+from .noise import NoiseSpec, _increments, time_grid
 
 __all__ = [
     "GeneratorSpec",
@@ -426,8 +426,7 @@ def mc_expectation(sys: SdeSystem, f: ScalarField, x0, T: float, M: int,
         raise ValueError(f"ensemble count must be positive, got {ensemble}")
     x0 = np.asarray(x0, dtype=float)
     if sys.channels == 0:
-        spec = NoiseSpec(channels=0, xi=np.zeros((0, 1)), seed=seed)
-        traj = integrate(sys, "rk4", sample_grid(spec, T, M), x0)
+        traj = integrate(sys, "rk4", time_grid(T, M), x0)
         return float(f(traj.final())), 0.0
     finals = ensemble_finals(sys, x0, T, M, ensemble, seed)
     values = np.array([f(row) for row in finals])

@@ -50,7 +50,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
+        xi = np.array(self.xi, dtype=float)
         if self.channels == 0:
             xi = xi.reshape(0, xi.shape[-1] if xi.size else 0)
         if xi.ndim != 2 or xi.shape[0] != self.channels:
@@ -80,7 +80,7 @@ class BrownianGrid:
     generator: str = GENERATOR_ID
 
     def __post_init__(self):
-        dW = np.asarray(self.dW, dtype=float)
+        dW = np.array(self.dW, dtype=float)
         if dW.shape[0] != self.steps:
             raise ValueError(f"dW has {dW.shape[0]} rows, expected {self.steps}")
         dW.setflags(write=False)

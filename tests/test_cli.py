@@ -1,4 +1,8 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +11,8 @@ import pytest
 from coadjoint.cli import main
 from coadjoint.scenario import ScenarioError, build_scenario, load_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -255,3 +260,22 @@ class TestKolmogorovCommand:
                      "--grid", "16,16,16", "--box=-1,1"])
         assert code == 1
         assert "lie_poisson" in capsys.readouterr().err
+
+
+class TestEntryPoints:
+    def test_benchmark_modules_import(self, monkeypatch):
+        # the benchmark imports these at start-up; a public name they use
+        # that the package drops fails here instead of in the benchmark run
+        monkeypatch.syspath_prepend(str(ROOT))
+        for name in ("perfbench.workloads", "perfbench.probes"):
+            importlib.import_module(name)
+
+    def test_module_help(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run([sys.executable, "-m", "coadjoint.cli", "--help"],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "simulate" in out.stdout

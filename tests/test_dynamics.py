@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coadjoint.actions import PhaseState, builtin_chart, momentum_map
-from coadjoint.algebra import abelian, ad_star, builtin
+from coadjoint.algebra import LieAlgebraSpec, abelian, ad_star, builtin
 from coadjoint.diagnostics import observable_series, strong_error
 from coadjoint.dynamics import (
     QuadraticLagrangian,
@@ -26,7 +26,7 @@ from coadjoint.fields import (
 )
 from coadjoint.integrators import _drive, integrate
 from coadjoint.kolmogorov import ensemble_finals
-from coadjoint.noise import NoiseSpec, _increments, sample_grid, time_grid
+from coadjoint.noise import BrownianGrid, NoiseSpec, _increments, sample_grid, time_grid
 
 SO3 = builtin("so3")
 K_RIGID = np.diag([1.0, 0.5, 1.0 / 3.0])
@@ -451,6 +451,63 @@ class TestCasimir:
             vals = np.array([C(x) for x in finals])
             biases.append(abs(np.mean(vals) - C(m0)))
         assert biases[1] < biases[0]
+
+
+def _three_levels(noise, potential=None):
+    """The phase-space, Hamel and collective systems of one so(3) rigid body."""
+    chart = rotation_chart()
+    kw = {} if potential is None else {"potential": potential}
+    L = QuadraticLagrangian(alg=SO3, kinetic=G_RIGID, chart=chart, **kw)
+    h = ReducedHamiltonian.from_lagrangian(L)
+    return {
+        "phase_space": phase_space_system(L, noise),
+        "hamel": hamel_system(chart, h, noise),
+        "lie_poisson": lie_poisson_system(SO3, K_RIGID, noise),
+    }
+
+
+class TestCoupling:
+    def test_constructors_keep_caller_arrays_writable(self):
+        # each constructor freezes its own copy, never the caller's array
+        G, K, c = np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 0.5, 0.25]), SO3.c.copy()
+        xi, dW = np.array([[0.0, 0.0, 1.0]]), np.zeros((4, 1))
+        built = [
+            (QuadraticLagrangian(alg=SO3, kinetic=G).kinetic, G),
+            (ReducedHamiltonian(alg=SO3, kinetic_inverse=K).kinetic_inverse, K),
+            (NoiseSpec(channels=1, xi=xi).xi, xi),
+            (BrownianGrid(T=1.0, steps=4, dW=dW).dW, dW),
+            (LieAlgebraSpec(dim=3, c=c).c, c),
+        ]
+        for stored, caller in built:
+            assert caller.flags.writeable
+            assert not stored.flags.writeable
+            before = stored.copy()
+            caller[0, 0] += 1.0
+            assert np.array_equal(stored, before)
+
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_noise_free_diffusion_is_empty_stack(self, level):
+        for noise in (no_noise(), NoiseSpec.make([], seed=0)):
+            sys = _three_levels(noise)[level]
+            d = sys.state_dim
+            assert sys.diffusion(0.0, np.ones(d)).shape == (0, d)
+            assert sys.diffusion(0.0, np.ones((5, d))).shape == (5, 0, d)
+            assert np.array_equal(sys.ito_correction(0.0, np.ones((5, d))), np.zeros((5, d)))
+
+    @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito"])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel"])
+    def test_path_independent_of_batch(self, level, scheme):
+        # row 3 of a 7-row batch ends bit for bit where its own path ends
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        rng = np.random.default_rng(11)
+        x0 = rng.normal(size=(7, sys.state_dim))
+        seed, T, M = 23, 0.5, 32
+        dW = _increments(seed, 2, T, M, 7)
+        batch = _drive(sys, scheme, x0, T / M, dW)
+        grid = BrownianGrid(T=T, steps=M, dW=dW[:, 3], seed=seed)
+        alone = integrate(sys, scheme, grid, x0[3]).final()
+        assert np.array_equal(batch[3], alone)
 
 
 def _euler_ensemble(sys, x0, T, M, ensemble, seed):
