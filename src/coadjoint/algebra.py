@@ -23,7 +23,6 @@ __all__ = [
     "LieAlgebraSpec",
     "bracket",
     "ad_star",
-    "ad_star_matrix",
     "jacobi_residual",
     "antisymmetry_residual",
     "builtin",
@@ -103,12 +102,6 @@ def ad_star(alg: LieAlgebraSpec, v, m) -> np.ndarray:
     v = _conform(alg, v, "v")
     m = _conform(alg, m, "m")
     return -np.einsum("abg,...g,...b->...a", alg.c, m, v)
-
-
-def ad_star_matrix(alg: LieAlgebraSpec, v) -> np.ndarray:
-    """Matrix S with ad_star(v, m) = S @ m; S[a][g] = -c[a][b][g] v^b."""
-    v = _conform(alg, v, "v")
-    return -np.einsum("abg,b->ag", alg.c, v)
 
 
 def antisymmetry_residual(alg: LieAlgebraSpec) -> float:

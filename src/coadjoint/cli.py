@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kol.add_argument("--box", required=True,
                        help="cube bounds lo,hi; use --box=-1.4,1.4 for negative bounds")
     p_kol.add_argument("--dt", type=float, default=None,
-                       help="explicit Euler step (default: half the CFL bound)")
+                       help="outer time step of the Runge-Kutta-Chebyshev solve, at "
+                            "most the drift CFL bound (default: that bound)")
     p_kol.add_argument("--paths", type=int, default=10_000,
                        help="Monte-Carlo ensemble size (default 10000)")
     p_kol.add_argument("--out", default=".", help="output directory")

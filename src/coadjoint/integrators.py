@@ -208,6 +208,11 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
     """
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {tuple(_KERNELS)}")
+    if scheme == "rk4" and sys.channels:
+        raise ValueError(
+            f"rk4 steps the drift alone; system {sys.name!r} has {sys.channels} "
+            "noise channels (use heun_strat or euler_ito)"
+        )
     if scheme != "rk4" and grid.channels != sys.channels:
         raise ValueError(
             f"grid has {grid.channels} channels, system expects {sys.channels}"
@@ -220,7 +225,7 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
     meta = {
         "system": sys.name,
         "scheme": scheme,
-        "seed": int(grid.seed),
+        "seed": None if grid.seed is None else int(grid.seed),
         "M": int(M),
         "T": float(grid.T),
         "generator": grid.generator,

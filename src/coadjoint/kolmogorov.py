@@ -7,8 +7,10 @@ g_k and drift Hamiltonian psi is
 
 and its formal adjoint (boundaryless, Hamiltonian volume) flips the sign of
 the first-order part only.  The backward equation d rho/dt = L rho is
-discretized with central differences on a box in the dual of so(3); the
-forward (Fokker-Planck) equation reuses the same stepper with the adjoint
+discretized with central differences on a box in the dual of so(3) and
+stepped by damped second-order Runge-Kutta-Chebyshev (RKC2) steps at the
+drift CFL bound, with as many stages as the diffusion needs; the forward
+(Fokker-Planck) equation reuses the same stepper with the adjoint
 coefficients and a narrow-Gaussian surrogate for the delta initial datum.
 The grid coefficients are the drift, Ito correction and noise fields of the
 collective SdeSystem that ``lie_poisson_generator`` builds, and Monte-Carlo
@@ -190,44 +192,29 @@ class DensityGrid:
         object.__setattr__(self, "values", values)
 
 
-def _pad_linear(rho: np.ndarray) -> np.ndarray:
-    """One ghost layer per face by linear extrapolation (2 a - b)."""
-    out = np.pad(rho, 1, mode="edge")
-    for axis in range(3):
-        lo = [slice(None)] * 3
-        lo_in1 = [slice(None)] * 3
-        lo_in2 = [slice(None)] * 3
-        lo[axis], lo_in1[axis], lo_in2[axis] = 0, 1, 2
-        out[tuple(lo)] = 2.0 * out[tuple(lo_in1)] - out[tuple(lo_in2)]
-        hi = [slice(None)] * 3
-        hi_in1 = [slice(None)] * 3
-        hi_in2 = [slice(None)] * 3
-        hi[axis], hi_in1[axis], hi_in2[axis] = -1, -2, -3
-        out[tuple(hi)] = 2.0 * out[tuple(hi_in1)] - out[tuple(hi_in2)]
-    return out
-
-
-def _shift(padded: np.ndarray, offsets) -> np.ndarray:
-    """Interior view of the padded array displaced by integer offsets."""
-    idx = []
-    for off in offsets:
-        if off not in (-1, 0, 1):
-            raise ValueError("stencil offsets must be -1, 0, or 1")
-        start = 1 + off
-        stop = padded.shape[len(idx)] - 1 + off
-        idx.append(slice(start, stop))
-    return padded[tuple(idx)]
+def _shifted(ghost: np.ndarray, offsets: dict) -> np.ndarray:
+    """Interior-shaped view of the ghost-padded array moved by {axis: +-1}."""
+    return ghost[tuple(slice(1 + offsets.get(a, 0), n - 1 + offsets.get(a, 0))
+                       for a, n in enumerate(ghost.shape))]
 
 
 class _GridOperator:
-    """Explicit finite-difference form of L (or L*) on a box in so(3)*.
+    """Fused finite-difference form of L (or L*) on a box in so(3)*.
 
     First and second derivatives use central differences; one ghost layer of
     linear extrapolation supplies one-sided behaviour at the faces.  The
     coefficients are the generator's own SdeSystem on the node array: the
-    transport is the Ito drift (Stratonovich drift, sign flipped for the
-    adjoint, plus the double-bracket correction) and the diffusion matrix is
-    (1/2) sum_k sigma_k sigma_k^T over the stacked channel fields sigma_k.
+    transport b is the Ito drift (Stratonovich drift, sign flipped for the
+    adjoint, plus the double-bracket correction) and the diffusion matrix a
+    is (1/2) sum_k sigma_k sigma_k^T over the stacked channel fields
+    sigma_k.  Construction folds them into per-node stencil weights, which
+    are all the operator keeps:
+
+        centre         -2 sum_i a_ii / dx_i^2
+        neighbour +-i  a_ii / dx_i^2 +- b_i / (2 dx_i)
+        cross i < j    a_ij / (2 dx_i dx_j) on u(++) - u(+-) - u(-+) + u(--)
+
+    Cross weights that vanish on every node are dropped.
     """
 
     def __init__(self, spec: LiePoissonGeneratorSpec, geometry: GridGeometry,
@@ -242,63 +229,74 @@ class _GridOperator:
             raise ValueError("grid solvers are limited to 3-dimensional duals")
         if mode not in ("backward", "forward"):
             raise ValueError(f"mode must be 'backward' or 'forward', not {mode!r}")
-        self.geometry = geometry
+        dx = geometry.dx
         nodes = geometry.nodes()
         sign = 1.0 if mode == "backward" else -1.0
-        self.transport = sign * sys.drift(0.0, nodes) + sys.ito_correction(0.0, nodes)
+        transport = sign * sys.drift(0.0, nodes) + sys.ito_correction(0.0, nodes)
         sigma = sys.diffusion(0.0, nodes)
-        self.diff = 0.5 * np.einsum("...ki,...kj->...ij", sigma, sigma)
+        del nodes
+        a_diag = 0.5 * np.einsum("...ki,...ki->...i", sigma, sigma)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        dx = self.geometry.dx
-        p = _pad_linear(rho)
-        out = np.zeros_like(rho)
-        grads = []
-        for i in range(3):
-            off_p = [0, 0, 0]
-            off_m = [0, 0, 0]
-            off_p[i], off_m[i] = 1, -1
-            grads.append((_shift(p, off_p) - _shift(p, off_m)) / (2.0 * dx[i]))
-        for i in range(3):
-            out += self.transport[..., i] * grads[i]
-        for i in range(3):
-            off_p = [0, 0, 0]
-            off_m = [0, 0, 0]
-            off_p[i], off_m[i] = 1, -1
-            second = (_shift(p, off_p) - 2.0 * rho + _shift(p, off_m)) / dx[i] ** 2
-            out += self.diff[..., i, i] * second
-        for i in range(3):
-            for j in range(i + 1, 3):
-                opp = [0, 0, 0]
-                opm = [0, 0, 0]
-                omp = [0, 0, 0]
-                omm = [0, 0, 0]
-                opp[i], opp[j] = 1, 1
-                opm[i], opm[j] = 1, -1
-                omp[i], omp[j] = -1, 1
-                omm[i], omm[j] = -1, -1
-                cross = (
-                    _shift(p, opp) - _shift(p, opm) - _shift(p, omp) + _shift(p, omm)
-                ) / (4.0 * dx[i] * dx[j])
-                out += 2.0 * self.diff[..., i, j] * cross
+        # the drift CFL bound min_i dx_i / max|b_i| bounds the outer step;
+        # 2 / (explicit-Euler bound, which also holds min dx^2 / (6 max a_ii))
+        # estimates the spectral radius that sets the stage count
+        b_max = np.max(np.abs(transport), axis=(0, 1, 2))
+        self.drift_bound = float(min((d / b for d, b in zip(dx, b_max) if b > 0), default=np.inf))
+        a_max = float(np.max(a_diag))
+        diff_bound = float(np.min(dx ** 2)) / (6.0 * a_max) if a_max > 0 else np.inf
+        self.spectral_radius = 2.0 / min(diff_bound, self.drift_bound)
+
+        g = self._ghost = np.zeros(tuple(n + 2 for n in geometry.shape))
+        self._scratch = np.empty(geometry.shape)
+        self._faces = [tuple(g[(slice(None),) * axis + (k,)] for k in ks)
+                       for axis in range(3) for ks in ((0, 1, 2), (-1, -2, -3))]
+        second = a_diag / dx ** 2
+        first = transport / (2.0 * dx)
+        del transport, a_diag
+        self._centre = -2.0 * np.sum(second, axis=-1)
+        self._neighbours = [(second[..., i] + s * first[..., i], _shifted(g, {i: s}))
+                            for i in range(3) for s in (1, -1)]
+        del second, first
+        self._cross = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            w = np.einsum("...k,...k->...", sigma[..., i], sigma[..., j])
+            if np.any(w):
+                w *= 0.5 / (2.0 * dx[i] * dx[j])
+                views = tuple(_shifted(g, {i: si, j: sj})
+                              for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+                self._cross.append((w, views))
+
+    def apply(self, rho: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """L rho (or L* rho) on every node; ``out`` must not be ``rho``."""
+        self._ghost[1:-1, 1:-1, 1:-1] = rho
+        # ghost layer by linear extrapolation 2 a - b, one axis after another
+        for ghost, in1, in2 in self._faces:
+            np.multiply(in1, 2.0, out=ghost)
+            ghost -= in2
+        if out is None:
+            out = np.empty_like(self._scratch)
+        tmp = self._scratch
+        np.multiply(self._centre, rho, out=out)
+        for w, view in self._neighbours:
+            np.multiply(w, view, out=tmp)
+            out += tmp
+        for w, (pp, pm, mp, mm) in self._cross:
+            np.subtract(pp, pm, out=tmp)
+            tmp -= mp
+            tmp += mm
+            tmp *= w
+            out += tmp
         return out
-
-    def admissible_dt(self) -> float:
-        dx = self.geometry.dx
-        a_max = float(np.max(np.einsum("...ii->...i", self.diff)))
-        dt_diff = float(np.min(dx ** 2)) / (6.0 * a_max) if a_max > 0 else np.inf
-        dt_drift = np.inf
-        for i in range(3):
-            b_max = float(np.max(np.abs(self.transport[..., i])))
-            if b_max > 0:
-                dt_drift = min(dt_drift, dx[i] / b_max)
-        return min(dt_diff, dt_drift)
 
 
 def admissible_dt(spec: LiePoissonGeneratorSpec, geometry: GridGeometry,
                   mode: str = "backward") -> float:
-    """Largest explicit-Euler step the diffusion and drift CFL bounds allow."""
-    return _GridOperator(spec, geometry, mode).admissible_dt()
+    """Largest outer step of the grid solves: the drift CFL bound min_i dx_i / max|b_i|.
+
+    Diffusion sets no step limit; each step takes as many Runge-Kutta-
+    Chebyshev stages as the diffusion's spectral radius needs.
+    """
+    return _GridOperator(spec, geometry, mode).drift_bound
 
 
 def _evaluate_on_nodes(f: ScalarField, nodes: np.ndarray) -> np.ndarray:
@@ -306,32 +304,97 @@ def _evaluate_on_nodes(f: ScalarField, nodes: np.ndarray) -> np.ndarray:
     return np.array([f(x) for x in flat]).reshape(nodes.shape[:-1])
 
 
+# Damping of the RKC2 stages and the length beta(s) ~ 0.653 s^2 of the real
+# stability interval it leaves (Verwer, Sommeijer and Hundsdorfer, J. Comput.
+# Phys. 201 (2004)).
+_RKC_DAMPING = 2.0 / 13.0
+_RKC_BETA = 0.653
+
+
+def _rkc_coefficients(s: int):
+    """Damped second-order Runge-Kutta-Chebyshev scheme with s >= 2 stages.
+
+    Returns mu~_1 and, for j = 2..s, (mu_j, nu_j, mu~_j, gamma~_j) of
+        Y_1 = Y_0 + mu~_1 tau F(Y_0)
+        Y_j = (1 - mu_j - nu_j) Y_0 + mu_j Y_{j-1} + nu_j Y_{j-2}
+              + mu~_j tau F(Y_{j-1}) + gamma~_j tau F(Y_0),
+    with Y_s the next state (Sommeijer, Shampine and Verwer, J. Comput.
+    Appl. Math. 88 (1998)).
+    """
+    w0 = 1.0 + _RKC_DAMPING / s ** 2
+    # Chebyshev polynomials T_j and their first two derivatives at w0
+    t, t1, t2 = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        t.append(2.0 * w0 * t[j - 1] - t[j - 2])
+        t1.append(2.0 * t[j - 1] + 2.0 * w0 * t1[j - 1] - t1[j - 2])
+        t2.append(4.0 * t1[j - 1] + 2.0 * w0 * t2[j - 1] - t2[j - 2])
+    w1 = t1[s] / t2[s]
+    b = [t2[max(j, 2)] / t1[max(j, 2)] ** 2 for j in range(s + 1)]
+    stages = []
+    for j in range(2, s + 1):
+        mt = 2.0 * w1 * b[j] / b[j - 1]
+        stages.append((2.0 * w0 * b[j] / b[j - 1], -b[j] / b[j - 2], mt,
+                       -(1.0 - b[j - 1] * t[j - 1]) * mt))
+    return b[1] * w1, stages
+
+
 def _evolve(spec, f0_values: np.ndarray, T: float, geometry: GridGeometry,
             dt: Optional[float], mode: str) -> DensityGrid:
+    """Damped RKC2 steps of d rho/dt = L rho (or L* rho) up to time T.
+
+    The outer step is ``dt``, by default the drift CFL bound, shortened to
+    divide T.  Each step takes s = max(2, ceil(sqrt(tau r / 0.653))) stages
+    for the operator's spectral-radius estimate r, so the diffusion sets the
+    stage count and not the step.  The stages update in place on rotating
+    buffers.
+    """
+    if T <= 0:
+        raise ValueError(f"horizon T must be positive, got {T}")
     op = _GridOperator(spec, geometry, mode)
-    dt_adm = op.admissible_dt()
+    bound = op.drift_bound
     if dt is None:
-        dt = 0.5 * dt_adm
-    elif dt > dt_adm:
+        dt = min(bound, T)
+    elif not 0 < dt <= bound:
         raise ValueError(
-            f"time step {dt:.3e} violates the CFL bounds; admissible dt is "
-            f"{dt_adm:.3e}"
+            f"time step {dt:.3e} is not positive or violates the drift CFL bound; "
+            f"admissible dt is {bound:.3e}"
         )
     nsteps = max(1, int(np.ceil(T / dt)))
-    dt = T / nsteps
-    rho = f0_values.astype(float).copy()
+    tau = T / nsteps
+    stages = max(2, int(np.ceil(np.sqrt(tau * op.spectral_radius / _RKC_BETA))))
+    mt1, coeffs = _rkc_coefficients(stages)
+    y0 = np.array(f0_values, dtype=float)
+    f0, f, prev, older = (np.empty_like(y0) for _ in range(4))
     for _ in range(nsteps):
-        rho += dt * op.apply(rho)
-        if not np.all(np.isfinite(rho)):
+        op.apply(y0, out=f0)
+        older[...] = y0
+        np.multiply(f0, mt1 * tau, out=prev)
+        prev += y0
+        for mu, nu, mt, gt in coeffs:
+            op.apply(prev, out=f)
+            # Y_j overwrites Y_{j-2}; f is the scratch for each term
+            older *= nu
+            f *= mt * tau
+            older += f
+            np.multiply(prev, mu, out=f)
+            older += f
+            np.multiply(y0, 1.0 - mu - nu, out=f)
+            older += f
+            np.multiply(f0, gt * tau, out=f)
+            older += f
+            prev, older = older, prev
+        y0, prev = prev, y0
+        if not np.all(np.isfinite(y0)):
             raise ArithmeticError("grid solve diverged; reduce dt or enlarge the box")
-    return DensityGrid(geometry=geometry, values=rho, time=T)
+    return DensityGrid(geometry=geometry, values=y0, time=T)
 
 
 def backward_solve(spec: LiePoissonGeneratorSpec, f0: ScalarField, T: float,
                    geometry: GridGeometry, dt: Optional[float] = None) -> DensityGrid:
-    """Explicit-Euler solve of d rho/dt = L rho, rho(0, m) = f0(m).
+    """Damped RKC2 solve of d rho/dt = L rho, rho(0, m) = f0(m).
 
-    The result at (T, m) approximates E_m[f0(m(T))].
+    The result at (T, m) approximates E_m[f0(m(T))].  ``dt`` is the outer
+    step, at most (and by default) :func:`admissible_dt`.
     """
     values = _evaluate_on_nodes(f0, geometry.nodes())
     return _evolve(spec, values, T, geometry, dt, "backward")
@@ -340,10 +403,12 @@ def backward_solve(spec: LiePoissonGeneratorSpec, f0: ScalarField, T: float,
 def forward_solve(spec: LiePoissonGeneratorSpec, x0, T: float,
                   geometry: GridGeometry, dt: Optional[float] = None,
                   width_cells: float = 2.0) -> DensityGrid:
-    """Explicit-Euler solve of the Fokker-Planck equation d rho/dt = L* rho.
+    """Damped RKC2 solve of the Fokker-Planck equation d rho/dt = L* rho.
 
     The delta initial datum at x0 is approximated by an isotropic Gaussian
     of width ``width_cells`` grid cells; refine the grid to sharpen it.
+    ``dt`` is the outer step, at most (and by default) the drift CFL bound
+    of the adjoint coefficients.
     """
     x0 = np.asarray(x0, dtype=float)
     nodes = geometry.nodes()

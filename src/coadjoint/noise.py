@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -71,13 +72,17 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class BrownianGrid:
-    """Increment table dW[step][channel], each entry N(0, T/M)."""
+    """Increment table dW[step][channel], each entry N(0, T/M).
+
+    ``seed`` and ``generator`` name the stream the increments came from;
+    both are None for a :func:`time_grid`, which draws nothing.
+    """
 
     T: float
     steps: int
     dW: np.ndarray = field(repr=False)
-    seed: int = 0
-    generator: str = GENERATOR_ID
+    seed: Optional[int] = 0
+    generator: Optional[str] = GENERATOR_ID
 
     def __post_init__(self):
         dW = np.array(self.dW, dtype=float)
@@ -151,13 +156,14 @@ def time_grid(T: float, M: int) -> BrownianGrid:
     """A zero-channel grid: pure time stepping for deterministic integrations.
 
     The power-of-two constraint applies to sampled noise (it is what makes
-    dyadic coarsening exact); a bare time grid may use any step count.
+    dyadic coarsening exact); a bare time grid may use any step count.  No
+    random numbers are drawn, so its seed and generator are None.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
     if M < 1:
         raise ValueError(f"step count must be at least 1, got {M}")
-    return BrownianGrid(T=T, steps=M, dW=np.zeros((M, 0)), seed=0)
+    return BrownianGrid(T=T, steps=M, dW=np.zeros((M, 0)), seed=None, generator=None)
 
 
 def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:
@@ -184,6 +190,8 @@ def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:
 def write_grid(path, grid: BrownianGrid) -> None:
     """Binary export: header (magic, version, N, M, T, seed, generator id)
     followed by little-endian float64 increments, row-major [step][channel]."""
+    if grid.generator is None:
+        raise ValueError("a time grid draws no noise; there is nothing to write")
     gen_id = grid.generator.encode("ascii")[:16].ljust(16, b"\0")
     header = _HEADER.pack(_MAGIC, _VERSION, grid.channels, grid.steps,
                           grid.seed, grid.T, gen_id)

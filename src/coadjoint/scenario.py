@@ -117,6 +117,12 @@ def _semantic_checks(doc: dict) -> None:
                 f"$.chart: unknown chart {doc['chart']!r}; available: {chart_names()}"
             )
     M = doc["M"]
+    if doc["scheme"] == "rk4" and doc.get("xi"):
+        raise ScenarioError(
+            f"$.scheme: rk4 steps the drift alone, but the scenario has "
+            f"{len(doc['xi'])} noise direction(s); use heun_strat or euler_ito, "
+            "or set xi to []"
+        )
     if doc["scheme"] != "rk4" and M & (M - 1):
         raise ScenarioError(f"$.M: {M} is not a power of two")
     kin_key = "G" if "G" in doc["kinetic"] else "K"

@@ -21,6 +21,15 @@ def write_scenario(tmp_path, doc, name="scn.json"):
     return path
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def rigid_body_doc(**overrides):
     doc = {
         "schema_version": 1,
@@ -126,6 +135,26 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--out", str(out2)]) == 0
         assert (out1 / "rb.csv").read_bytes() == (out2 / "rb.csv").read_bytes()
         assert (out1 / "rb.meta.json").read_bytes() == (out2 / "rb.meta.json").read_bytes()
+
+    def test_rk4_with_noise_exits_1(self, tmp_path, capsys):
+        # rk4 steps the drift alone; with noise directions it would write a
+        # deterministic trajectory for a stochastic scenario
+        doc = json.loads((SCENARIOS / "rigid_body.json").read_text())
+        doc["scheme"] = "rk4"
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        assert "$.scheme" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rk4_metadata_claims_no_noise(self, tmp_path):
+        path = write_scenario(tmp_path, rigid_body_doc(M=100, scheme="rk4", xi=[]))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 0
+        meta = json.loads((out / "rb.meta.json").read_text())
+        assert meta["scheme"] == "rk4"
+        assert meta["seed"] is None
+        assert meta["generator"] is None
 
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):
         path = write_scenario(tmp_path, rigid_body_doc(M=100))
@@ -270,12 +299,17 @@ class TestEntryPoints:
         for name in ("perfbench.workloads", "perfbench.probes"):
             importlib.import_module(name)
 
-    def test_module_help(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    def test_convergence_study_script(self):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "convergence_study.py"), "--seeds", "1"],
+            capture_output=True, text=True, env=src_env(), timeout=600,
         )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.count("empirical order:") == 3
+        assert "Heun (Strat) vs corrected Euler (Ito), 1-seed average" in out.stdout
+
+    def test_module_help(self):
         out = subprocess.run([sys.executable, "-m", "coadjoint.cli", "--help"],
-                             capture_output=True, text=True, env=env, timeout=120)
+                             capture_output=True, text=True, env=src_env(), timeout=120)
         assert out.returncode == 0, out.stderr
         assert "simulate" in out.stdout

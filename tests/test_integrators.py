@@ -160,6 +160,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="channels"):
             integrate(scalar_multiplicative(), "heun_strat", g, np.array([1.0]))
 
+    def test_rk4_rejects_noise(self):
+        # rk4 steps the drift alone and would silently drop the noise
+        with pytest.raises(ValueError, match="rk4.*1 noise channels"):
+            integrate(scalar_multiplicative(), "rk4", time_grid(1.0, 4), np.array([1.0]))
+
     def test_unknown_scheme(self):
         g = time_grid(1.0, 4)
         with pytest.raises(ValueError, match="scheme"):

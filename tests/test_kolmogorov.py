@@ -60,6 +60,33 @@ def bump(center, radius):
     return ScalarField(value=value, grad=grad, name="bump")
 
 
+def reference_apply(spec, geo, rho, sign):
+    """Unfused central differences with linearly extrapolated ghost layers."""
+    nodes = geo.nodes()
+    b = sign * spec.system.drift(0.0, nodes) + spec.system.ito_correction(0.0, nodes)
+    sigma = spec.system.diffusion(0.0, nodes)
+    a = 0.5 * np.einsum("...ki,...kj->...ij", sigma, sigma)
+    p = np.pad(rho, 1)
+    for axis in range(3):
+        face = np.moveaxis(p, axis, 0)
+        face[0] = 2.0 * face[1] - face[2]
+        face[-1] = 2.0 * face[-2] - face[-3]
+
+    def u(off):
+        return p[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, p.shape))]
+
+    e = np.eye(3, dtype=int)
+    dx = geo.dx
+    out = np.zeros_like(rho)
+    for i in range(3):
+        out += b[..., i] * (u(e[i]) - u(-e[i])) / (2.0 * dx[i])
+        out += a[..., i, i] * (u(e[i]) - 2.0 * rho + u(-e[i])) / dx[i] ** 2
+        for j in range(i + 1, 3):
+            cross = u(e[i] + e[j]) - u(e[i] - e[j]) - u(e[j] - e[i]) + u(-e[i] - e[j])
+            out += 2.0 * a[..., i, j] * cross / (4.0 * dx[i] * dx[j])
+    return out
+
+
 class TestGenerator:
     def test_kills_casimir(self):
         spec = rigid_spec()
@@ -191,12 +218,69 @@ class TestBackwardSolve:
                 generator_apply(spec, f, nodes[idx]), abs=1e-10
             )
 
+    @pytest.mark.parametrize("mode, sign", [("backward", 1.0), ("forward", -1.0)])
+    @pytest.mark.parametrize("xi", [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]])
+    def test_fused_stencil_matches_reference(self, xi, mode, sign):
+        # the fused weights only reorder the sums of the unfused stencil,
+        # ghost layers included
+        spec = rigid_spec(xi=xi)
+        geo = GridGeometry(bounds=np.array([[-1.2, 1.2], [-1.0, 1.1], [-0.9, 1.3]]),
+                           shape=(12, 10, 9))
+        rho = np.random.default_rng(7).normal(size=geo.shape)
+        ref = reference_apply(spec, geo, rho, sign)
+        fused = _GridOperator(spec, geo, mode).apply(rho)
+        assert np.max(np.abs(fused - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_cfl_violation_reports_admissible_dt(self):
         spec = rigid_spec()
         geo = GridGeometry.cube(-1.0, 1.0, 24)
         dt_adm = admissible_dt(spec, geo)
         with pytest.raises(ValueError, match="admissible"):
             backward_solve(spec, casimir(SO3), T=0.1, geometry=geo, dt=10.0 * dt_adm)
+
+
+class TestGridStepper:
+    def test_second_order_in_time(self):
+        # one fixed 24^3 grid, so the spatial error cancels in the
+        # differences; T = 3 tau keeps every step count exact
+        spec = rigid_spec(xi=[[1.0, 0.0, 0.0]])
+        f0 = ScalarField(value=lambda m: float(np.sin(2.0 * m[0]) * np.cos(m[1]) + m[2] ** 2))
+        geo = GridGeometry.cube(-1.3, 1.3, 24)
+        tau = admissible_dt(spec, geo)
+        inner = (slice(6, -6),) * 3
+        vals = [backward_solve(spec, f0, 3.0 * tau, geo, dt=tau / 2 ** i).values[inner]
+                for i in range(3)]
+        coarse = float(np.max(np.abs(vals[0] - vals[1])))
+        fine = float(np.max(np.abs(vals[1] - vals[2])))
+        assert coarse / fine >= 3.0
+
+    def test_admissible_dt_is_drift_bound(self):
+        spec = rigid_spec(xi=[[1.0, 0.0, 0.0]])
+        geo = GridGeometry.cube(-1.0, 1.0, 16)
+        nodes = geo.nodes()
+        b = spec.system.drift(0.0, nodes) + spec.system.ito_correction(0.0, nodes)
+        drift_bound = min(geo.dx[i] / np.max(np.abs(b[..., i])) for i in range(3))
+        dt_adm = admissible_dt(spec, geo)
+        assert dt_adm == pytest.approx(drift_bound, rel=1e-12)
+        rho = backward_solve(spec, casimir(SO3), T=0.1, geometry=geo, dt=dt_adm)
+        assert np.all(np.isfinite(rho.values))
+        with pytest.raises(ValueError, match=f"drift CFL bound; admissible dt is {dt_adm:.3e}"):
+            backward_solve(spec, casimir(SO3), T=0.1, geometry=geo, dt=1.01 * dt_adm)
+
+    def test_zero_channels_take_two_stages(self, monkeypatch):
+        # no diffusion: the spectral-radius estimate is 2 / (drift bound),
+        # so each outer step takes the minimum of two stages
+        spec = rigid_spec(xi=np.zeros((0, 3)))
+        geo = GridGeometry.cube(-1.2, 1.2, 24)
+        applies = []
+        apply = _GridOperator.apply
+        monkeypatch.setattr(_GridOperator, "apply",
+                            lambda self, *a, **kw: applies.append(1) or apply(self, *a, **kw))
+        T = 1.0
+        steps = int(np.ceil(T / admissible_dt(spec, geo)))
+        rho = backward_solve(spec, ScalarField.coordinate(0, 3), T, geometry=geo)
+        assert len(applies) == 2 * steps
+        assert np.all(np.isfinite(rho.values))
 
 
 class TestForwardSolve:

@@ -60,6 +60,12 @@ class TestSampling:
         assert g.steps == 10000
         assert g.channels == 0
 
+    def test_time_grid_claims_no_generator(self, tmp_path):
+        g = time_grid(1.0, 8)
+        assert g.seed is None and g.generator is None
+        with pytest.raises(ValueError, match="no noise"):
+            write_grid(tmp_path / "grid.bin", g)
+
 
 class TestEnsembleKeying:
     def test_channel_is_philox_stream(self):
