@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import observable_series, write_series_csv
-from .dynamics import casimir, reconstruct_momentum
+from .dynamics import casimir
 from .fields import ScalarField
 from .integrators import IntegrationDiverged, Trajectory, integrate, write_trajectory_csv
 from .kolmogorov import (
@@ -55,48 +55,18 @@ def _write_outputs(built: BuiltScenario, traj: Trajectory, out_dir: Path) -> Non
     traj = Trajectory(times=traj.times, states=traj.states, labels=traj.labels,
                       metadata=meta)
     write_trajectory_csv(traj, out_dir / f"{prefix}.csv", out_dir / f"{prefix}.meta.json")
+    # the level's own momentum map, not its system's name, gives m
+    mtraj = Trajectory(times=traj.times, states=built.system.momentum(traj.states),
+                       labels=tuple(f"m{i+1}" for i in range(built.alg.dim)))
     for diag in built.outputs.get("diagnostics", []):
         if diag == "casimir":
-            target = traj
-            if built.system.name.startswith("phase_space"):
-                target = reconstruct_momentum(traj, built.chart)
-            field = casimir(built.alg)
-            series = observable_series(_restrict_m(target, built.alg.dim), field)
+            series = observable_series(mtraj, casimir(built.alg))
             write_series_csv(series, out_dir / f"{prefix}.casimir.csv")
         elif diag == "energy":
-            h = built.hamiltonian
-            if built.system.name.startswith("phase_space"):
-                field = _phase_energy_field(built)
-            elif built.system.name.startswith("hamel"):
-                field = h.as_mq_field(built.chart.n)
-            else:
-                field = h.as_field()
-            series = observable_series(traj, field)
+            series = observable_series(traj, built.energy)
             write_series_csv(series, out_dir / f"{prefix}.energy.csv")
         elif diag == "momentum_map":
-            if built.chart is None:
-                raise ScenarioError("$.outputs.diagnostics: momentum_map needs a chart")
-            mtraj = reconstruct_momentum(traj, built.chart)
             write_trajectory_csv(mtraj, out_dir / f"{prefix}.momentum.csv")
-
-
-def _restrict_m(traj: Trajectory, r: int) -> Trajectory:
-    """First r state columns (the dual-algebra block) as their own trajectory."""
-    return Trajectory(times=traj.times, states=traj.states[:, :r],
-                      labels=traj.labels[:r], metadata=traj.metadata)
-
-
-def _phase_energy_field(built: BuiltScenario) -> ScalarField:
-    h = built.hamiltonian
-    chart = built.chart
-    n = chart.n
-
-    def value(x):
-        from .actions import momentum_map
-
-        return float(h.value(momentum_map(chart, x), x[:n]))
-
-    return ScalarField(value=value, name="energy")
 
 
 def cmd_simulate(args) -> int:
@@ -124,7 +94,7 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     try:
         rows, passed = run_suite(args.suite, seeds=args.seeds)
-    except LookupError as exc:
+    except (LookupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(f"suite: {args.suite}")
@@ -145,23 +115,41 @@ def _parse_f0(spec: str, alg) -> ScalarField:
     )
 
 
+def _flag_values(flag: str, text: str, kind, count: int) -> tuple:
+    """``count`` comma-separated values of type ``kind`` given to ``flag``."""
+    try:
+        values = tuple(kind(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise ScenarioError(f"{flag}: need {count} comma-separated values, got {text!r}")
+    return values
+
+
 def cmd_kolmogorov(args) -> int:
     try:
         scn = load_scenario(args.scenario)
-        built = build_scenario(scn)
-        if not built.system.name.startswith("lie_poisson") or built.alg.name != "so3":
-            raise ScenarioError(
-                "the kolmogorov command needs an so3 lie_poisson scenario"
-            )
+        for key, need in (("system", "lie_poisson"), ("algebra", "so3")):
+            if scn[key] != need:
+                raise ScenarioError(
+                    f"$.{key}: the kolmogorov command needs {need!r}, got {scn[key]!r}"
+                )
         if scn.get("u_policy", {"id": "legendre"})["id"] != "legendre":
             raise ScenarioError(
                 "$.u_policy: the kolmogorov generator has psi = h, so u = K m; "
                 "only 'legendre' applies"
             )
+        built = build_scenario(scn)
         f0 = _parse_f0(args.f0, built.alg)
-        nx, ny, nz = (int(v) for v in args.grid.split(","))
-        lo, hi = (float(v) for v in args.box.split(","))
-        geometry = GridGeometry(bounds=np.array([[lo, hi]] * 3), shape=(nx, ny, nz))
+        shape = _flag_values("--grid", args.grid, int, 3)
+        lo, hi = _flag_values("--box", args.box, float, 2)
+        if min(shape) < 4:
+            raise ScenarioError(f"--grid: need at least 4 nodes per axis, got {args.grid!r}")
+        if not lo < hi:
+            raise ScenarioError(f"--box: need lo < hi, got {args.box!r}")
+        if args.paths < 1:
+            raise ScenarioError(f"--paths: need at least 1 path, got {args.paths}")
+        geometry = GridGeometry(bounds=np.array([[lo, hi]] * 3), shape=shape)
         spec = lie_poisson_generator(built.alg, built.hamiltonian.kinetic_inverse,
                                      built.noise.xi)
     except (ScenarioError, OSError, ValueError, LookupError) as exc:
@@ -198,7 +186,7 @@ def cmd_kolmogorov(args) -> int:
 
     pde_val = interpolate(rho, built.x0)
     mean, stderr = mc_expectation(
-        spec.system, f0, built.x0, built.T, built.M, args.paths, built.seed
+        spec.system, f0, built.x0, built.T, built.M, args.paths, built.noise.seed
     )
     gate = pde_mc_gate(stderr, geometry)
     agree = abs(mean - pde_val) <= gate
@@ -217,7 +205,7 @@ def cmd_kolmogorov(args) -> int:
         "pde_value": pde_val,
         "gate": gate,
         "verdict": verdict,
-        "seed": built.seed,
+        "seed": built.noise.seed,
         "version": __version__,
     }
     with open(out_dir / f"{prefix}.crosscheck.json", "w") as fh:

@@ -222,7 +222,8 @@ def _validated_u(u_of, t, x, r: int) -> np.ndarray:
 
 
 def _directions(noise: NoiseSpec, r: int) -> np.ndarray:
-    """The noise directions as a (C, r) array, (0, r) without noise."""
+    """The noise directions as a (C, r) array; the reshape turns the (0, 0)
+    directions of ``NoiseSpec.make([], seed)`` into (0, r)."""
     if noise.channels and noise.xi.shape[1] != r:
         raise ValueError(
             f"noise directions have dimension {noise.xi.shape[1]}, algebra needs {r}"
@@ -256,8 +257,8 @@ def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
     ``dfield(w, x, v)`` = DX_w(x)[v] and its momentum map ``momentum(x)``.
     The velocity u is ``u_of(t, x)`` or the Legendre feedback K mu(x);
     ``force`` is ``(block, f)``, adding f(x) to the drift's coordinates
-    ``[..., block]`` only.  The remaining keyword arguments go to
-    :class:`SdeSystem`.
+    ``[..., block]`` only.  The system carries ``momentum`` as its own; the
+    remaining keyword arguments go to :class:`SdeSystem`.
     """
     r = K.shape[0]
     xi = _directions(noise, r)
@@ -280,7 +281,7 @@ def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
         return _ito_drift(field, dfield, xi, x)
 
     return SdeSystem(channels=noise.channels, drift=drift, diffusion=diffusion,
-                     ito_correction=correction, **system_kw)
+                     ito_correction=correction, momentum=momentum, **system_kw)
 
 
 def _chart_jacobian(chart: ActionChart, q, w) -> np.ndarray:

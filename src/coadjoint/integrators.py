@@ -58,6 +58,7 @@ class SdeSystem:
     integrate the same law the Stratonovich fields define.  Callbacks must
     be pure and broadcast over leading axes of x.  ``post_step(x_new, x0)``
     maps each row given its initial row, on single paths and ensembles.
+    ``momentum(x)`` is the level's momentum map, (..., d) -> (..., r).
     """
 
     state_dim: int
@@ -68,6 +69,7 @@ class SdeSystem:
     labels: tuple = ()
     name: str = ""
     post_step: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    momentum: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.labels and len(self.labels) != self.state_dim:

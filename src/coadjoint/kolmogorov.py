@@ -100,7 +100,6 @@ def lie_poisson_generator(alg: LieAlgebraSpec, K, xi) -> LiePoissonGeneratorSpec
 
 def hamel_generator(chart: ActionChart, h: ReducedHamiltonian, xi) -> GeneratorSpec:
     """Generator on the mixed (m, q) level; psi is the reduced Hamiltonian."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float)) if np.size(xi) else np.zeros((0, h.alg.dim))
     r = h.alg.dim
     phi = tuple(
         ScalarField(
@@ -108,7 +107,7 @@ def hamel_generator(chart: ActionChart, h: ReducedHamiltonian, xi) -> GeneratorS
             grad=lambda x, _w=w: np.concatenate([_w, np.zeros(x.size - r)]),
             name=f"g{k+1}",
         )
-        for k, w in enumerate(xi)
+        for k, w in enumerate(NoiseSpec.make(xi, 0).xi)
     )
     return GeneratorSpec(bracket=HamelBracket(chart), phi=phi, psi=h.as_mq_field(chart.n))
 

@@ -44,7 +44,10 @@ def _is_power_of_two(m: int) -> bool:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Diffusion directions xi_k in the Lie algebra plus an RNG seed."""
+    """Diffusion directions xi_k in the Lie algebra plus an RNG seed.
+
+    ``xi`` is (channels, r); a zero-channel (0, r) keeps its r.
+    """
 
     channels: int
     xi: np.ndarray = field(repr=False)
@@ -52,8 +55,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         xi = np.array(self.xi, dtype=float)
-        if self.channels == 0:
-            xi = xi.reshape(0, xi.shape[-1] if xi.size else 0)
+        if xi.shape == (0,):
+            xi = xi.reshape(0, 0)
         if xi.ndim != 2 or xi.shape[0] != self.channels:
             raise ValueError(
                 f"xi must be an array of {self.channels} algebra vectors, "
@@ -66,7 +69,9 @@ class NoiseSpec:
 
     @staticmethod
     def make(xi, seed: int) -> "NoiseSpec":
-        xi = np.atleast_2d(np.asarray(xi, dtype=float)) if np.size(xi) else np.zeros((0, 0))
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape != (0,):
+            xi = np.atleast_2d(xi)
         return NoiseSpec(channels=xi.shape[0], xi=xi, seed=seed)
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional
 
 import jsonschema
 import numpy as np
 
-from .actions import ActionChart, builtin_chart, chart_names
+from .actions import builtin_chart, chart_names
 from .algebra import BUILTIN_ALGEBRAS, LieAlgebraSpec, abelian, builtin
 from .dynamics import (
     Potential,
@@ -31,6 +30,7 @@ from .dynamics import (
     quadratic_potential,
     zero_potential,
 )
+from .fields import ScalarField
 from .integrators import SdeSystem
 from .noise import NoiseSpec
 
@@ -72,7 +72,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class BuiltScenario:
-    """Everything a runner needs: the system, initial state, and run plan."""
+    """Everything a runner needs: the system, initial state, and run plan.
+
+    ``energy`` is the Hamiltonian as a field over the system's own state.
+    """
 
     system: SdeSystem
     x0: np.ndarray
@@ -80,10 +83,9 @@ class BuiltScenario:
     T: float
     M: int
     scheme: str
-    seed: int
     alg: LieAlgebraSpec
-    chart: Optional[ActionChart] = None
-    hamiltonian: Optional[ReducedHamiltonian] = None
+    hamiltonian: ReducedHamiltonian
+    energy: ScalarField
     outputs: dict = field(default_factory=dict)
 
 
@@ -210,11 +212,9 @@ def build_scenario(scn: Scenario) -> BuiltScenario:
     xi = np.asarray(doc.get("xi", []), dtype=float)
     if xi.size and xi.shape[1] != alg.dim:
         raise ScenarioError(f"$.xi: directions must be {alg.dim}-vectors")
-    noise = NoiseSpec.make(xi if xi.size else [], seed=doc["seed"])
+    noise = NoiseSpec.make(xi if xi.size else np.zeros((0, alg.dim)), seed=doc["seed"])
 
     system_kind = doc["system"]
-    chart = None
-    hamiltonian = None
     if system_kind in ("phase_space", "hamel"):
         chart = builtin_chart(doc["chart"])
         if chart.alg.name != alg.name:
@@ -229,12 +229,17 @@ def build_scenario(scn: Scenario) -> BuiltScenario:
             raise ScenarioError(f"$.m0: need a {alg.dim}-vector")
         hamiltonian = ReducedHamiltonian(alg=alg, kinetic_inverse=K)
         system = lie_poisson_system(alg, K, noise, u_of=_u_policy(doc, alg))
+        energy = hamiltonian.as_field()
         x0 = m0
     elif system_kind == "phase_space":
         potential = _build_potential(doc, 3)
         L = QuadraticLagrangian(alg=alg, kinetic=G, potential=potential, chart=chart)
         hamiltonian = ReducedHamiltonian.from_lagrangian(L)
         system = phase_space_system(L, noise, u_of=_u_policy(doc, alg))
+        energy = ScalarField(
+            value=lambda x: float(hamiltonian.value(system.momentum(x), x[:chart.n])),
+            name="energy",
+        )
         q = np.asarray(doc["x0"]["q"], dtype=float)
         p = np.asarray(doc["x0"]["p"], dtype=float)
         if q.shape != (chart.n,) or p.shape != (chart.n,):
@@ -244,6 +249,7 @@ def build_scenario(scn: Scenario) -> BuiltScenario:
         potential = _build_potential(doc, 3)
         hamiltonian = ReducedHamiltonian(alg=alg, kinetic_inverse=K, potential=potential)
         system = hamel_system(chart, hamiltonian, noise)
+        energy = hamiltonian.as_mq_field(chart.n)
         m = np.asarray(doc["x0"]["m"], dtype=float)
         q = np.asarray(doc["x0"]["q"], dtype=float)
         if m.shape != (alg.dim,) or q.shape != (chart.n,):
@@ -259,9 +265,8 @@ def build_scenario(scn: Scenario) -> BuiltScenario:
         T=float(doc["T"]),
         M=int(doc["M"]),
         scheme=doc["scheme"],
-        seed=int(doc["seed"]),
         alg=alg,
-        chart=chart,
         hamiltonian=hamiltonian,
+        energy=energy,
         outputs=doc.get("outputs", {}),
     )

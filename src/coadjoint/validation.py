@@ -192,6 +192,8 @@ def _nested_correction_residual(seed: int = 303) -> dict:
 def _coupled_study(seeds: int, exponents, error):
     """Mean across seeds of ``error(grid)`` on each dyadic coarsening of one
     fine XI_PAIR grid per seed; returns (step sizes, mean errors)."""
+    if seeds < 1:
+        raise ValueError(f"--seeds: need at least 1 seed, got {seeds}")
     top = max(exponents)
     all_errs = []
     for seed in range(seeds):
@@ -286,7 +288,7 @@ def suite_collectivize(seeds: int = 8) -> list:
     tl = integrate(lie_poisson_system(so3, K_RIGID, no_noise), "rk4", grid, m0)
     det_err = strong_error(reconstruct_momentum(tp, chart), tl)
     rows = [_row_max("deterministic collectivization error (dt=1e-4)", det_err, 1e-6)]
-    n_seeds = max(2, seeds // 2)
+    n_seeds = max(2, seeds // 2) if seeds >= 1 else seeds
     hs, errs = collectivization_errors(n_seeds)
     rows.append(_row_min(f"stochastic collectivization order ({n_seeds} seeds)", empirical_order(hs, errs), 0.5))
     return rows

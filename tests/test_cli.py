@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -8,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coadjoint.cli import main
+from coadjoint.cli import _scenario_grid, _write_outputs, main
+from coadjoint.integrators import integrate
 from coadjoint.scenario import ScenarioError, build_scenario, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+SHIPPED = ("rigid_body", "heavy_top", "rigid_body_phase", "translation_martingale")
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -51,10 +54,13 @@ def rigid_body_doc(**overrides):
 
 class TestScenarioValidation:
     def test_loads_shipped_scenarios(self):
-        for name in ("rigid_body", "heavy_top", "rigid_body_phase",
-                     "translation_martingale"):
+        for name in SHIPPED:
             built = build_scenario(load_scenario(SCENARIOS / f"{name}.json"))
             assert built.system.state_dim in (3, 6)
+
+    def test_empty_xi_keeps_algebra_dimension(self, tmp_path):
+        path = write_scenario(tmp_path, rigid_body_doc(M=100, scheme="rk4", xi=[]))
+        assert build_scenario(load_scenario(path)).noise.xi.shape == (0, 3)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = write_scenario(tmp_path, rigid_body_doc(xis=[[1, 0, 0]]))
@@ -161,6 +167,23 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--out", str(tmp_path)]) == 1
         assert "power of two" in capsys.readouterr().err
 
+    def test_diagnostics_follow_the_level_not_the_name(self, tmp_path):
+        # the Casimir, energy and momentum files come from the level's own
+        # momentum map and energy, whatever its system is called
+        for name in SHIPPED:
+            built = build_scenario(load_scenario(SCENARIOS / f"{name}.json"))
+            traj = integrate(built.system, built.scheme, _scenario_grid(built), built.x0)
+            renamed = dataclasses.replace(
+                built, system=dataclasses.replace(built.system, name="custom"))
+            _write_outputs(built, traj, tmp_path / name / "named")
+            _write_outputs(renamed, traj, tmp_path / name / "custom")
+            diags = built.outputs.get("diagnostics", [])
+            files = sorted((tmp_path / name / "named").glob("*.*.csv"))
+            assert len(files) == len(diags)
+            for path in files:
+                other = tmp_path / name / "custom" / path.name
+                assert path.read_bytes() == other.read_bytes(), (name, path.name)
+
     def test_divergence_exits_2_with_partial(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,
@@ -198,6 +221,13 @@ class TestValidateCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["validate", "everything"])
+
+    @pytest.mark.parametrize("suite", ["ito", "collectivize"])
+    def test_seeds_below_one_exits_1(self, suite, capsys):
+        assert main(["validate", suite, "--seeds", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "--seeds" in captured.err
+        assert captured.out == ""
 
     def test_output_reproducible(self, capsys):
         main(["validate", "equivariance"])
@@ -270,6 +300,31 @@ class TestKolmogorovCommand:
         assert code == 1
         assert "u_policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, args", [
+        ("--paths", ["--grid", "16,16,16", "--box=-1.2,1.2", "--paths", "0"]),
+        ("--grid", ["--grid", "16,16", "--box=-1.2,1.2"]),
+        ("--box", ["--grid", "16,16,16", "--box", "1.4"]),
+        ("--grid", ["--grid", "3,16,16", "--box=-1.2,1.2"]),
+        ("--box", ["--grid", "16,16,16", "--box=1.2,-1.2"]),
+    ])
+    def test_bad_flag_exits_1_before_writing(self, tmp_path, capsys, flag, args):
+        path = write_scenario(tmp_path, rigid_body_doc())
+        out = tmp_path / "out"
+        code = main(["kolmogorov", str(path), "--f0", "m3", *args, "--out", str(out)])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_requires_so3_algebra(self, tmp_path, capsys):
+        doc = rigid_body_doc(algebra="r3", outputs={"prefix": "rb"})
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main(["kolmogorov", str(path), "--f0", "m3", "--grid", "16,16,16",
+                     "--box=-1,1", "--out", str(out)])
+        assert code == 1
+        assert "$.algebra" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_lie_poisson_scenario(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,
@@ -288,7 +343,8 @@ class TestKolmogorovCommand:
         code = main(["kolmogorov", str(path), "--f0", "m3",
                      "--grid", "16,16,16", "--box=-1,1"])
         assert code == 1
-        assert "lie_poisson" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "$.system" in err and "lie_poisson" in err
 
 
 class TestEntryPoints:
@@ -307,6 +363,14 @@ class TestEntryPoints:
         assert out.returncode == 0, out.stderr
         assert out.stdout.count("empirical order:") == 3
         assert "Heun (Strat) vs corrected Euler (Ito), 1-seed average" in out.stdout
+
+    def test_convergence_study_rejects_zero_seeds(self):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "convergence_study.py"), "--seeds", "0"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert out.returncode != 0
+        assert "--seeds: need at least 1 seed" in out.stderr
 
     def test_module_help(self):
         out = subprocess.run([sys.executable, "-m", "coadjoint.cli", "--help"],

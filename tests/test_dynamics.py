@@ -494,6 +494,18 @@ class TestCoupling:
             assert sys.diffusion(0.0, np.ones((5, d))).shape == (5, 0, d)
             assert np.array_equal(sys.ito_correction(0.0, np.ones((5, d))), np.zeros((5, d)))
 
+    def test_systems_carry_their_momentum_map(self):
+        # phase space maps through p . A(q), the Hamel level keeps its m
+        # block and the collective level is the momentum itself
+        levels = _three_levels(NoiseSpec.make([[0.0, 0.0, 1.0]], seed=0))
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, 5, 6))
+        assert np.array_equal(levels["phase_space"].momentum(x),
+                              momentum_map(rotation_chart(), x))
+        assert np.array_equal(levels["hamel"].momentum(x), x[..., :3])
+        m = rng.normal(size=(4, 5, 3))
+        assert np.array_equal(levels["lie_poisson"].momentum(m), m)
+
     @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito"])
     @pytest.mark.parametrize("level", ["phase_space", "hamel"])
     def test_path_independent_of_batch(self, level, scheme):

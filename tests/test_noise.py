@@ -174,3 +174,8 @@ class TestSpecValidation:
         assert s.channels == 1
         empty = NoiseSpec.make([], seed=5)
         assert empty.channels == 0
+
+    def test_zero_channels_keep_algebra_dimension(self):
+        assert NoiseSpec(channels=0, xi=np.zeros((0, 3))).xi.shape == (0, 3)
+        assert NoiseSpec.make(np.zeros((0, 3)), seed=5).xi.shape == (0, 3)
+        assert NoiseSpec.make([], seed=5).xi.shape == (0, 0)
