@@ -7,11 +7,13 @@ the gap with the step size measures scheme agreement, not noise.
 """
 
 import argparse
+import sys
 
 from coadjoint.diagnostics import empirical_order
 from coadjoint.validation import (
     casimir_drift_errors,
     collectivization_errors,
+    collectivization_seeds,
     coupled_scheme_errors,
 )
 
@@ -29,13 +31,16 @@ def main():
     parser.add_argument("--seeds", type=int, default=8)
     args = parser.parse_args()
 
-    hs, errs = coupled_scheme_errors(args.seeds)
+    try:
+        hs, errs = coupled_scheme_errors(args.seeds)
+    except ValueError as exc:  # a --seeds count below 1
+        sys.exit(f"error: {exc}")
     table(f"Heun (Strat) vs corrected Euler (Ito), {args.seeds}-seed average", hs, errs)
 
     hs, errs = casimir_drift_errors(args.seeds)
     table(f"pathwise Casimir drift under Heun, {args.seeds}-seed average", hs, errs)
 
-    hs, errs = collectivization_errors(max(2, args.seeds // 2))
+    hs, errs = collectivization_errors(collectivization_seeds(args.seeds))
     table("phase space through momentum map vs collective dynamics", hs, errs)
 
 

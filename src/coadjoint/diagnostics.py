@@ -44,8 +44,8 @@ class DriftSeries:
 
 
 def observable_series(traj: Trajectory, f: ScalarField) -> DriftSeries:
-    """Evaluate f along the trajectory and subtract f(x0)."""
-    vals = np.array([f(x) for x in traj.states])
+    """Evaluate f along the trajectory, in one call, and subtract f(x0)."""
+    vals = f.evaluate(traj.states)
     return DriftSeries(times=traj.times, values=vals - vals[0],
                        observable=f.name or "observable")
 

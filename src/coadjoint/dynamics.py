@@ -32,7 +32,7 @@ import numpy as np
 
 from .actions import ActionChart, momentum_map
 from .algebra import LieAlgebraSpec, ad_star
-from .fields import ScalarField
+from .fields import ScalarField, _dot
 from .integrators import SdeSystem, Trajectory
 from .noise import NoiseSpec
 
@@ -179,18 +179,14 @@ class ReducedHamiltonian:
 
     def as_field(self) -> ScalarField:
         """h as a scalar field over m alone (kinetic part)."""
-        return ScalarField(
-            value=lambda m: float(self.value(m)),
-            grad=lambda m: self.velocity(m),
-            name="h",
-        )
+        return ScalarField(value=self.value, grad=self.velocity, name="h")
 
     def as_mq_field(self, n: int) -> ScalarField:
         """h as a scalar field over the packed (m, q) state."""
         r = self.alg.dim
 
         def value(x):
-            return float(self.value(x[:r], x[r:]))
+            return self.value(x[..., :r], x[..., r:])
 
         def grad(x):
             return np.concatenate([self.velocity(x[:r]), self.potential.grad(x[r:])])
@@ -456,7 +452,7 @@ def casimir(alg: LieAlgebraSpec, name: str = "quadratic") -> ScalarField:
             f"the quadratic Casimir is available for so3 only, not {alg.name!r}"
         )
     return ScalarField(
-        value=lambda m: float(np.dot(m, m)),
+        value=lambda m: _dot(m, m),
         grad=lambda m: 2.0 * np.asarray(m, dtype=float),
         name="casimir",
     )
@@ -468,7 +464,7 @@ def momentum_pairing_field(chart: ActionChart, xi) -> ScalarField:
     n = chart.n
 
     def value(x):
-        return float(momentum_map(chart, x) @ xi)
+        return _dot(momentum_map(chart, x), xi)
 
     def grad(x):
         q, p = x[:n], x[n:]

@@ -1,8 +1,9 @@
 """Scalar fields with finite-difference fallbacks and Poisson bracket evaluators.
 
-A :class:`ScalarField` is a real function of a flat state vector together
-with an optional analytic gradient; :meth:`ScalarField.gradient` falls back
-to central differences with step ``1e-5 * (1 + |x|)`` when no analytic
+A :class:`ScalarField` is a real function of a flat state vector, whose
+``value`` broadcasts over leading axes of the states, together with an
+optional analytic gradient of one state; :meth:`ScalarField.gradient` falls
+back to central differences with step ``1e-5 * (1 + |x|)`` when no analytic
 gradient was supplied.
 
 Poisson brackets are represented by their (state-dependent) Poisson tensor
@@ -49,20 +50,49 @@ def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     return g
 
 
+def _dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x . w over the last axis, broadcast over leading axes.
+
+    Each row rounds as ``float(np.dot(x, w))`` does on that row alone, in
+    either memory layout; einsum and ``np.sum(x * w, -1)`` do not.
+    """
+    return (x[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Real-valued function of a flat state vector.
 
-    ``grad`` is used when provided; otherwise gradients come from central
+    ``value(x)`` broadcasts over leading axes of x: states of shape
+    (..., d) give values of shape (...), as the ``SdeSystem`` callbacks do.
+    Calling the field on one state returns a float.  ``grad`` takes one
+    state; it is used when provided, otherwise gradients come from central
     finite differences of ``value``.
     """
 
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
     def __call__(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
+
+    def evaluate(self, states) -> np.ndarray:
+        """``value`` on every state of ``states`` (..., d) in one call, shape (...)."""
+        states = np.asarray(states, dtype=float)
+        try:
+            out = np.asarray(self.value(states), dtype=float)
+        except (TypeError, ValueError, IndexError) as err:
+            raise ValueError(
+                f"field {self.name!r} failed on states of shape {states.shape} "
+                f"({err}); its value must broadcast over leading axes"
+            ) from err
+        if out.shape != states.shape[:-1]:
+            raise ValueError(
+                f"field {self.name!r} returned shape {out.shape} for states of shape "
+                f"{states.shape}; its value must broadcast over leading axes"
+            )
+        return out
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -76,7 +106,7 @@ class ScalarField:
         e = np.zeros(dim)
         e[i] = 1.0
         return ScalarField(
-            value=lambda x, _i=i: float(x[_i]),
+            value=lambda x, _i=i: x[..., _i],
             grad=lambda x, _e=e: _e.copy(),
             name=name or f"x{i}",
         )
@@ -84,14 +114,15 @@ class ScalarField:
     @staticmethod
     def constant(c: float, dim: int, name: str = "const") -> "ScalarField":
         z = np.zeros(dim)
-        return ScalarField(value=lambda x, _c=c: _c, grad=lambda x, _z=z: _z.copy(), name=name)
+        return ScalarField(value=lambda x, _c=float(c): np.full(np.shape(x)[:-1], _c),
+                           grad=lambda x, _z=z: _z.copy(), name=name)
 
     @staticmethod
     def linear(w, name: str = "") -> "ScalarField":
         """The pairing x -> w . x."""
         w = np.asarray(w, dtype=float)
         return ScalarField(
-            value=lambda x, _w=w: float(_w @ x),
+            value=lambda x, _w=w: _dot(x, _w),
             grad=lambda x, _w=w: _w.copy(),
             name=name,
         )
@@ -106,11 +137,12 @@ class ScalarField:
     ) -> "ScalarField":
         """Wrap a function of separate (q, p) arguments over the packed state.
 
-        Analytic gradients are used only if both blocks are supplied.
+        ``value`` broadcasts over leading axes of q and p.  Analytic
+        gradients are used only if both blocks are supplied.
         """
 
         def packed_value(x):
-            return value(x[:n], x[n:])
+            return value(x[..., :n], x[..., n:])
 
         packed_grad = None
         if grad_q is not None and grad_p is not None:
@@ -195,7 +227,8 @@ def double_bracket(bracket: PoissonBracket, g: ScalarField, f: ScalarField, x) -
     The inner bracket is wrapped as a plain field, so the outer gradient is
     taken by finite differences of actual inner-bracket evaluations; this is
     the independent oracle against which closed-form Ito corrections are
-    checked.
+    checked.  That inner field is the one field that takes a single state
+    only: it is evaluated point by point, never on a state array.
     """
     inner = ScalarField(value=lambda y: bracket(g, f, y), name=f"{{{g.name},{f.name}}}")
     return bracket(g, inner, x)

@@ -32,7 +32,14 @@ import numpy as np
 from .algebra import LieAlgebraSpec
 from .actions import ActionChart
 from .dynamics import ReducedHamiltonian, lie_poisson_system
-from .fields import HamelBracket, LiePoissonBracket, PoissonBracket, ScalarField, double_bracket
+from .fields import (
+    HamelBracket,
+    LiePoissonBracket,
+    PoissonBracket,
+    ScalarField,
+    _dot,
+    double_bracket,
+)
 from .integrators import IntegrationDiverged, SdeSystem, _drive, integrate
 from .noise import NoiseSpec, _increments, time_grid
 
@@ -103,7 +110,7 @@ def hamel_generator(chart: ActionChart, h: ReducedHamiltonian, xi) -> GeneratorS
     r = h.alg.dim
     phi = tuple(
         ScalarField(
-            value=lambda x, _w=w: float(_w @ x[:r]),
+            value=lambda x, _w=w: _dot(x[..., :r], _w),
             grad=lambda x, _w=w: np.concatenate([_w, np.zeros(x.size - r)]),
             name=f"g{k+1}",
         )
@@ -166,10 +173,14 @@ class GridGeometry:
                 for i in range(3)]
 
     def nodes(self) -> np.ndarray:
-        """All node coordinates, shape (*shape, 3)."""
-        ax = self.axes()
-        mesh = np.meshgrid(*ax, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """All node coordinates, shape (*shape, 3), stored component-major.
+
+        Each coordinate is one contiguous block, the layout of the ensemble
+        states, on which the coefficient einsums run several times faster
+        than on row-major nodes, with the same results.
+        """
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
+        return np.moveaxis(np.stack(mesh), 0, -1)
 
 
 @dataclass(frozen=True)
@@ -197,6 +208,31 @@ def _shifted(ghost: np.ndarray, offsets: dict) -> np.ndarray:
                        for a, n in enumerate(ghost.shape))]
 
 
+def _transport(spec: LiePoissonGeneratorSpec, geometry: GridGeometry, mode: str):
+    """The grid nodes, the transport b on them and its drift CFL bound.
+
+    b is the Ito drift of the generator's SdeSystem, with the Stratonovich
+    drift's sign flipped for the adjoint (``mode`` "forward"); the bound
+    is min_i dx_i / max|b_i|.
+    """
+    if not isinstance(spec, LiePoissonGeneratorSpec):
+        raise ValueError(
+            "grid solvers support generators on the dual of so(3) built "
+            "by lie_poisson_generator"
+        )
+    sys = spec.system
+    if sys.state_dim != 3:
+        raise ValueError("grid solvers are limited to 3-dimensional duals")
+    if mode not in ("backward", "forward"):
+        raise ValueError(f"mode must be 'backward' or 'forward', not {mode!r}")
+    nodes = geometry.nodes()
+    sign = 1.0 if mode == "backward" else -1.0
+    transport = sign * sys.drift(0.0, nodes) + sys.ito_correction(0.0, nodes)
+    b_max = np.max(np.abs(transport), axis=(0, 1, 2))
+    bound = float(min((d / b for d, b in zip(geometry.dx, b_max) if b > 0), default=np.inf))
+    return nodes, transport, bound
+
+
 class _GridOperator:
     """Fused finite-difference form of L (or L*) on a box in so(3)*.
 
@@ -218,29 +254,15 @@ class _GridOperator:
 
     def __init__(self, spec: LiePoissonGeneratorSpec, geometry: GridGeometry,
                  mode: str = "backward"):
-        if not isinstance(spec, LiePoissonGeneratorSpec):
-            raise ValueError(
-                "grid solvers support generators on the dual of so(3) built "
-                "by lie_poisson_generator"
-            )
-        sys = spec.system
-        if sys.state_dim != 3:
-            raise ValueError("grid solvers are limited to 3-dimensional duals")
-        if mode not in ("backward", "forward"):
-            raise ValueError(f"mode must be 'backward' or 'forward', not {mode!r}")
         dx = geometry.dx
-        nodes = geometry.nodes()
-        sign = 1.0 if mode == "backward" else -1.0
-        transport = sign * sys.drift(0.0, nodes) + sys.ito_correction(0.0, nodes)
-        sigma = sys.diffusion(0.0, nodes)
+        nodes, transport, self.drift_bound = _transport(spec, geometry, mode)
+        sigma = spec.system.diffusion(0.0, nodes)
         del nodes
         a_diag = 0.5 * np.einsum("...ki,...ki->...i", sigma, sigma)
 
-        # the drift CFL bound min_i dx_i / max|b_i| bounds the outer step;
-        # 2 / (explicit-Euler bound, which also holds min dx^2 / (6 max a_ii))
-        # estimates the spectral radius that sets the stage count
-        b_max = np.max(np.abs(transport), axis=(0, 1, 2))
-        self.drift_bound = float(min((d / b for d, b in zip(dx, b_max) if b > 0), default=np.inf))
+        # the drift CFL bound bounds the outer step; 2 / (explicit-Euler
+        # bound, which also holds min dx^2 / (6 max a_ii)) estimates the
+        # spectral radius that sets the stage count
         a_max = float(np.max(a_diag))
         diff_bound = float(np.min(dx ** 2)) / (6.0 * a_max) if a_max > 0 else np.inf
         self.spectral_radius = 2.0 / min(diff_bound, self.drift_bound)
@@ -293,14 +315,10 @@ def admissible_dt(spec: LiePoissonGeneratorSpec, geometry: GridGeometry,
     """Largest outer step of the grid solves: the drift CFL bound min_i dx_i / max|b_i|.
 
     Diffusion sets no step limit; each step takes as many Runge-Kutta-
-    Chebyshev stages as the diffusion's spectral radius needs.
+    Chebyshev stages as the diffusion's spectral radius needs.  Computed
+    without the stencil weights.
     """
-    return _GridOperator(spec, geometry, mode).drift_bound
-
-
-def _evaluate_on_nodes(f: ScalarField, nodes: np.ndarray) -> np.ndarray:
-    flat = nodes.reshape(-1, nodes.shape[-1])
-    return np.array([f(x) for x in flat]).reshape(nodes.shape[:-1])
+    return _transport(spec, geometry, mode)[2]
 
 
 # Damping of the RKC2 stages and the length beta(s) ~ 0.653 s^2 of the real
@@ -395,7 +413,7 @@ def backward_solve(spec: LiePoissonGeneratorSpec, f0: ScalarField, T: float,
     The result at (T, m) approximates E_m[f0(m(T))].  ``dt`` is the outer
     step, at most (and by default) :func:`admissible_dt`.
     """
-    values = _evaluate_on_nodes(f0, geometry.nodes())
+    values = f0.evaluate(geometry.nodes())
     return _evolve(spec, values, T, geometry, dt, "backward")
 
 
@@ -493,7 +511,7 @@ def mc_expectation(sys: SdeSystem, f: ScalarField, x0, T: float, M: int,
         traj = integrate(sys, "rk4", time_grid(T, M), x0)
         return float(f(traj.final())), 0.0
     finals = ensemble_finals(sys, x0, T, M, ensemble, seed)
-    values = np.array([f(row) for row in finals])
+    values = f.evaluate(finals)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(ensemble)) if ensemble > 1 else 0.0
     return mean, stderr

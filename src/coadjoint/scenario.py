@@ -237,7 +237,7 @@ def build_scenario(scn: Scenario) -> BuiltScenario:
         hamiltonian = ReducedHamiltonian.from_lagrangian(L)
         system = phase_space_system(L, noise, u_of=_u_policy(doc, alg))
         energy = ScalarField(
-            value=lambda x: float(hamiltonian.value(system.momentum(x), x[:chart.n])),
+            value=lambda x: hamiltonian.value(system.momentum(x), x[..., :chart.n]),
             name="energy",
         )
         q = np.asarray(doc["x0"]["q"], dtype=float)

@@ -36,7 +36,7 @@ from .dynamics import (
     reconstruct_momentum,
 )
 from .fields import CanonicalBracket, ScalarField, double_bracket
-from .integrators import integrate
+from .integrators import Trajectory, _drive, integrate
 from .kolmogorov import (
     GridGeometry,
     backward_solve,
@@ -189,25 +189,46 @@ def _nested_correction_residual(seed: int = 303) -> dict:
     return out
 
 
-def _coupled_study(seeds: int, exponents, error):
-    """Mean across seeds of ``error(grid)`` on each dyadic coarsening of one
-    fine XI_PAIR grid per seed; returns (step sizes, mean errors)."""
+def _coupled_study(seeds: int, exponents, runs, error):
+    """Mean across seeds of one coupled error per dyadic coarsening of one
+    fine XI_PAIR grid per seed; returns (step sizes, mean errors).
+
+    ``runs`` lists the (system, scheme, x0) integrations that share each
+    grid, and ``error`` maps their trajectories, in that order, to a number.
+    All seeds step together as one batch per run and level; each seed's
+    error is computed on a contiguous copy of its own path, and the seed-by-
+    level table is averaged in seed order, so every number equals the
+    seed-by-seed study bit for bit.
+    """
     if seeds < 1:
         raise ValueError(f"--seeds: need at least 1 seed, got {seeds}")
     top = max(exponents)
-    all_errs = []
-    for seed in range(seeds):
-        fine = sample_grid(NoiseSpec(channels=2, xi=XI_PAIR, seed=seed), 1.0, 2 ** top)
-        all_errs.append([error(coarsen(fine, 2 ** (top - ex))) for ex in exponents])
-    return [2.0 ** -ex for ex in exponents], np.mean(all_errs, axis=0)
+    fines = [sample_grid(NoiseSpec(channels=2, xi=XI_PAIR, seed=seed), 1.0, 2 ** top)
+             for seed in range(seeds)]
+    errs = [[] for _ in range(seeds)]
+    for ex in exponents:
+        grids = [coarsen(fine, 2 ** (top - ex)) for fine in fines]
+        dW, dt = np.stack([g.dW for g in grids], axis=1), grids[0].dt
+        times = np.arange(len(dW) + 1) * dt
+        paths = []
+        for sys, scheme, x0 in runs:
+            states = np.empty((len(times), seeds, sys.state_dim))
+            _drive(sys, scheme, np.broadcast_to(x0, states.shape[1:]), dt, dW, states=states)
+            paths.append((states, sys.labels))
+        for seed in range(seeds):
+            errs[seed].append(error(*(
+                Trajectory(times=times, states=np.ascontiguousarray(states[:, seed]),
+                           labels=labels)
+                for states, labels in paths)))
+    return [2.0 ** -ex for ex in exponents], np.mean(errs, axis=0)
 
 
 def coupled_scheme_errors(seeds: int = 8):
     """Strat-vs-Ito strong errors on shared paths, averaged across seeds."""
     noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
     sys = lie_poisson_system(lie.builtin("so3"), K_RIGID, noise)
-    return _coupled_study(seeds, M_EXPONENTS, lambda g: strong_error(
-        integrate(sys, "heun_strat", g, M0), integrate(sys, "euler_ito", g, M0)))
+    return _coupled_study(seeds, M_EXPONENTS, [(sys, "heun_strat", M0), (sys, "euler_ito", M0)],
+                          strong_error)
 
 
 def suite_ito(seeds: int = 8) -> list:
@@ -229,8 +250,8 @@ def casimir_drift_errors(seeds: int = 8):
     so3 = lie.builtin("so3")
     C = casimir(so3)
     sys = lie_poisson_system(so3, K_RIGID, NoiseSpec(channels=2, xi=XI_PAIR, seed=0))
-    return _coupled_study(seeds, M_EXPONENTS, lambda g: observable_series(
-        integrate(sys, "heun_strat", g, M0), C).sup())
+    return _coupled_study(seeds, M_EXPONENTS, [(sys, "heun_strat", M0)],
+                          lambda traj: observable_series(traj, C).sup())
 
 
 def suite_casimir(seeds: int = 8) -> list:
@@ -257,6 +278,12 @@ def suite_casimir(seeds: int = 8) -> list:
     return rows
 
 
+def collectivization_seeds(seeds: int) -> int:
+    """Seeds of the collectivization study for a ``--seeds`` count: half of
+    it, at least 2; a count below 1 is passed on for the study to refuse."""
+    return max(2, seeds // 2) if seeds >= 1 else seeds
+
+
 def collectivization_errors(seeds: int = 4, exponents=range(8, 13)):
     """Coupled phase-space-through-J vs direct collective errors per step size.
 
@@ -271,9 +298,8 @@ def collectivization_errors(seeds: int = 4, exponents=range(8, 13)):
     noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
     ps = phase_space_system(QuadraticLagrangian(alg=so3, kinetic=G_RIGID, chart=chart), noise)
     lp = lie_poisson_system(so3, K_RIGID, noise)
-    return _coupled_study(seeds, exponents, lambda g: strong_error(
-        reconstruct_momentum(integrate(ps, "heun_strat", g, x0), chart),
-        integrate(lp, "heun_strat", g, m0)))
+    return _coupled_study(seeds, exponents, [(ps, "heun_strat", x0), (lp, "heun_strat", m0)],
+                          lambda tp, tl: strong_error(reconstruct_momentum(tp, chart), tl))
 
 
 def suite_collectivize(seeds: int = 8) -> list:
@@ -288,7 +314,7 @@ def suite_collectivize(seeds: int = 8) -> list:
     tl = integrate(lie_poisson_system(so3, K_RIGID, no_noise), "rk4", grid, m0)
     det_err = strong_error(reconstruct_momentum(tp, chart), tl)
     rows = [_row_max("deterministic collectivization error (dt=1e-4)", det_err, 1e-6)]
-    n_seeds = max(2, seeds // 2) if seeds >= 1 else seeds
+    n_seeds = collectivization_seeds(seeds)
     hs, errs = collectivization_errors(n_seeds)
     rows.append(_row_min(f"stochastic collectivization order ({n_seeds} seeds)", empirical_order(hs, errs), 0.5))
     return rows

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,44 @@ from coadjoint.actions import (
     register_chart,
 )
 from coadjoint.algebra import builtin
-from coadjoint.dynamics import momentum_pairing_field
+from coadjoint.dynamics import (
+    ReducedHamiltonian,
+    casimir,
+    linear_potential,
+    momentum_pairing_field,
+)
 from coadjoint.fields import ScalarField
+from coadjoint.kolmogorov import hamel_generator, lie_poisson_generator
+from coadjoint.scenario import build_scenario, load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def builtin_fields():
+    """(field, state dimension) for every ScalarField the package builds."""
+    so3 = builtin("so3")
+    chart = builtin_chart("so3_on_r3")
+    K = np.diag([1.0, 0.5, 1.0 / 3.0])
+    xi = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
+    h = ReducedHamiltonian(alg=so3, kinetic_inverse=K, potential=linear_potential([0.0, 0.0, 1.0]))
+    lp = lie_poisson_generator(so3, K, xi)
+    hamel = hamel_generator(chart, h, xi)
+    fields = [
+        (ScalarField.coordinate(1, 3), 3),
+        (ScalarField.constant(2.5, 3), 3),
+        (ScalarField.linear([0.3, -1.2, 0.7]), 3),
+        (ScalarField.from_qp(3, lambda q, p: q[..., 0] * p[..., 1] - p[..., 2]), 6),
+        (casimir(so3), 3),
+        (h.as_field(), 3),
+        (h.as_mq_field(3), 6),
+        (momentum_pairing_field(chart, [0.3, -1.0, 0.7]), 6),
+        (lp.psi, 3), (hamel.psi, 6),
+        *((g, 3) for g in lp.phi), *((g, 6) for g in hamel.phi),
+    ]
+    for path in sorted(SCENARIOS.glob("*.json")):
+        built = build_scenario(load_scenario(path))
+        fields.append((built.energy, built.system.state_dim))
+    return fields
 
 
 @pytest.fixture
@@ -232,3 +270,23 @@ class TestScalarField:
             x = rng.normal(size=4)
             g1, g2 = with_grad.gradient(x), without.gradient(x)
             assert np.max(np.abs(g1 - g2)) <= 1e-5 * (1.0 + np.max(np.abs(g1)))
+
+    @pytest.mark.parametrize("layout", ["row-major", "component-major"])
+    def test_whole_array_value_matches_each_state(self, layout):
+        rng = np.random.default_rng(10)
+        for f, dim in builtin_fields():
+            states = rng.normal(size=(5, 7, dim))
+            if layout == "component-major":
+                states = np.moveaxis(np.ascontiguousarray(np.moveaxis(states, -1, 0)), 0, -1)
+            whole = f.evaluate(states)
+            each = np.array([f(x) for x in states.reshape(-1, dim)]).reshape(5, 7)
+            assert np.array_equal(whole, each), f.name
+
+    def test_wrong_shape_names_the_field(self):
+        pointwise = ScalarField(value=lambda m: float(m[2]), name="pointwise m3")
+        vector = ScalarField(value=lambda m: 2.0 * m, name="doubled")
+        states = np.ones((4, 3))
+        with pytest.raises(ValueError, match="'pointwise m3'"):
+            pointwise.evaluate(states)
+        with pytest.raises(ValueError, match=r"'doubled' returned shape \(4, 3\)"):
+            vector.evaluate(states)

@@ -369,8 +369,9 @@ class TestEntryPoints:
             [sys.executable, str(ROOT / "scripts" / "convergence_study.py"), "--seeds", "0"],
             capture_output=True, text=True, env=src_env(), timeout=120,
         )
-        assert out.returncode != 0
+        assert out.returncode == 1
         assert "--seeds: need at least 1 seed" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_module_help(self):
         out = subprocess.run([sys.executable, "-m", "coadjoint.cli", "--help"],

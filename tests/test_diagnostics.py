@@ -51,6 +51,11 @@ class TestObservableSeries:
         with pytest.raises(ValueError, match="equal shapes"):
             DriftSeries(times=np.zeros(3), values=np.zeros(4))
 
+    def test_pointwise_field_rejected(self):
+        pointwise = ScalarField(value=lambda m: float(m @ m), name="pointwise casimir")
+        with pytest.raises(ValueError, match="'pointwise casimir'"):
+            observable_series(rigid_traj(16), pointwise)
+
 
 class TestStrongError:
     def test_identical_trajectories(self):

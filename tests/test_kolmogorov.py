@@ -244,7 +244,7 @@ class TestGridStepper:
         # one fixed 24^3 grid, so the spatial error cancels in the
         # differences; T = 3 tau keeps every step count exact
         spec = rigid_spec(xi=[[1.0, 0.0, 0.0]])
-        f0 = ScalarField(value=lambda m: float(np.sin(2.0 * m[0]) * np.cos(m[1]) + m[2] ** 2))
+        f0 = ScalarField(value=lambda m: np.sin(2.0 * m[..., 0]) * np.cos(m[..., 1]) + m[..., 2] ** 2)
         geo = GridGeometry.cube(-1.3, 1.3, 24)
         tau = admissible_dt(spec, geo)
         inner = (slice(6, -6),) * 3
@@ -267,6 +267,15 @@ class TestGridStepper:
         with pytest.raises(ValueError, match=f"drift CFL bound; admissible dt is {dt_adm:.3e}"):
             backward_solve(spec, casimir(SO3), T=0.1, geometry=geo, dt=1.01 * dt_adm)
 
+    @pytest.mark.parametrize("mode", ["backward", "forward"])
+    @pytest.mark.parametrize("xi", [np.zeros((0, 3)), [[1.0, 0.0, 0.0]],
+                                    [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]])
+    def test_admissible_dt_is_operator_bound(self, xi, mode):
+        spec = rigid_spec(xi=xi)
+        geo = GridGeometry(bounds=np.array([[-1.2, 1.2], [-1.0, 1.1], [-0.9, 1.3]]),
+                           shape=(12, 10, 9))
+        assert admissible_dt(spec, geo, mode) == _GridOperator(spec, geo, mode).drift_bound
+
     def test_zero_channels_take_two_stages(self, monkeypatch):
         # no diffusion: the spectral-radius estimate is 2 / (drift bound),
         # so each outer step takes the minimum of two stages
@@ -281,6 +290,53 @@ class TestGridStepper:
         rho = backward_solve(spec, ScalarField.coordinate(0, 3), T, geometry=geo)
         assert len(applies) == 2 * steps
         assert np.all(np.isfinite(rho.values))
+
+
+class TestNodeLayout:
+    def test_nodes_are_component_major(self):
+        geo = GridGeometry.cube(-1.0, 1.0, 6)
+        nodes = geo.nodes()
+        assert nodes.shape == (6, 6, 6, 3)
+        assert all(nodes[..., i].flags.c_contiguous for i in range(3))
+        mesh = np.meshgrid(*geo.axes(), indexing="ij")
+        assert np.array_equal(nodes, np.stack(mesh, axis=-1))
+
+    @pytest.mark.parametrize("mode", ["backward", "forward"])
+    @pytest.mark.parametrize("xi", [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]],
+                                    np.eye(3)])
+    def test_coefficients_independent_of_layout(self, monkeypatch, xi, mode):
+        spec = rigid_spec(xi=xi)
+        geo = GridGeometry(bounds=np.array([[-1.2, 1.2], [-1.0, 1.1], [-0.9, 1.3]]),
+                           shape=(12, 10, 9))
+        nodes = geo.nodes()
+        rows = np.ascontiguousarray(nodes)
+        sys = spec.system
+        for fn in (sys.drift, sys.ito_correction, sys.diffusion):
+            assert np.array_equal(fn(0.0, nodes), fn(0.0, rows))
+        op = _GridOperator(spec, geo, mode)
+        monkeypatch.setattr(GridGeometry, "nodes", lambda self: rows)
+        ref = _GridOperator(spec, geo, mode)
+        assert np.array_equal(op._centre, ref._centre)
+        for (w, _), (w_ref, _) in zip(op._neighbours, ref._neighbours):
+            assert np.array_equal(w, w_ref)
+        assert len(op._cross) == len(ref._cross)
+        for (w, _), (w_ref, _) in zip(op._cross, ref._cross):
+            assert np.array_equal(w, w_ref)
+        assert (op.drift_bound, op.spectral_radius) == (ref.drift_bound, ref.spectral_radius)
+
+
+class TestWholeArrayFields:
+    def test_pointwise_field_rejected_by_backward_solve(self):
+        pointwise = ScalarField(value=lambda m: float(m[2]), name="pointwise m3")
+        geo = GridGeometry.cube(-1.0, 1.0, 8)
+        with pytest.raises(ValueError, match="'pointwise m3'"):
+            backward_solve(rigid_spec(), pointwise, T=0.05, geometry=geo)
+
+    def test_pointwise_field_rejected_by_mc_expectation(self):
+        sys = rigid_spec().system
+        pointwise = ScalarField(value=lambda m: float(m[2]), name="pointwise m3")
+        with pytest.raises(ValueError, match="'pointwise m3'"):
+            mc_expectation(sys, pointwise, np.array([0.8, 0.3, 0.5]), 0.1, 4, 8, 0)
 
 
 class TestForwardSolve:
