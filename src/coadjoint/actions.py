@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import LieAlgebraSpec, abelian, builtin
-from .fields import FD_STEP_SCALE, CanonicalBracket, ScalarField
+from .fields import CanonicalBracket, ScalarField, fd_jacobian
 
 __all__ = [
     "ActionChart",
@@ -65,7 +65,7 @@ class ActionChart:
     ``A(q)`` returns shape (..., r, n); ``dA(q)`` shape (..., r, n, n) with
     dA[..., a, i, j] = dA_a^i/dq^j; ``d2A(q)`` shape (..., r, n, n, n) with
     the two derivative indices last.  Missing derivative callbacks fall back
-    to central differences (built-in charts are always analytic).
+    to :func:`coadjoint.fields.fd_jacobian` (built-in charts are always analytic).
     """
 
     alg: LieAlgebraSpec
@@ -83,13 +83,13 @@ class ActionChart:
         q = np.asarray(q, dtype=float)
         if self.dA is not None:
             return np.asarray(self.dA(q), dtype=float)
-        return _fd_jacobian(self.coefficients, q)
+        return fd_jacobian(self.coefficients, q)
 
     def d2_coefficients(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if self.d2A is not None:
             return np.asarray(self.d2A(q), dtype=float)
-        return _fd_jacobian(self.d_coefficients, q)
+        return fd_jacobian(self.d_coefficients, q)
 
     def closure_residual(self, q) -> float:
         """max |[A_a, A_b]^k - c_ab^g A_g^k| at q."""
@@ -114,26 +114,13 @@ class ActionChart:
             )
         if self.dA is not None:
             da = self.d_coefficients(qs)
-            da_fd = _fd_jacobian(self.coefficients, qs)
+            da_fd = fd_jacobian(self.coefficients, qs)
             err = np.max(np.abs(da - da_fd)) / (1.0 + np.max(np.abs(da)))
             if err > fd_rel_tol:
                 raise ValueError(
                     f"chart {self.name!r}: analytic dA disagrees with finite "
                     f"differences (relative error {err:.3e} > {fd_rel_tol:.1e})"
                 )
-
-
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.ndarray:
-    """Central differences of fn(q) along the last axis of q, appended as a new axis."""
-    q = np.asarray(q, dtype=float)
-    n = q.shape[-1]
-    h = FD_STEP_SCALE * (1.0 + float(np.max(np.abs(q))))
-    cols = []
-    for j in range(n):
-        dq = np.zeros(n)
-        dq[j] = h
-        cols.append((fn(q + dq) - fn(q - dq)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
 
 
 def action_field(chart: ActionChart, u, q) -> np.ndarray:

@@ -9,7 +9,6 @@ byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -19,7 +18,8 @@ from . import __version__
 from .diagnostics import observable_series, write_series_csv
 from .dynamics import casimir
 from .fields import ScalarField
-from .integrators import IntegrationDiverged, Trajectory, integrate, write_trajectory_csv
+from .integrators import (IntegrationDiverged, Trajectory, _write_json, integrate,
+                          write_trajectory_csv)
 from .kolmogorov import (
     GridGeometry,
     backward_solve,
@@ -208,9 +208,7 @@ def cmd_kolmogorov(args) -> int:
         "seed": built.noise.seed,
         "version": __version__,
     }
-    with open(out_dir / f"{prefix}.crosscheck.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / f"{prefix}.crosscheck.json", report)
     print(f"verdict: {verdict} (|mc - pde| = {abs(mean - pde_val):.3e}, gate {gate:.3e})")
     return EXIT_OK
 

@@ -6,13 +6,12 @@ on identical inputs is bit-identical.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField
-from .integrators import Trajectory
+from .integrators import Trajectory, _write_rows
 
 __all__ = [
     "DriftSeries",
@@ -85,8 +84,4 @@ def empirical_order(hs, errs) -> float:
 
 
 def write_series_csv(series: DriftSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t", series.observable or "drift"))
-        for t, v in zip(series.times, series.values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    _write_rows(path, ("t", series.observable or "drift"), zip(series.times, series.values))

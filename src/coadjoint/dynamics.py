@@ -204,10 +204,7 @@ def legendre(L: QuadraticLagrangian, u, q=None):
     if u.shape[-1] != L.alg.dim:
         raise ValueError(f"u has dimension {u.shape[-1]}, expected {L.alg.dim}")
     m = np.einsum("ab,...b->...a", L.kinetic, u)
-    h = 0.5 * np.einsum("...a,ab,...b->...", m, L.kinetic_inverse, m)
-    if q is not None:
-        h = h + L.potential.value(np.asarray(q, dtype=float))
-    return m, h
+    return m, ReducedHamiltonian.from_lagrangian(L).value(m, q)
 
 
 def _validated_u(u_of, t, x, r: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 A :class:`ScalarField` is a real function of a flat state vector, whose
 ``value`` broadcasts over leading axes of the states, together with an
 optional analytic gradient of one state; :meth:`ScalarField.gradient` falls
-back to central differences with step ``1e-5 * (1 + |x|)`` when no analytic
-gradient was supplied.
+back to :func:`fd_jacobian`, central differences with step
+``1e-5 * (1 + |x|)``, when no analytic gradient was supplied.
 
 Poisson brackets are represented by their (state-dependent) Poisson tensor
 ``P(x)``, so every bracket evaluates as ``grad(f) . P(x) . grad(g)``.  Three
@@ -24,7 +24,7 @@ from .algebra import LieAlgebraSpec, ad_star
 
 __all__ = [
     "ScalarField",
-    "fd_gradient",
+    "fd_jacobian",
     "FD_STEP_SCALE",
     "PoissonBracket",
     "CanonicalBracket",
@@ -36,20 +36,6 @@ __all__ = [
 FD_STEP_SCALE = 1e-5
 
 
-def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with step 1e-5 * (1 + |x|)."""
-    x = np.asarray(x, dtype=float)
-    h = FD_STEP_SCALE * (1.0 + float(np.linalg.norm(x)))
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return g
-
-
 def _dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x . w over the last axis, broadcast over leading axes.
 
@@ -57,6 +43,22 @@ def _dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     either memory layout; einsum and ``np.sum(x * w, -1)`` do not.
     """
     return (x[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """Central differences of ``fn`` along the last axis of ``x``, one state
+    (d,) or a batch (..., d), appended as a new last axis.  Each row steps by
+    ``FD_STEP_SCALE`` times (1 + |row|), whatever rows are batched with it."""
+    x = np.asarray(x, dtype=float)
+    h = FD_STEP_SCALE * (1.0 + np.sqrt(_dot(x, x)))
+    cols = []
+    for j in range(x.shape[-1]):
+        xp, xm = x.copy(), x.copy()
+        xp[..., j] += h
+        xm[..., j] -= h
+        diff = np.asarray(fn(xp) - fn(xm))
+        cols.append(diff / (2.0 * h).reshape(h.shape + (1,) * (diff.ndim - h.ndim)))
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        return fd_gradient(self.value, x)
+        return fd_jacobian(self.value, x)
 
     @staticmethod
     def coordinate(i: int, dim: int, name: str = "") -> "ScalarField":

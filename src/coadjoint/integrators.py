@@ -244,19 +244,28 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
     return Trajectory(times=times, states=states, labels=tuple(sys.labels), metadata=meta)
 
 
+def _write_rows(path, header, rows) -> None:
+    """CSV of a header row, then rows of floats as shortest-roundtrip float64 text."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
+
+
+def _write_json(path, doc) -> None:
+    """``doc`` as sorted, indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_trajectory_csv(traj: Trajectory, csv_path, meta_path=None) -> None:
     """CSV with a header row (t plus state labels) and shortest-roundtrip
     float64 text; optional JSON metadata sidecar."""
     labels = traj.labels or tuple(f"x{i}" for i in range(traj.states.shape[1]))
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t",) + tuple(labels))
-        for t, row in zip(traj.times, traj.states):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    _write_rows(csv_path, ("t",) + tuple(labels), np.column_stack([traj.times, traj.states]))
     if meta_path is not None:
-        with open(meta_path, "w") as fh:
-            json.dump(traj.metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(meta_path, traj.metadata)
 
 
 def read_trajectory_csv(csv_path) -> Trajectory:

@@ -20,7 +20,6 @@ solves; the bracket form of L is kept as the independent oracle.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -37,10 +36,9 @@ from .fields import (
     LiePoissonBracket,
     PoissonBracket,
     ScalarField,
-    _dot,
     double_bracket,
 )
-from .integrators import IntegrationDiverged, SdeSystem, _drive, integrate
+from .integrators import IntegrationDiverged, SdeSystem, _drive, _write_rows, integrate
 from .noise import NoiseSpec, _increments, time_grid
 
 __all__ = [
@@ -73,10 +71,6 @@ class GeneratorSpec:
     phi: tuple
     psi: ScalarField
 
-    @property
-    def channels(self) -> int:
-        return len(self.phi)
-
 
 @dataclass(frozen=True, kw_only=True)
 class LiePoissonGeneratorSpec(GeneratorSpec):
@@ -107,15 +101,8 @@ def lie_poisson_generator(alg: LieAlgebraSpec, K, xi) -> LiePoissonGeneratorSpec
 
 def hamel_generator(chart: ActionChart, h: ReducedHamiltonian, xi) -> GeneratorSpec:
     """Generator on the mixed (m, q) level; psi is the reduced Hamiltonian."""
-    r = h.alg.dim
-    phi = tuple(
-        ScalarField(
-            value=lambda x, _w=w: _dot(x[..., :r], _w),
-            grad=lambda x, _w=w: np.concatenate([_w, np.zeros(x.size - r)]),
-            name=f"g{k+1}",
-        )
-        for k, w in enumerate(NoiseSpec.make(xi, 0).xi)
-    )
+    phi = tuple(ScalarField.linear(np.concatenate([w, np.zeros(chart.n)]), name=f"g{k+1}")
+                for k, w in enumerate(NoiseSpec.make(xi, 0).xi))
     return GeneratorSpec(bracket=HamelBracket(chart), phi=phi, psi=h.as_mq_field(chart.n))
 
 
@@ -321,11 +308,10 @@ def admissible_dt(spec: LiePoissonGeneratorSpec, geometry: GridGeometry,
     return _transport(spec, geometry, mode)[2]
 
 
-# Damping of the RKC2 stages and the length beta(s) ~ 0.653 s^2 of the real
-# stability interval it leaves (Verwer, Sommeijer and Hundsdorfer, J. Comput.
-# Phys. 201 (2004)).
+# Damping of the RKC2 stages; it leaves a real stability interval of length
+# beta(s) ~ 0.653 s^2 (Verwer, Sommeijer and Hundsdorfer, J. Comput. Phys.
+# 201 (2004)).
 _RKC_DAMPING = 2.0 / 13.0
-_RKC_BETA = 0.653
 
 
 def _rkc_coefficients(s: int):
@@ -336,7 +322,9 @@ def _rkc_coefficients(s: int):
         Y_j = (1 - mu_j - nu_j) Y_0 + mu_j Y_{j-1} + nu_j Y_{j-2}
               + mu~_j tau F(Y_{j-1}) + gamma~_j tau F(Y_0),
     with Y_s the next state (Sommeijer, Shampine and Verwer, J. Comput.
-    Appl. Math. 88 (1998)).
+    Appl. Math. 88 (1998)), and beta(s) = 2 w0 / w1: the stages are stable
+    for tau F with real eigenvalues in [-beta(s), 0], where the Chebyshev
+    argument w0 + w1 z of the stability polynomial stays in [-w0, w0].
     """
     w0 = 1.0 + _RKC_DAMPING / s ** 2
     # Chebyshev polynomials T_j and their first two derivatives at w0
@@ -352,7 +340,15 @@ def _rkc_coefficients(s: int):
         mt = 2.0 * w1 * b[j] / b[j - 1]
         stages.append((2.0 * w0 * b[j] / b[j - 1], -b[j] / b[j - 2], mt,
                        -(1.0 - b[j - 1] * t[j - 1]) * mt))
-    return b[1] * w1, stages
+    return b[1] * w1, stages, 2.0 * w0 / w1
+
+
+def _rkc_stages(tau_rho: float) -> int:
+    """The fewest stages s >= 2 whose stability interval holds tau_rho."""
+    s = 2
+    while tau_rho > _rkc_coefficients(s)[2]:
+        s += 1
+    return s
 
 
 def _evolve(spec, f0_values: np.ndarray, T: float, geometry: GridGeometry,
@@ -360,7 +356,7 @@ def _evolve(spec, f0_values: np.ndarray, T: float, geometry: GridGeometry,
     """Damped RKC2 steps of d rho/dt = L rho (or L* rho) up to time T.
 
     The outer step is ``dt``, by default the drift CFL bound, shortened to
-    divide T.  Each step takes s = max(2, ceil(sqrt(tau r / 0.653))) stages
+    divide T.  Each step takes the fewest stages s >= 2 with tau r <= beta(s)
     for the operator's spectral-radius estimate r, so the diffusion sets the
     stage count and not the step.  The stages update in place on rotating
     buffers.
@@ -378,8 +374,7 @@ def _evolve(spec, f0_values: np.ndarray, T: float, geometry: GridGeometry,
         )
     nsteps = max(1, int(np.ceil(T / dt)))
     tau = T / nsteps
-    stages = max(2, int(np.ceil(np.sqrt(tau * op.spectral_radius / _RKC_BETA))))
-    mt1, coeffs = _rkc_coefficients(stages)
+    mt1, coeffs, _ = _rkc_coefficients(_rkc_stages(tau * op.spectral_radius))
     y0 = np.array(f0_values, dtype=float)
     f0, f, prev, older = (np.empty_like(y0) for _ in range(4))
     for _ in range(nsteps):
@@ -417,19 +412,22 @@ def backward_solve(spec: LiePoissonGeneratorSpec, f0: ScalarField, T: float,
     return _evolve(spec, values, T, geometry, dt, "backward")
 
 
+# Width, in grid cells, of the Gaussian standing in for forward_solve's delta datum
+_DELTA_WIDTH_CELLS = 2.0
+
+
 def forward_solve(spec: LiePoissonGeneratorSpec, x0, T: float,
-                  geometry: GridGeometry, dt: Optional[float] = None,
-                  width_cells: float = 2.0) -> DensityGrid:
+                  geometry: GridGeometry, dt: Optional[float] = None) -> DensityGrid:
     """Damped RKC2 solve of the Fokker-Planck equation d rho/dt = L* rho.
 
     The delta initial datum at x0 is approximated by an isotropic Gaussian
-    of width ``width_cells`` grid cells; refine the grid to sharpen it.
+    of width ``_DELTA_WIDTH_CELLS`` grid cells; refine the grid to sharpen it.
     ``dt`` is the outer step, at most (and by default) the drift CFL bound
     of the adjoint coefficients.
     """
     x0 = np.asarray(x0, dtype=float)
     nodes = geometry.nodes()
-    sigma = width_cells * float(np.mean(geometry.dx))
+    sigma = _DELTA_WIDTH_CELLS * float(np.mean(geometry.dx))
     r2 = np.sum((nodes - x0) ** 2, axis=-1)
     values = np.exp(-0.5 * r2 / sigma ** 2) / ((2.0 * np.pi) ** 1.5 * sigma ** 3)
     return _evolve(spec, values, T, geometry, dt, "forward")
@@ -497,6 +495,13 @@ def ensemble_finals(sys: SdeSystem, x0, T: float, M: int, ensemble: int,
     return np.concatenate(parts, axis=0)
 
 
+def _mean_stderr(values: np.ndarray):
+    """Mean of ``values`` and its standard error (0 for a single value)."""
+    n = len(values)
+    stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), stderr
+
+
 def mc_expectation(sys: SdeSystem, f: ScalarField, x0, T: float, M: int,
                    ensemble: int, seed: int):
     """Ensemble average of f over independent Heun paths; returns (mean, stderr).
@@ -510,11 +515,7 @@ def mc_expectation(sys: SdeSystem, f: ScalarField, x0, T: float, M: int,
     if sys.channels == 0:
         traj = integrate(sys, "rk4", time_grid(T, M), x0)
         return float(f(traj.final())), 0.0
-    finals = ensemble_finals(sys, x0, T, M, ensemble, seed)
-    values = f.evaluate(finals)
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(ensemble)) if ensemble > 1 else 0.0
-    return mean, stderr
+    return _mean_stderr(f.evaluate(ensemble_finals(sys, x0, T, M, ensemble, seed)))
 
 
 def pde_mc_gate(stderr: float, geometry: GridGeometry) -> float:
@@ -569,9 +570,6 @@ def write_density_slice_csv(path, grid: DensityGrid, axis: int, index: int) -> N
     rest = [i for i in range(3) if i != axis]
     plane = np.take(grid.values, index, axis=axis)
     names = ["m1", "m2", "m3"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow((names[rest[0]], names[rest[1]], "value"))
-        for i, a in enumerate(axes[rest[0]]):
-            for j, b in enumerate(axes[rest[1]]):
-                writer.writerow([repr(float(a)), repr(float(b)), repr(float(plane[i, j]))])
+    _write_rows(path, (names[rest[0]], names[rest[1]], "value"),
+                ((a, b, plane[i, j]) for i, a in enumerate(axes[rest[0]])
+                 for j, b in enumerate(axes[rest[1]])))

@@ -46,6 +46,7 @@ from .kolmogorov import (
     hamel_generator,
     interpolate,
     lie_poisson_generator,
+    _mean_stderr,
     mc_expectation,
     pde_mc_gate,
 )
@@ -62,6 +63,12 @@ Q0 = np.array([1.0, 0.2, -0.3])
 P0 = np.array([0.1, 0.7, 0.4])
 XI_PAIR = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
 XI_SINGLE = np.array([[1.0, 0.0, 0.0]])
+SO3 = lie.builtin("so3")
+SO3_CHART = builtin_chart("so3_on_r3")
+NOISE_PAIR = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
+L_RIGID = QuadraticLagrangian(alg=SO3, kinetic=G_RIGID, chart=SO3_CHART)
+X0_PHASE = np.concatenate([Q0, P0])
+M0_PHASE = momentum_map(SO3_CHART, PhaseState(Q0, P0))
 M_EXPONENTS = range(8, 14)
 
 # Gate constant for the short-time generator consistency check,
@@ -158,18 +165,14 @@ def suite_equivariance(seeds: int = 8) -> list:
 def _nested_correction_residual(seed: int = 303) -> dict:
     """Closed-form Ito correction vs nested double bracket, all three builders."""
     rng = np.random.default_rng(seed)
-    so3 = lie.builtin("so3")
-    chart = builtin_chart("so3_on_r3")
-    noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
-    h = ReducedHamiltonian(alg=so3, kinetic_inverse=K_RIGID)
-    L = QuadraticLagrangian(alg=so3, kinetic=G_RIGID, chart=chart)
-    lp = lie_poisson_generator(so3, K_RIGID, XI_PAIR)
-    hamel = hamel_generator(chart, h, XI_PAIR)
+    h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_RIGID)
+    lp = lie_poisson_generator(SO3, K_RIGID, XI_PAIR)
+    hamel = hamel_generator(SO3_CHART, h, XI_PAIR)
     cases = {
         "lie_poisson": (lp.system, lp.bracket, lp.phi, 3),
-        "phase_space": (phase_space_system(L, noise), CanonicalBracket(3),
-                        [momentum_pairing_field(chart, x) for x in noise.xi], 6),
-        "hamel": (hamel_system(chart, h, noise), hamel.bracket, hamel.phi, 6),
+        "phase_space": (phase_space_system(L_RIGID, NOISE_PAIR), CanonicalBracket(3),
+                        [momentum_pairing_field(SO3_CHART, x) for x in NOISE_PAIR.xi], 6),
+        "hamel": (hamel_system(SO3_CHART, h, NOISE_PAIR), hamel.bracket, hamel.phi, 6),
     }
     out = {}
     for name, (sys, br, gks, dim) in cases.items():
@@ -189,6 +192,11 @@ def _nested_correction_residual(seed: int = 303) -> dict:
     return out
 
 
+def _check_seeds(seeds: int) -> None:
+    if seeds < 1:
+        raise ValueError(f"--seeds: need at least 1 seed, got {seeds}")
+
+
 def _coupled_study(seeds: int, exponents, runs, error):
     """Mean across seeds of one coupled error per dyadic coarsening of one
     fine XI_PAIR grid per seed; returns (step sizes, mean errors).
@@ -200,8 +208,7 @@ def _coupled_study(seeds: int, exponents, runs, error):
     level table is averaged in seed order, so every number equals the
     seed-by-seed study bit for bit.
     """
-    if seeds < 1:
-        raise ValueError(f"--seeds: need at least 1 seed, got {seeds}")
+    _check_seeds(seeds)
     top = max(exponents)
     fines = [sample_grid(NoiseSpec(channels=2, xi=XI_PAIR, seed=seed), 1.0, 2 ** top)
              for seed in range(seeds)]
@@ -225,8 +232,7 @@ def _coupled_study(seeds: int, exponents, runs, error):
 
 def coupled_scheme_errors(seeds: int = 8):
     """Strat-vs-Ito strong errors on shared paths, averaged across seeds."""
-    noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
-    sys = lie_poisson_system(lie.builtin("so3"), K_RIGID, noise)
+    sys = lie_poisson_system(SO3, K_RIGID, NOISE_PAIR)
     return _coupled_study(seeds, M_EXPONENTS, [(sys, "heun_strat", M0), (sys, "euler_ito", M0)],
                           strong_error)
 
@@ -247,19 +253,16 @@ def suite_ito(seeds: int = 8) -> list:
 
 def casimir_drift_errors(seeds: int = 8):
     """Pathwise sup Casimir drift under Heun, averaged across seeds."""
-    so3 = lie.builtin("so3")
-    C = casimir(so3)
-    sys = lie_poisson_system(so3, K_RIGID, NoiseSpec(channels=2, xi=XI_PAIR, seed=0))
+    C = casimir(SO3)
+    sys = lie_poisson_system(SO3, K_RIGID, NOISE_PAIR)
     return _coupled_study(seeds, M_EXPONENTS, [(sys, "heun_strat", M0)],
                           lambda traj: observable_series(traj, C).sup())
 
 
 def suite_casimir(seeds: int = 8) -> list:
-    so3 = lie.builtin("so3")
-    C = casimir(so3)
+    C = casimir(SO3)
     rng = np.random.default_rng(404)
-    noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
-    sys = lie_poisson_system(so3, K_RIGID, noise)
+    sys = lie_poisson_system(SO3, K_RIGID, NOISE_PAIR)
     worst = 0.0
     for _ in range(100):
         m = rng.normal(size=3)
@@ -271,7 +274,7 @@ def suite_casimir(seeds: int = 8) -> list:
     hs, errs = casimir_drift_errors(seeds)
     rows.append(_row_min(f"casimir pathwise drift order ({seeds} seeds)", empirical_order(hs, errs), 1.0))
     noise_e3 = NoiseSpec(channels=1, xi=np.array([[0.0, 0.0, 1.0]]), seed=0)
-    sys_e3 = lie_poisson_system(so3, K_RIGID, noise_e3)
+    sys_e3 = lie_poisson_system(SO3, K_RIGID, noise_e3)
     m = np.array([1.0, 0.0, 0.0])
     nonorth = abs(C.gradient(m) @ sys_e3.ito_correction(0.0, m))
     rows.append(_row_min("ito correction leaves Casimir sphere (detector)", nonorth, 1e-1))
@@ -280,8 +283,9 @@ def suite_casimir(seeds: int = 8) -> list:
 
 def collectivization_seeds(seeds: int) -> int:
     """Seeds of the collectivization study for a ``--seeds`` count: half of
-    it, at least 2; a count below 1 is passed on for the study to refuse."""
-    return max(2, seeds // 2) if seeds >= 1 else seeds
+    it, at least 2."""
+    _check_seeds(seeds)
+    return max(2, seeds // 2)
 
 
 def collectivization_errors(seeds: int = 4, exponents=range(8, 13)):
@@ -291,30 +295,21 @@ def collectivization_errors(seeds: int = 4, exponents=range(8, 13)):
     to a smaller seed set than the scheme-comparison ones; the measured
     order sits near 1, far above the 0.5 gate.
     """
-    so3 = lie.builtin("so3")
-    chart = builtin_chart("so3_on_r3")
-    x0 = np.concatenate([Q0, P0])
-    m0 = momentum_map(chart, PhaseState(Q0, P0))
-    noise = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
-    ps = phase_space_system(QuadraticLagrangian(alg=so3, kinetic=G_RIGID, chart=chart), noise)
-    lp = lie_poisson_system(so3, K_RIGID, noise)
-    return _coupled_study(seeds, exponents, [(ps, "heun_strat", x0), (lp, "heun_strat", m0)],
-                          lambda tp, tl: strong_error(reconstruct_momentum(tp, chart), tl))
+    ps = phase_space_system(L_RIGID, NOISE_PAIR)
+    lp = lie_poisson_system(SO3, K_RIGID, NOISE_PAIR)
+    return _coupled_study(seeds, exponents,
+                          [(ps, "heun_strat", X0_PHASE), (lp, "heun_strat", M0_PHASE)],
+                          lambda tp, tl: strong_error(reconstruct_momentum(tp, SO3_CHART), tl))
 
 
 def suite_collectivize(seeds: int = 8) -> list:
-    so3 = lie.builtin("so3")
-    chart = builtin_chart("so3_on_r3")
-    no_noise = NoiseSpec(channels=0, xi=np.zeros((0, 3)), seed=0)
-    L = QuadraticLagrangian(alg=so3, kinetic=G_RIGID, chart=chart)
-    x0 = np.concatenate([Q0, P0])
-    m0 = momentum_map(chart, PhaseState(Q0, P0))
-    grid = time_grid(1.0, 10_000)  # dt = 1e-4
-    tp = integrate(phase_space_system(L, no_noise), "rk4", grid, x0)
-    tl = integrate(lie_poisson_system(so3, K_RIGID, no_noise), "rk4", grid, m0)
-    det_err = strong_error(reconstruct_momentum(tp, chart), tl)
-    rows = [_row_max("deterministic collectivization error (dt=1e-4)", det_err, 1e-6)]
     n_seeds = collectivization_seeds(seeds)
+    no_noise = NoiseSpec(channels=0, xi=np.zeros((0, 3)), seed=0)
+    grid = time_grid(1.0, 10_000)  # dt = 1e-4
+    tp = integrate(phase_space_system(L_RIGID, no_noise), "rk4", grid, X0_PHASE)
+    tl = integrate(lie_poisson_system(SO3, K_RIGID, no_noise), "rk4", grid, M0_PHASE)
+    det_err = strong_error(reconstruct_momentum(tp, SO3_CHART), tl)
+    rows = [_row_max("deterministic collectivization error (dt=1e-4)", det_err, 1e-6)]
     hs, errs = collectivization_errors(n_seeds)
     rows.append(_row_min(f"stochastic collectivization order ({n_seeds} seeds)", empirical_order(hs, errs), 0.5))
     return rows
@@ -322,16 +317,13 @@ def suite_collectivize(seeds: int = 8) -> list:
 
 def short_time_consistency(xi, h: float, seed: int = 7, ensemble: int = 200_000):
     """Worst |(E f(X_h) - f(x))/h - Lf(x)| / (h + stderr/h) over f in {m1, m2, m3}."""
-    so3 = lie.builtin("so3")
-    spec = lie_poisson_generator(so3, K_RIGID, xi)
+    spec = lie_poisson_generator(SO3, K_RIGID, xi)
     x0 = MC_CROSSCHECK["m0"]
     finals = ensemble_finals(spec.system, x0, T=h, M=2, ensemble=ensemble, seed=seed)
     worst = 0.0
     for i in range(3):
         f = ScalarField.coordinate(i, 3, name=f"m{i+1}")
-        vals = finals[:, i]
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(ensemble))
+        mean, stderr = _mean_stderr(finals[:, i])
         est = (mean - f(x0)) / h
         lf = generator_apply(spec, f, x0)
         worst = max(worst, abs(est - lf) / (h + stderr / h))
@@ -339,10 +331,9 @@ def short_time_consistency(xi, h: float, seed: int = 7, ensemble: int = 200_000)
 
 
 def suite_kolmogorov(seeds: int = 8) -> list:
-    so3 = lie.builtin("so3")
-    C = casimir(so3)
+    C = casimir(SO3)
     one = ScalarField.constant(1.0, 3)
-    spec = lie_poisson_generator(so3, K_RIGID, XI_SINGLE)
+    spec = lie_poisson_generator(SO3, K_RIGID, XI_SINGLE)
     rng = np.random.default_rng(505)
     kill = 0.0
     kill_adj = 0.0

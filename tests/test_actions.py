@@ -21,7 +21,7 @@ from coadjoint.dynamics import (
     linear_potential,
     momentum_pairing_field,
 )
-from coadjoint.fields import ScalarField
+from coadjoint.fields import ScalarField, fd_jacobian
 from coadjoint.kolmogorov import hamel_generator, lie_poisson_generator
 from coadjoint.scenario import build_scenario, load_scenario
 
@@ -270,6 +270,30 @@ class TestScalarField:
             x = rng.normal(size=4)
             g1, g2 = with_grad.gradient(x), without.gradient(x)
             assert np.max(np.abs(g1 - g2)) <= 1e-5 * (1.0 + np.max(np.abs(g1)))
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_fd_jacobian_matches_per_state_loop(self, dim):
+        # reference: one state, step 1e-5 (1 + |x|), one coordinate at a time
+        def reference(fn, x):
+            h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
+            g = np.empty_like(x)
+            for i in range(x.size):
+                xp, xm = x.copy(), x.copy()
+                xp[i] += h
+                xm[i] -= h
+                g[i] = (fn(xp) - fn(xm)) / (2.0 * h)
+            return g
+
+        def value(x):
+            return np.sin(x[..., 0] * x[..., -1]) + 0.5 * np.sum(x ** 3, axis=-1)
+
+        rng = np.random.default_rng(12)
+        xs = rng.normal(scale=3.0, size=(50, dim))
+        for x in xs:
+            assert np.array_equal(fd_jacobian(value, x), reference(value, x))
+        # a batch steps each row by its own norm: rows equal single states
+        batch = fd_jacobian(value, xs)
+        assert np.array_equal(batch, np.array([fd_jacobian(value, x) for x in xs]))
 
     @pytest.mark.parametrize("layout", ["row-major", "component-major"])
     def test_whole_array_value_matches_each_state(self, layout):

@@ -67,6 +67,12 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="xis"):
             load_scenario(path)
 
+    def test_hypoelliptic_flag_rejected(self, tmp_path, capsys):
+        # the schema no longer accepts a field that no code reads
+        path = write_scenario(tmp_path, rigid_body_doc(hypoelliptic_asserted=True))
+        assert main(["simulate", str(path), "--out", str(tmp_path)]) == 1
+        assert "hypoelliptic_asserted" in capsys.readouterr().err
+
     def test_non_spd_kinetic_names_matrix(self, tmp_path):
         doc = rigid_body_doc(kinetic={"K": [[1.0, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 1.0]]})
         path = write_scenario(tmp_path, doc)

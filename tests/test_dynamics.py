@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coadjoint.actions import PhaseState, builtin_chart, momentum_map
+from coadjoint.actions import ActionChart, PhaseState, builtin_chart, momentum_map
 from coadjoint.algebra import LieAlgebraSpec, abelian, ad_star, builtin
 from coadjoint.diagnostics import observable_series, strong_error
 from coadjoint.dynamics import (
@@ -453,9 +453,14 @@ class TestCasimir:
         assert biases[1] < biases[0]
 
 
-def _three_levels(noise, potential=None):
+def fd_rotation_chart():
+    """The rotation chart with its derivatives left to finite differences."""
+    return ActionChart(alg=SO3, n=3, A=rotation_chart().A, name="fd_rotation")
+
+
+def _three_levels(noise, potential=None, chart=None):
     """The phase-space, Hamel and collective systems of one so(3) rigid body."""
-    chart = rotation_chart()
+    chart = chart or rotation_chart()
     kw = {} if potential is None else {"potential": potential}
     L = QuadraticLagrangian(alg=SO3, kinetic=G_RIGID, chart=chart, **kw)
     h = ReducedHamiltonian.from_lagrangian(L)
@@ -507,11 +512,15 @@ class TestCoupling:
         assert np.array_equal(levels["lie_poisson"].momentum(m), m)
 
     @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito"])
-    @pytest.mark.parametrize("level", ["phase_space", "hamel"])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel",
+                                       "phase_space-fd_chart", "hamel-fd_chart"])
     def test_path_independent_of_batch(self, level, scheme):
-        # row 3 of a 7-row batch ends bit for bit where its own path ends
+        # row 3 of a 7-row batch ends bit for bit where its own path ends,
+        # also on a chart whose derivatives are finite differences
+        level, _, fd = level.partition("-")
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
-        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        chart = fd_rotation_chart() if fd else None
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]), chart)[level]
         rng = np.random.default_rng(11)
         x0 = rng.normal(size=(7, sys.state_dim))
         seed, T, M = 23, 0.5, 32
@@ -520,6 +529,15 @@ class TestCoupling:
         grid = BrownianGrid(T=T, steps=M, dW=dW[:, 3], seed=seed)
         alone = integrate(sys, scheme, grid, x0[3]).final()
         assert np.array_equal(batch[3], alone)
+
+    @pytest.mark.parametrize("level", ["phase_space", "hamel"])
+    def test_fd_chart_coefficients_independent_of_batch(self, level):
+        # each row's finite-difference step depends on that row alone
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]), fd_rotation_chart())[level]
+        x = np.random.default_rng(12).normal(scale=2.0, size=(7, sys.state_dim))
+        for fn in (sys.drift, sys.diffusion, sys.ito_correction):
+            assert np.array_equal(fn(0.0, x), np.array([fn(0.0, row) for row in x])), fn
 
 
 def _euler_ensemble(sys, x0, T, M, ensemble, seed):

@@ -28,7 +28,7 @@ from coadjoint.kolmogorov import (
     write_density,
     write_density_slice_csv,
 )
-from coadjoint.kolmogorov import _GridOperator
+from coadjoint.kolmogorov import _GridOperator, _rkc_coefficients, _rkc_stages
 from coadjoint.noise import BrownianGrid, NoiseSpec, _increments, sample_grid, time_grid
 from coadjoint.actions import builtin_chart
 
@@ -275,6 +275,23 @@ class TestGridStepper:
         geo = GridGeometry(bounds=np.array([[-1.2, 1.2], [-1.0, 1.1], [-0.9, 1.3]]),
                            shape=(12, 10, 9))
         assert admissible_dt(spec, geo, mode) == _GridOperator(spec, geo, mode).drift_bound
+
+    def test_stage_count_keeps_steps_stable(self):
+        # |R(-z)| of the chosen scheme, from its stages stepped on the scalar
+        # problem tau F(y) = -z y, stays at most 1 on all of [0, tau r]
+        def amplification(s, z):
+            mt1, coeffs, _ = _rkc_coefficients(s)
+            older, prev = np.ones_like(z), 1.0 - mt1 * z
+            for mu, nu, mt, gt in coeffs:
+                older, prev = prev, ((1.0 - mu - nu) + mu * prev + nu * older
+                                     - mt * z * prev - gt * z)
+            return np.abs(prev)
+
+        top = _rkc_coefficients(16)[2]
+        for tau_r in np.append(np.linspace(0.0, top, 300), [2.5, 10.2]):
+            s = _rkc_stages(tau_r)
+            z = np.linspace(0.0, tau_r, 2001)
+            assert np.max(amplification(s, z)) <= 1.0 + 1e-12, (tau_r, s)
 
     def test_zero_channels_take_two_stages(self, monkeypatch):
         # no diffusion: the spectral-radius estimate is 2 / (drift bound),

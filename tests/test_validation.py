@@ -13,7 +13,8 @@ from coadjoint.dynamics import (
 )
 from coadjoint.integrators import integrate
 from coadjoint.noise import NoiseSpec, coarsen, sample_grid
-from coadjoint.validation import G_RIGID, K_RIGID, M0, P0, Q0, XI_PAIR, _coupled_study
+from coadjoint import validation
+from coadjoint.validation import G_RIGID, K_RIGID, M0, P0, Q0, XI_PAIR, _coupled_study, run_suite
 
 SO3 = builtin("so3")
 CHART = builtin_chart("so3_on_r3")
@@ -49,3 +50,12 @@ def test_batched_study_equals_seed_by_seed(study):
     hs, errs = _coupled_study(seeds, exponents, runs, error)
     assert hs == [2.0 ** -ex for ex in exponents]
     assert np.array_equal(errs, np.mean(per_seed, axis=0))
+
+
+def test_collectivize_refuses_zero_seeds_before_any_work(monkeypatch):
+    def integrate_called(*args, **kwargs):
+        raise AssertionError("integrated before refusing --seeds 0")
+
+    monkeypatch.setattr(validation, "integrate", integrate_called)
+    with pytest.raises(ValueError, match="--seeds: need at least 1 seed, got 0"):
+        run_suite("collectivize", seeds=0)
