@@ -185,7 +185,9 @@ def _so3_chart() -> ActionChart:
         return np.einsum("aij,...j->...ai", eps, q)
 
     def dA(q):
-        return np.broadcast_to(eps, q.shape[:-1] + (3, 3, 3)).copy()
+        out = np.empty(q.shape[:-1] + (3, 3, 3))
+        out[...] = eps
+        return out
 
     def d2A(q):
         return np.zeros(q.shape[:-1] + (3, 3, 3, 3))
@@ -199,7 +201,9 @@ def _translation_chart(n: int) -> ActionChart:
     eye = np.eye(n)
 
     def A(q):
-        return np.broadcast_to(eye, q.shape[:-1] + (n, n)).copy()
+        out = np.empty(q.shape[:-1] + (n, n))
+        out[...] = eye
+        return out
 
     def dA(q):
         return np.zeros(q.shape[:-1] + (n, n, n))

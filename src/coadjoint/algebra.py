@@ -99,9 +99,12 @@ def ad_star(alg: LieAlgebraSpec, v, m) -> np.ndarray:
     Satisfies <ad_star(v, m), w> = <m, bracket(v, w)> for all w.  For so(3)
     this is m x v = -(v x m).  Broadcasts over leading axes.
     """
-    v = _conform(alg, v, "v")
-    m = _conform(alg, m, "m")
-    return -np.einsum("abg,...g,...b->...a", alg.c, m, v)
+    return _ad_star(alg.c, _conform(alg, v, "v"), _conform(alg, m, "m"))
+
+
+def _ad_star(c: np.ndarray, v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """:func:`ad_star` on float arrays whose last axes already conform to ``c``."""
+    return -np.einsum("abg,...g,...b->...a", c, m, v)
 
 
 def antisymmetry_residual(alg: LieAlgebraSpec) -> float:

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .actions import ActionChart, momentum_map
-from .algebra import LieAlgebraSpec, ad_star
+from .algebra import LieAlgebraSpec, _ad_star
 from .fields import ScalarField, _dot
 from .integrators import SdeSystem, Trajectory
 from .noise import NoiseSpec
@@ -241,6 +241,15 @@ def _ito_drift(field, dfield, xi: np.ndarray, x) -> np.ndarray:
     return 0.5 * out
 
 
+def _stack_buffer(rows: int, lead: tuple, width: int) -> np.ndarray:
+    """An empty (rows, *lead, width) array with the stack axis outermost in
+    memory.  A batch (E,) gets component-major rows: the layout ensemble
+    states keep, in which the fields evaluate several times faster."""
+    if len(lead) == 1:
+        return np.empty((rows, width) + lead).transpose(0, 2, 1)
+    return np.empty((rows,) + lead + (width,))
+
+
 def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
                     u_of: Optional[Callable] = None, force=None, **system_kw) -> SdeSystem:
     """The SDE dx = X_u(x) dt + force(x) dt + X_{xi_k}(x) o dW^k of one level.
@@ -250,29 +259,55 @@ def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
     ``dfield(w, x, v)`` = DX_w(x)[v] and its momentum map ``momentum(x)``.
     The velocity u is ``u_of(t, x)`` or the Legendre feedback K mu(x);
     ``force`` is ``(block, f)``, adding f(x) to the drift's coordinates
-    ``[..., block]`` only.  The system carries ``momentum`` as its own; the
-    remaining keyword arguments go to :class:`SdeSystem`.
+    ``[..., block]`` only.  The drift carries ``stacked()``, whose
+    evaluators compute X once at (u, xi_1, ..., xi_C) for the integrators
+    (the contract is in :class:`SdeSystem`); ``field`` must return a new
+    array, since an evaluator reuses its W.  The
+    system carries ``momentum`` as its own; the remaining keyword arguments
+    go to :class:`SdeSystem`.
     """
     r = K.shape[0]
     xi = _directions(noise, r)
 
-    def drift(t, x):
+    def velocity(t, x):
         if u_of is None:
-            u = np.einsum("ab,...b->...a", K, momentum(x))
-        else:
-            u = _validated_u(u_of, t, x, r)
-        out = field(u, x)
+            return np.einsum("ab,...b->...a", K, momentum(x))
+        return _validated_u(u_of, t, x, r)
+
+    def forced(out, x):
         if force is not None:
             block, f = force
             out[..., block] += f(x)
         return out
 
+    def drift(t, x):
+        return forced(field(velocity(t, x), x), x)
+
     def diffusion(t, x):
         return field(xi, x[..., None, :])
+
+    def stacked():
+        W = None
+
+        def evaluate(t, x):
+            # one W per evaluator; its noise rows are set when the batch
+            # shape changes, so each stage writes only the velocity row
+            nonlocal W
+            lead = x.shape[:-1]
+            if W is None or W.shape[1:-1] != lead:
+                W = _stack_buffer(1 + len(xi), lead, r)
+                W[1:] = xi.reshape((len(xi),) + (1,) * len(lead) + (r,))
+            W[0] = velocity(t, x)
+            out = field(W, x)
+            forced(out[0], x)
+            return out
+
+        return evaluate
 
     def correction(t, x):
         return _ito_drift(field, dfield, xi, x)
 
+    drift.stacked, stacked.fields = stacked, (drift, diffusion)
     return SdeSystem(channels=noise.channels, drift=drift, diffusion=diffusion,
                      ito_correction=correction, momentum=momentum, **system_kw)
 
@@ -372,7 +407,7 @@ def lie_poisson_system(
             return x_new * np.divide(target, norm, out=np.ones_like(norm), where=norm != 0.0)
 
     return _coupled_system(
-        lambda w, m: ad_star(alg, w, m), lambda w, m, v: ad_star(alg, w, v),
+        lambda w, m: _ad_star(alg.c, w, m), lambda w, m, v: _ad_star(alg.c, w, v),
         lambda m: m, K, noise, u_of,
         state_dim=alg.dim, labels=tuple(f"m{i+1}" for i in range(alg.dim)),
         name=name or f"lie_poisson[{alg.name}]", post_step=post,
@@ -401,11 +436,11 @@ def hamel_system(
     def field(w, x):
         m, q = x[..., :r], x[..., r:]
         dq = np.einsum("...bi,...b->...i", chart.coefficients(q), w)
-        return np.concatenate([ad_star(alg, w, m), dq], axis=-1)
+        return np.concatenate([_ad_star(alg.c, w, m), dq], axis=-1)
 
     def dfield(w, x, v):
         dq = np.einsum("...ij,...j->...i", _chart_jacobian(chart, x[..., r:], w), v[..., r:])
-        return np.concatenate([ad_star(alg, w, v[..., :r]), dq], axis=-1)
+        return np.concatenate([_ad_star(alg.c, w, v[..., :r]), dq], axis=-1)
 
     def force(x):
         q = x[..., r:]

@@ -59,6 +59,15 @@ class SdeSystem:
     be pure and broadcast over leading axes of x.  ``post_step(x_new, x0)``
     maps each row given its initial row, on single paths and ensembles.
     ``momentum(x)`` is the level's momentum map, (..., d) -> (..., r).
+
+    A builder may give ``drift`` an attribute ``stacked``, with
+    ``drift.stacked.fields = (drift, diffusion)``: ``stacked()`` returns an
+    evaluator ``F(t, x)`` of the drift and the C noise fields as one new
+    (1 + C, ..., d) array, and each run takes its own evaluator, which may
+    keep scratch between its calls.  The integrators use it only while this
+    system's drift and diffusion are that very pair; any other system, such
+    as one rebuilt by ``dataclasses.replace`` with wrapped callbacks, is
+    stepped through its own two callbacks.
     """
 
     state_dim: int
@@ -108,28 +117,107 @@ class Trajectory:
         return self.states[-1]
 
 
+def _stacked(sys: SdeSystem) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The system's drift and noise fields in one call: ``F(t, x)``, a new
+    (1 + C, ..., d) array, row 0 the drift and row k the field of channel k.
+
+    A builder's own evaluator ``drift.stacked()`` serves while the system's
+    drift and diffusion are the pair in its ``fields`` (see
+    :class:`SdeSystem`); any other system stacks its own two callbacks.
+    """
+    own = getattr(sys.drift, "stacked", None)
+    if own is not None and own.fields[0] is sys.drift and own.fields[1] is sys.diffusion:
+        return own()
+    drift, diffusion, C = sys.drift, sys.diffusion, sys.channels
+    if not C:
+        return lambda t, x: drift(t, x)[None].copy()
+
+    def stacked(t, x):
+        f, g = drift(t, x), diffusion(t, x)
+        out = np.empty((1 + C,) + np.broadcast_shapes(f.shape, g.shape[:-2] + g.shape[-1:]))
+        out[0] = f
+        out[1:] = np.moveaxis(g, -2, 0)
+        return out
+
+    return stacked
+
+
+def _checked_increments(sys: SdeSystem, dW) -> np.ndarray:
+    """``dW`` as floats; refuses one whose last axis does not hold one
+    increment per channel."""
+    dW = np.asarray(dW, dtype=float)
+    if dW.ndim == 0 or dW.shape[-1] != sys.channels:
+        given = f"{dW.shape[-1]} increments" if dW.ndim else "a scalar"
+        raise ValueError(
+            f"dW holds {given} per step, system {sys.name!r} has "
+            f"{sys.channels} noise channels"
+        )
+    return dW
+
+
+# The stage kernels take the stacked fields F and increments inc of one step.
+# Each sum over the leading stack axis adds the drift first, then channels
+# 1..C, as one reduction; the stacked arrays keep that axis outermost in
+# memory, so numpy adds the rows in that order.  The corrector works in the
+# array F returned, which saves two (1 + C)-row temporaries per step.
+
+def _heun(F, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
+    fx = F(t, x)
+    xp = x + (fx * inc).sum(axis=0)
+    out = F(t + dt, xp)
+    out += fx
+    out *= 0.5 * inc
+    out[0] += x
+    return out.sum(axis=0)
+
+
+def _euler_ito(F, correction, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
+    fx = F(t, x)
+    out = fx * inc
+    out[0] = x + (fx[0] + correction(t, x)) * dt
+    return out.sum(axis=0)
+
+
+def _kernel(sys: SdeSystem, scheme: str):
+    """The stochastic scheme's step ``kernel(t, x, dt, inc)`` on the system's
+    stacked fields."""
+    F = _stacked(sys)
+    if scheme == "heun_strat":
+        return lambda t, x, dt, inc: _heun(F, t, x, dt, inc)
+    correction = sys.ito_correction
+    if correction is None:
+        raise ValueError(
+            f"system {sys.name!r} has no ito_correction; supply one "
+            "(exactly zero is acceptable) before using the euler_ito scheme"
+        )
+    return lambda t, x, dt, inc: _euler_ito(F, correction, t, x, dt, inc)
+
+
+def _one_step(sys: SdeSystem, scheme: str, t: float, x, dt: float, dW) -> np.ndarray:
+    """One step of a stochastic scheme; the leading axes of x and dW
+    broadcast against each other, aligned from the right."""
+    kernel = _kernel(sys, scheme)
+    x, dW = np.asarray(x, dtype=float), _checked_increments(sys, dW)
+    lead = x.shape[:-1]
+    if dW.shape[:-1] != lead:
+        lead = np.broadcast_shapes(lead, dW.shape[:-1])
+        x = np.broadcast_to(x, lead + x.shape[-1:])
+        dW = np.broadcast_to(dW, lead + dW.shape[-1:])
+    # the increments (dt, dW^1, ..., dW^C) as one (1 + C, *lead, 1) array
+    inc = np.empty((1 + sys.channels,) + lead + (1,))
+    inc[0] = dt
+    inc[1:, ..., 0] = dW.transpose((len(lead),) + tuple(range(len(lead))))
+    return kernel(t, x, dt, inc)
+
+
 def heun_stratonovich_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.ndarray:
     """One stochastic Heun step for the Stratonovich interpretation.
 
     Predictor: Euler with drift and noise; corrector: trapezoidal average of
-    both fields at the base point and the predictor.
+    both fields at the base point and the predictor.  ``dW`` holds one
+    increment per channel on its last axis.
     """
-    x = np.asarray(x, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    fx = sys.drift(t, x)
-    incr = fx * dt
-    if sys.channels:
-        gx = sys.diffusion(t, x)
-        for k in range(sys.channels):
-            incr = incr + gx[..., k, :] * dW[..., k, None]
-    xp = x + incr
-    tp = t + dt
-    out = x + 0.5 * dt * (fx + sys.drift(tp, xp))
-    if sys.channels:
-        gp = sys.diffusion(tp, xp)
-        for k in range(sys.channels):
-            out = out + 0.5 * (gx[..., k, :] + gp[..., k, :]) * dW[..., k, None]
-    return out
+    return _one_step(sys, "heun_strat", t, x, dt, dW)
 
 
 def euler_ito_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.ndarray:
@@ -138,19 +226,7 @@ def euler_ito_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.ndarray:
     Refuses to run without an ito_correction: silently integrating the
     Stratonovich fields in Ito form would solve a different equation.
     """
-    if sys.ito_correction is None:
-        raise ValueError(
-            f"system {sys.name!r} has no ito_correction; supply one "
-            "(exactly zero is acceptable) before using the euler_ito scheme"
-        )
-    x = np.asarray(x, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    out = x + (sys.drift(t, x) + sys.ito_correction(t, x)) * dt
-    if sys.channels:
-        gx = sys.diffusion(t, x)
-        for k in range(sys.channels):
-            out = out + gx[..., k, :] * dW[..., k, None]
-    return out
+    return _one_step(sys, "euler_ito", t, x, dt, dW)
 
 
 def rk4_step(drift: Callable[[float, np.ndarray], np.ndarray], t: float, x,
@@ -164,41 +240,58 @@ def rk4_step(drift: Callable[[float, np.ndarray], np.ndarray], t: float, x,
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-_KERNELS = {
-    "heun_strat": heun_stratonovich_step,
-    "euler_ito": euler_ito_step,
-    "rk4": lambda sys, t, x, dt, dW: rk4_step(sys.drift, t, x, dt),
-}
+_SCHEMES = ("heun_strat", "euler_ito", "rk4")
 
 
 def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
            first_path: int = 0) -> np.ndarray:
     """Step ``x0``, one state (d,) or a batch (E, d), over the rows of ``dW``,
-    (M, C) or (M, E, C), and return the final state.
+    (M, C) or (M, E, C), and return the final state.  A step's increments
+    line up with the state's leading axes from the right, so an (M, C) table
+    drives every row of a batch alike; rk4 takes only the number of rows.
 
     ``states[i]``, if given, receives the state after i steps.  The first
     non-finite row raises :class:`IntegrationDiverged` with the step, its
     last finite state and, for a batch, its path index ``first_path + row``.
     """
-    step = _KERNELS[scheme]
-    x = np.array(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if scheme == "rk4":
+        x = np.array(x0)
+
+        def advance(i, x):
+            return rk4_step(sys.drift, i * dt, x, dt)
+    else:
+        kernel, dW = _kernel(sys, scheme), _checked_increments(sys, dW)
+        lead = np.broadcast_shapes(x0.shape[:-1], dW.shape[1:-1])
+        x = np.array(np.broadcast_to(x0, lead + x0.shape[-1:]))
+        # one increment buffer for the whole run: row 0 is dt, rows 1..C take
+        # each step's dW through a channel-first view right-aligned with lead
+        inc = np.empty((1 + sys.channels,) + lead + (1,))
+        inc[0] = dt
+        pad = tuple(range(2, 2 + len(lead) - (dW.ndim - 2)))
+        rows = np.expand_dims(np.moveaxis(dW, -1, 1), pad)[..., None]
+
+        def advance(i, x):
+            inc[1:] = rows[i]
+            return kernel(i * dt, x, dt, inc)
     if states is not None:
         states[0] = x
-    for i in range(len(dW)):
-        # blowup is detected and reported below; suppress the transient
-        # overflow warnings the diverging step itself emits
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_new = step(sys, i * dt, x, dt, dW[i])
-        if not np.all(np.isfinite(x_new)):
-            if x.ndim == 1:
-                raise IntegrationDiverged(step=i + 1, last_state=x)
-            bad = int(np.argmin(np.all(np.isfinite(x_new), axis=-1)))
-            raise IntegrationDiverged(step=i + 1, last_state=x[bad], path=first_path + bad)
-        if sys.post_step is not None:
-            x_new = sys.post_step(x_new, x0)
-        if states is not None:
-            states[i + 1] = x_new
-        x = x_new
+    # blowup is detected and reported below; suppress the transient
+    # overflow warnings the diverging step itself emits
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(dW)):
+            x_new = advance(i, x)
+            if not np.isfinite(x_new).all():
+                if x.ndim == 1:
+                    raise IntegrationDiverged(step=i + 1, last_state=x)
+                bad = int(np.argmin(np.isfinite(x_new).all(axis=-1)))
+                raise IntegrationDiverged(step=i + 1, last_state=x[bad],
+                                          path=first_path + bad)
+            if sys.post_step is not None:
+                x_new = sys.post_step(x_new, x0)
+            if states is not None:
+                states[i + 1] = x_new
+            x = x_new
     return x
 
 
@@ -208,8 +301,8 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
     Deterministic given (sys, scheme, grid, x0).  Raises
     :class:`IntegrationDiverged` on the first non-finite component.
     """
-    if scheme not in _KERNELS:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {tuple(_KERNELS)}")
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {_SCHEMES}")
     if scheme == "rk4" and sys.channels:
         raise ValueError(
             f"rk4 steps the drift alone; system {sys.name!r} has {sys.channels} "

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from coadjoint.fields import (
     ScalarField,
     double_bracket,
 )
-from coadjoint.integrators import _drive, integrate
+from coadjoint.integrators import _drive, euler_ito_step, heun_stratonovich_step, integrate
 from coadjoint.kolmogorov import ensemble_finals
 from coadjoint.noise import BrownianGrid, NoiseSpec, _increments, sample_grid, time_grid
 
@@ -538,6 +540,140 @@ class TestCoupling:
         x = np.random.default_rng(12).normal(scale=2.0, size=(7, sys.state_dim))
         for fn in (sys.drift, sys.diffusion, sys.ito_correction):
             assert np.array_equal(fn(0.0, x), np.array([fn(0.0, row) for row in x])), fn
+
+
+
+def _loop_heun(sys, t, x, dt, dW):
+    """Stochastic Heun with one drift and one diffusion call per stage and a
+    per-channel sum, the reference the stacked kernel must reproduce."""
+    fx = sys.drift(t, x)
+    incr = fx * dt
+    gx = sys.diffusion(t, x)
+    for k in range(sys.channels):
+        incr = incr + gx[..., k, :] * dW[..., k, None]
+    xp = x + incr
+    out = x + 0.5 * dt * (fx + sys.drift(t + dt, xp))
+    gp = sys.diffusion(t + dt, xp)
+    for k in range(sys.channels):
+        out = out + 0.5 * (gx[..., k, :] + gp[..., k, :]) * dW[..., k, None]
+    return out
+
+
+def _loop_euler_ito(sys, t, x, dt, dW):
+    out = x + (sys.drift(t, x) + sys.ito_correction(t, x)) * dt
+    gx = sys.diffusion(t, x)
+    for k in range(sys.channels):
+        out = out + gx[..., k, :] * dW[..., k, None]
+    return out
+
+
+def _own_callbacks(sys):
+    """The same system with wrapped drift and diffusion, so the integrators
+    stack its two callbacks instead of the builder's one-call evaluator."""
+    return dataclasses.replace(sys, drift=lambda t, x: sys.drift(t, x),
+                               diffusion=lambda t, x: sys.diffusion(t, x))
+
+
+class TestStackedFields:
+    @pytest.mark.parametrize("channels", [0, 1, 2, 3])
+    @pytest.mark.parametrize("layout", ["single", "row_major", "component_major"])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson", "lie_poisson-policy"])
+    def test_one_call_steps_equal_per_channel_loop(self, level, layout, channels):
+        # the builder's stacked evaluator, the generic stack of the two
+        # callbacks and the per-channel loop agree bit for bit
+        rng = np.random.default_rng(channels)
+        noise = NoiseSpec(channels=channels, xi=rng.normal(size=(channels, 3)), seed=0)
+        if level == "lie_poisson-policy":
+            sys = lie_poisson_system(SO3, K_RIGID, noise, u_of=lambda t, x: np.array([0.2, -0.1, 0.4]))
+        else:
+            sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        d = sys.state_dim
+        if layout == "single":
+            x, dW = rng.normal(size=d), rng.normal(scale=0.1, size=channels)
+        else:
+            x, dW = rng.normal(size=(7, d)), rng.normal(scale=0.1, size=(7, channels))
+            if layout == "component_major":
+                x = np.asfortranarray(x)
+        for step, loop in ((heun_stratonovich_step, _loop_heun),
+                           (euler_ito_step, _loop_euler_ito)):
+            want = loop(sys, 0.3, x, 0.01, dW)
+            assert np.array_equal(step(sys, 0.3, x, 0.01, dW), want), step
+            assert np.array_equal(step(_own_callbacks(sys), 0.3, x, 0.01, dW), want), step
+
+    @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito"])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_driven_batch_equals_own_callbacks(self, level, scheme):
+        # the builder's evaluator keeps ensemble rows component-major and the
+        # generic stack makes them row-major; every state _drive records
+        # matches between the two
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        x0 = np.random.default_rng(3).normal(size=sys.state_dim)
+        dW = _increments(5, 2, 0.5, 16, 7)
+        runs = []
+        for s in (sys, _own_callbacks(sys)):
+            states = np.empty((17, 7, sys.state_dim))
+            _drive(s, scheme, np.broadcast_to(x0, (7, sys.state_dim)), 0.5 / 16, dW, states=states)
+            runs.append(states)
+        assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("rows", [3, 4])
+    @pytest.mark.parametrize("level", ["phase_space", "lie_poisson"])
+    def test_shared_increments_broadcast_over_batch(self, level, rows):
+        # one dW row of C = 2 increments drives every state of a batch; the
+        # increments line up with the state's leading axes from the right,
+        # also when the batch has 1 + C rows
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        rng = np.random.default_rng(rows)
+        x, dW = rng.normal(size=(rows, sys.state_dim)), np.array([0.1, -0.2])
+        for step, loop in ((heun_stratonovich_step, _loop_heun),
+                           (euler_ito_step, _loop_euler_ito)):
+            want = loop(sys, 0.3, x, 0.01, dW)
+            assert np.array_equal(step(sys, 0.3, x, 0.01, dW), want), step
+            assert np.array_equal(step(_own_callbacks(sys), 0.3, x, 0.01, dW), want), step
+            assert np.array_equal(step(sys, 0.3, x[0], 0.01, np.tile(dW, (rows, 1))),
+                                  loop(sys, 0.3, x[0], 0.01, np.tile(dW, (rows, 1)))), step
+        table = _increments(5, 2, 0.5, 16, 1)[:, 0]
+        shared = _drive(sys, "heun_strat", x, 0.5 / 16, table)
+        per_row = _drive(sys, "heun_strat", x, 0.5 / 16, np.repeat(table[:, None], rows, axis=1))
+        assert np.array_equal(shared, per_row)
+
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_evaluator_reuse_across_batch_shapes(self, level):
+        # one evaluator keeps its stacked elements between calls: outputs it
+        # returned stay intact, and a new batch shape refills the noise rows
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        x = np.random.default_rng(4).normal(size=(5, sys.state_dim))
+        F = sys.drift.stacked()
+        first = F(0.1, x)
+        kept = first.copy()
+        for arg in (x[0], x[:3], x, x[2]):
+            assert np.array_equal(F(0.1, arg), sys.drift.stacked()(0.1, arg))
+        assert np.array_equal(first, kept)
+        assert np.array_equal(first[0], sys.drift(0.1, x))
+        assert np.array_equal(np.moveaxis(first[1:], 0, -2), sys.diffusion(0.1, x))
+
+    def test_replaced_drift_is_the_one_stepped(self):
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        lp = lie_poisson_system(SO3, K_RIGID, noise)
+        free = dataclasses.replace(lp, drift=lambda t, x: np.zeros_like(x))
+        m, dW = np.array([0.8, 0.3, 0.5]), np.array([0.1, -0.2])
+        assert np.array_equal(heun_stratonovich_step(free, 0.0, m, 0.01, dW),
+                              _loop_heun(free, 0.0, m, 0.01, dW))
+        assert not np.array_equal(heun_stratonovich_step(free, 0.0, m, 0.01, dW),
+                                  heun_stratonovich_step(lp, 0.0, m, 0.01, dW))
+
+    @pytest.mark.parametrize("step", [heun_stratonovich_step, euler_ito_step])
+    @pytest.mark.parametrize("dW", [[0.1, 0.2, 5.0], [0.1], np.zeros((4, 3)), 0.1],
+                             ids=["three", "one", "batch_of_three", "scalar"])
+    def test_wrong_increment_count_rejected(self, step, dW):
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        lp = lie_poisson_system(SO3, K_RIGID, noise)
+        given = f"{np.shape(dW)[-1]} increments" if np.ndim(dW) else "a scalar"
+        with pytest.raises(ValueError, match=f"dW holds {given} per step.* 2 noise channels"):
+            step(lp, 0.0, np.ones((4, 3)), 0.01, dW)
 
 
 def _euler_ensemble(sys, x0, T, M, ensemble, seed):

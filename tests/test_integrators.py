@@ -165,6 +165,15 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="rk4.*1 noise channels"):
             integrate(scalar_multiplicative(), "rk4", time_grid(1.0, 4), np.array([1.0]))
 
+    def test_rk4_ignores_sampled_channels(self):
+        # a noise-free system stepped by rk4 on a sampled grid that carries
+        # increments takes only the number of steps from it
+        sys = SdeSystem(1, 0, drift=lambda t, x: -x, diffusion=lambda t, x: x[..., None, :])
+        sampled = sample_grid(NoiseSpec(channels=2, xi=np.eye(2), seed=3), 1.0, 8)
+        plain = integrate(sys, "rk4", time_grid(1.0, 8), np.array([1.0]))
+        assert np.array_equal(integrate(sys, "rk4", sampled, np.array([1.0])).states,
+                              plain.states)
+
     def test_unknown_scheme(self):
         g = time_grid(1.0, 4)
         with pytest.raises(ValueError, match="scheme"):

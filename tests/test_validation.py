@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from coadjoint.actions import PhaseState, builtin_chart, momentum_map
-from coadjoint.algebra import builtin
 from coadjoint.diagnostics import observable_series, strong_error
 from coadjoint.dynamics import (
-    QuadraticLagrangian,
     casimir,
     lie_poisson_system,
     phase_space_system,
@@ -14,22 +11,29 @@ from coadjoint.dynamics import (
 from coadjoint.integrators import integrate
 from coadjoint.noise import NoiseSpec, coarsen, sample_grid
 from coadjoint import validation
-from coadjoint.validation import G_RIGID, K_RIGID, M0, P0, Q0, XI_PAIR, _coupled_study, run_suite
+from coadjoint.validation import (
+    K_RIGID,
+    L_RIGID,
+    M0,
+    M0_PHASE,
+    NOISE_PAIR,
+    SO3,
+    SO3_CHART,
+    X0_PHASE,
+    XI_PAIR,
+    _coupled_study,
+    run_suite,
+)
 
-SO3 = builtin("so3")
-CHART = builtin_chart("so3_on_r3")
-NOISE = NoiseSpec(channels=2, xi=XI_PAIR, seed=0)
-LP = lie_poisson_system(SO3, K_RIGID, NOISE)
-PS = phase_space_system(QuadraticLagrangian(alg=SO3, kinetic=G_RIGID, chart=CHART), NOISE)
-X0_PHASE = np.concatenate([Q0, P0])
-M0_PHASE = momentum_map(CHART, PhaseState(Q0, P0))
+LP = lie_poisson_system(SO3, K_RIGID, NOISE_PAIR)
+PS = phase_space_system(L_RIGID, NOISE_PAIR)
 
 STUDIES = {
     "heun-vs-euler-ito": ([(LP, "heun_strat", M0), (LP, "euler_ito", M0)], strong_error),
     "casimir-drift": ([(LP, "heun_strat", M0)],
                       lambda traj: observable_series(traj, casimir(SO3)).sup()),
     "phase-vs-collective": ([(PS, "heun_strat", X0_PHASE), (LP, "heun_strat", M0_PHASE)],
-                            lambda tp, tl: strong_error(reconstruct_momentum(tp, CHART), tl)),
+                            lambda tp, tl: strong_error(reconstruct_momentum(tp, SO3_CHART), tl)),
 }
 
 
