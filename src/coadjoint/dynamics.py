@@ -407,7 +407,7 @@ def lie_poisson_system(
             return x_new * np.divide(target, norm, out=np.ones_like(norm), where=norm != 0.0)
 
     return _coupled_system(
-        lambda w, m: _ad_star(alg.c, w, m), lambda w, m, v: _ad_star(alg.c, w, v),
+        lambda w, m: _ad_star(alg, w, m), lambda w, m, v: _ad_star(alg, w, v),
         lambda m: m, K, noise, u_of,
         state_dim=alg.dim, labels=tuple(f"m{i+1}" for i in range(alg.dim)),
         name=name or f"lie_poisson[{alg.name}]", post_step=post,
@@ -436,11 +436,11 @@ def hamel_system(
     def field(w, x):
         m, q = x[..., :r], x[..., r:]
         dq = np.einsum("...bi,...b->...i", chart.coefficients(q), w)
-        return np.concatenate([_ad_star(alg.c, w, m), dq], axis=-1)
+        return np.concatenate([_ad_star(alg, w, m), dq], axis=-1)
 
     def dfield(w, x, v):
         dq = np.einsum("...ij,...j->...i", _chart_jacobian(chart, x[..., r:], w), v[..., r:])
-        return np.concatenate([_ad_star(alg.c, w, v[..., :r]), dq], axis=-1)
+        return np.concatenate([_ad_star(alg, w, v[..., :r]), dq], axis=-1)
 
     def force(x):
         q = x[..., r:]

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coadjoint import algebra
 from coadjoint.algebra import (
+    _TRIPLE_MIN_ROWS,
     LieAlgebraSpec,
     abelian,
     ad_star,
@@ -16,6 +18,7 @@ from coadjoint.algebra import (
     jacobi_residual,
     load_algebra_json,
 )
+from coadjoint.dynamics import _stack_buffer
 
 E1, E2, E3 = np.eye(3)
 
@@ -115,6 +118,116 @@ class TestAdStar:
             rhs = m @ bracket(alg, v, w)
             scale = 1.0 + np.linalg.norm(m) * np.linalg.norm(v) * np.linalg.norm(w)
             assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def _einsum_ad_star(alg, v, m):
+    """The contraction over all of c, the reference every kernel must match."""
+    return -np.einsum("abg,...g,...b->...a", alg.c, m, v)
+
+
+def _kernel_algebra(name):
+    if name == "abelian":
+        return abelian(3)
+    if name in ("swap+", "swap-"):
+        # R^2 x| R with [e3, e1] = +-e2, [e3, e2] = +-e1: the ad* component
+        # along e3 has two terms of one sign, minus for swap+, plus for swap-
+        sign = 1.0 if name == "swap+" else -1.0
+        c = np.zeros((3, 3, 3))
+        c[2, 0, 1] = c[2, 1, 0] = sign
+        c[0, 2, 1] = c[1, 2, 0] = -sign
+        alg = LieAlgebraSpec(dim=3, c=c, name=name)
+        alg.check_valid()
+        return alg
+    if name == "so3x2":
+        # a valid algebra whose constants are not +-1: it must stay on einsum
+        return LieAlgebraSpec(dim=3, c=2.0 * builtin("so3").c, name="so3x2")
+    return builtin(name)
+
+
+def _kernel_operands(shape, layout, E, C, rng):
+    """(1 + C, E, r) x (E, r) or (C, r) x (E, 1, r) operands, with the E rows
+    either row-major or component-major as ensemble states keep them."""
+    m = rng.normal(size=(E, 3)) if layout == "row" else np.asarray(rng.normal(size=(3, E))).T
+    if shape == "stack":
+        if layout == "row":
+            return rng.normal(size=(1 + C, E, 3)), m
+        v = _stack_buffer(1 + C, (E,), 3)
+        v[...] = rng.normal(size=v.shape)
+        return v, m
+    return rng.normal(size=(C, 3)), m[:, None, :]
+
+
+N = _TRIPLE_MIN_ROWS
+
+
+class TestAdStarKernel:
+    @pytest.mark.parametrize("name", ["so3", "se2", "h3", "abelian", "swap+", "swap-", "so3x2"])
+    @pytest.mark.parametrize("E", [1, N - 1, N, 4 * N])
+    @pytest.mark.parametrize("layout", ["row", "component"])
+    @pytest.mark.parametrize("shape", ["stack", "broadcast"])
+    def test_equals_einsum_reference(self, name, E, layout, shape):
+        alg = _kernel_algebra(name)
+        v, m = _kernel_operands(shape, layout, E, 2, np.random.default_rng(E))
+        ref = _einsum_ad_star(alg, v, m)
+        out = ad_star(alg, v, m)
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
+        if alg._triples_from < np.inf:
+            tri = algebra._ad_star_triples(alg, v, m)
+            assert np.array_equal(tri, ref)
+            # with no zero input, the zeros agree in sign too
+            assert np.array_equal(np.signbit(tri), np.signbit(out))
+
+    def test_exactness(self):
+        for name in ("so3", "se2", "h3", "abelian", "swap+", "swap-"):
+            assert _kernel_algebra(name)._triples_from == 3 * N
+        assert _kernel_algebra("so3x2")._triples_from == np.inf
+        # three terms in one component, each +-1
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2], c[0, 2, 1], c[0, 0, 0] = 1.0, -1.0, 1.0
+        assert LieAlgebraSpec(dim=3, c=c)._triples_from == np.inf
+
+    def test_kernel_rule(self, monkeypatch):
+        calls = []
+        triples = algebra._ad_star_triples
+        monkeypatch.setattr(algebra, "_ad_star_triples",
+                            lambda *a: calls.append(a) or triples(*a))
+        so3, rng = builtin("so3"), np.random.default_rng(0)
+        # single states and small batches stay on einsum
+        ad_star(so3, rng.normal(size=(3, 3)), rng.normal(size=3))
+        ad_star(so3, rng.normal(size=(N - 1, 3)), rng.normal(size=3))
+        assert calls == []
+        ad_star(so3, rng.normal(size=(N, 3)), rng.normal(size=3))
+        ad_star(so3, rng.normal(size=(2, 3)), rng.normal(size=(N, 1, 3)))
+        assert len(calls) == 2
+        ad_star(_kernel_algebra("so3x2"), rng.normal(size=(4 * N, 3)), rng.normal(size=3))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name,rows", [("so3", 1), ("so3", 4 * N), ("so3x2", 4 * N)])
+    def test_leading_axes_mismatch_names_both_operands(self, name, rows):
+        alg = _kernel_algebra(name)
+        v, m = np.ones((2 * rows, 3)), np.ones((4 * rows, 3))
+        msg = rf"v \({2 * rows}, 3\) and m \({4 * rows}, 3\)"
+        with pytest.raises(ValueError, match=msg):
+            ad_star(alg, v, m)
+
+
+class TestSpecEquality:
+    def test_value_equality_and_hash(self):
+        a, b = builtin("so3"), builtin("so3")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, builtin("se2")}) == 2
+        assert a != builtin("se2")
+        assert a != LieAlgebraSpec(dim=3, c=a.c, name="other")
+        assert a != LieAlgebraSpec(dim=3, c=2.0 * a.c, name="so3")
+        assert a != "so3"
+        # a negative zero compares and hashes like a zero
+        z = abelian(2, name="z")
+        nz = LieAlgebraSpec(dim=2, c=-np.zeros((2, 2, 2)), name="z")
+        assert z == nz and hash(z) == hash(nz)
+
+    def test_repr_omits_arrays_and_terms(self):
+        assert repr(builtin("h3")) == "LieAlgebraSpec(dim=3, name='h3')"
 
 
 class TestJacobi:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coadjoint.actions import ActionChart, PhaseState, builtin_chart, momentum_map
-from coadjoint.algebra import LieAlgebraSpec, abelian, ad_star, builtin
+from coadjoint.algebra import _TRIPLE_MIN_ROWS, LieAlgebraSpec, abelian, ad_star, builtin
 from coadjoint.diagnostics import observable_series, strong_error
 from coadjoint.dynamics import (
     QuadraticLagrangian,
@@ -531,6 +531,24 @@ class TestCoupling:
         grid = BrownianGrid(T=T, steps=M, dW=dW[:, 3], seed=seed)
         alone = integrate(sys, scheme, grid, x0[3]).final()
         assert np.array_equal(batch[3], alone)
+
+    @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito"])
+    @pytest.mark.parametrize("level", ["lie_poisson-se2", "lie_poisson-h3", "hamel-so3"])
+    def test_rows_independent_of_ad_star_kernel(self, level, scheme):
+        # a batch of N + 7 rows steps through the triple kernel of ad*, a row
+        # alone through einsum; every row ends bit for bit where it ends alone
+        level, _, name = level.partition("-")
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        if level == "hamel":
+            sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        else:
+            sys = lie_poisson_system(builtin(name), K_RIGID, noise)
+        E, T, M = _TRIPLE_MIN_ROWS + 7, 0.5, 16
+        x0 = np.random.default_rng(13).normal(size=(E, sys.state_dim))
+        dW = _increments(29, 2, T, M, E)
+        batch = _drive(sys, scheme, x0, T / M, dW)
+        for j in range(E):
+            assert np.array_equal(batch[j], _drive(sys, scheme, x0[j], T / M, dW[:, j])), j
 
     @pytest.mark.parametrize("level", ["phase_space", "hamel"])
     def test_fd_chart_coefficients_independent_of_batch(self, level):
