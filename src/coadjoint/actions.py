@@ -158,7 +158,7 @@ def hamiltonian_vector_field(h: ScalarField, state: PhaseState):
     """Components (dh/dp, -dh/dq) of the Hamiltonian vector field of h."""
     grad = h.gradient(state.packed())
     n = state.n
-    return grad[n:].copy(), -grad[:n]
+    return grad[..., n:].copy(), -grad[..., :n]
 
 
 def equivariance_residual(chart: ActionChart, state: PhaseState) -> np.ndarray:
@@ -170,12 +170,12 @@ def equivariance_residual(chart: ActionChart, state: PhaseState) -> np.ndarray:
     q, p = state.q, state.p
     a = chart.coefficients(q)
     da = chart.d_coefficients(q)
-    m = np.einsum("ai,i->a", a, p)
+    m = np.einsum("...ai,...i->...a", a, p)
     # {m_a, m_b} = (p_j dA_a^j/dq^k) A_b^k - (p_j dA_b^j/dq^k) A_a^k
-    grad_q_m = np.einsum("j,ajk->ak", p, da)
-    pb = np.einsum("ak,bk->ab", grad_q_m, a)
-    pb = pb - pb.T
-    return pb + np.einsum("abg,g->ab", chart.alg.c, m)
+    grad_q_m = np.einsum("...j,...ajk->...ak", p, da)
+    pb = np.einsum("...ak,...bk->...ab", grad_q_m, a)
+    pb = pb - pb.swapaxes(-1, -2)
+    return pb + np.einsum("abg,...g->...ab", chart.alg.c, m)
 
 
 def _so3_chart() -> ActionChart:

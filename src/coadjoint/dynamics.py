@@ -189,7 +189,7 @@ class ReducedHamiltonian:
             return self.value(x[..., :r], x[..., r:])
 
         def grad(x):
-            return np.concatenate([self.velocity(x[:r]), self.potential.grad(x[r:])])
+            return np.concatenate([self.velocity(x[..., :r]), self.potential.grad(x[..., r:])], -1)
 
         return ScalarField(value=value, grad=grad, name="h")
 
@@ -499,11 +499,11 @@ def momentum_pairing_field(chart: ActionChart, xi) -> ScalarField:
         return _dot(momentum_map(chart, x), xi)
 
     def grad(x):
-        q, p = x[:n], x[n:]
+        q, p = x[..., :n], x[..., n:]
         a = chart.coefficients(q)
         da = chart.d_coefficients(q)
         gq = np.einsum("...aji,...j,a->...i", da, p, xi)
         gp = np.einsum("...ai,a->...i", a, xi)
-        return np.concatenate([gq, gp])
+        return np.concatenate([gq, gp], axis=-1)
 
     return ScalarField(value=value, grad=grad, name="m.xi")

@@ -1,13 +1,13 @@
 """Scalar fields with finite-difference fallbacks and Poisson bracket evaluators.
 
-A :class:`ScalarField` is a real function of a flat state vector, whose
-``value`` broadcasts over leading axes of the states, together with an
-optional analytic gradient of one state; :meth:`ScalarField.gradient` falls
-back to :func:`fd_jacobian`, central differences with step
-``1e-5 * (1 + |x|)``, when no analytic gradient was supplied.
+A :class:`ScalarField` is a real function of a flat state vector with an
+optional analytic gradient, both broadcast over leading axes of the states;
+:meth:`ScalarField.gradient` falls back to :func:`fd_jacobian`, central
+differences with step ``1e-5 * (1 + |x|)``, when no gradient was supplied.
 
 Poisson brackets are represented by their (state-dependent) Poisson tensor
-``P(x)``, so every bracket evaluates as ``grad(f) . P(x) . grad(g)``.  Three
+``P(x)``, so every bracket evaluates as ``grad(f) . P(x) . grad(g)``, one
+value per state of a (..., d) array.  Three
 structures are provided: the canonical bracket on T*Q in (q, p) coordinates,
 the minus Lie-Poisson bracket on the dual of a Lie algebra, and the mixed
 bracket on (dual algebra) x Q used by the Hamel-form equations.
@@ -40,25 +40,28 @@ def _dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x . w over the last axis, broadcast over leading axes.
 
     Each row rounds as ``float(np.dot(x, w))`` does on that row alone, in
-    either memory layout; einsum and ``np.sum(x * w, -1)`` do not.
+    either memory layout (BLAS rounds a strided row of d > 3 differently, so
+    both are made contiguous); einsum and ``np.sum(x * w, -1)`` do not.
     """
+    x, w = np.ascontiguousarray(x), np.ascontiguousarray(w)
     return (x[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central differences of ``fn`` along the last axis of ``x``, one state
     (d,) or a batch (..., d), appended as a new last axis.  Each row steps by
-    ``FD_STEP_SCALE`` times (1 + |row|), whatever rows are batched with it."""
+    ``FD_STEP_SCALE`` times (1 + |row|), whatever rows are batched with it.
+    ``fn`` must broadcast: it is called once, on all 2d shifted copies stacked
+    as (2, d, ..., d).  The result is C-contiguous."""
     x = np.asarray(x, dtype=float)
     h = FD_STEP_SCALE * (1.0 + np.sqrt(_dot(x, x)))
-    cols = []
-    for j in range(x.shape[-1]):
-        xp, xm = x.copy(), x.copy()
-        xp[..., j] += h
-        xm[..., j] -= h
-        diff = np.asarray(fn(xp) - fn(xm))
-        cols.append(diff / (2.0 * h).reshape(h.shape + (1,) * (diff.ndim - h.ndim)))
-    return np.stack(cols, axis=-1)
+    shifted = np.broadcast_to(x, (2, x.shape[-1]) + x.shape).copy()
+    j = np.arange(x.shape[-1])
+    shifted[0, j, ..., j] += h
+    shifted[1, j, ..., j] -= h
+    vals = np.asarray(fn(shifted))
+    diff = (vals[0] - vals[1]) / (2.0 * h).reshape(h.shape + (1,) * (vals.ndim - 2 - h.ndim))
+    return np.ascontiguousarray(np.moveaxis(diff, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,9 @@ class ScalarField:
 
     ``value(x)`` broadcasts over leading axes of x: states of shape
     (..., d) give values of shape (...), as the ``SdeSystem`` callbacks do.
-    Calling the field on one state returns a float.  ``grad`` takes one
-    state; it is used when provided, otherwise gradients come from central
-    finite differences of ``value``.
+    Calling the field on one state returns a float.  ``grad(x)`` broadcasts
+    the same way, with shape (..., d); it is used when provided, otherwise
+    gradients come from central finite differences of ``value``.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -97,10 +100,15 @@ class ScalarField:
         return out
 
     def gradient(self, x) -> np.ndarray:
+        """Gradient of the same shape as x (..., d)."""
         x = np.asarray(x, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
-        return fd_jacobian(self.value, x)
+        if self.grad is None:
+            return fd_jacobian(self.evaluate, x)
+        out = np.asarray(self.grad(x), dtype=float)
+        if out.shape != x.shape:
+            raise ValueError(f"field {self.name!r} gradient returned shape {out.shape} for "
+                             f"states of shape {x.shape}; its grad must broadcast")
+        return out
 
     @staticmethod
     def coordinate(i: int, dim: int, name: str = "") -> "ScalarField":
@@ -109,15 +117,14 @@ class ScalarField:
         e[i] = 1.0
         return ScalarField(
             value=lambda x, _i=i: x[..., _i],
-            grad=lambda x, _e=e: _e.copy(),
+            grad=lambda x, _e=e: np.broadcast_to(_e, np.shape(x)).copy(),
             name=name or f"x{i}",
         )
 
     @staticmethod
     def constant(c: float, dim: int, name: str = "const") -> "ScalarField":
-        z = np.zeros(dim)
         return ScalarField(value=lambda x, _c=float(c): np.full(np.shape(x)[:-1], _c),
-                           grad=lambda x, _z=z: _z.copy(), name=name)
+                           grad=lambda x: np.zeros(np.shape(x)), name=name)
 
     @staticmethod
     def linear(w, name: str = "") -> "ScalarField":
@@ -125,7 +132,7 @@ class ScalarField:
         w = np.asarray(w, dtype=float)
         return ScalarField(
             value=lambda x, _w=w: _dot(x, _w),
-            grad=lambda x, _w=w: _w.copy(),
+            grad=lambda x, _w=w: np.broadcast_to(_w, np.shape(x)).copy(),
             name=name,
         )
 
@@ -139,7 +146,7 @@ class ScalarField:
     ) -> "ScalarField":
         """Wrap a function of separate (q, p) arguments over the packed state.
 
-        ``value`` broadcasts over leading axes of q and p.  Analytic
+        All three callbacks broadcast over leading axes of q and p.  Analytic
         gradients are used only if both blocks are supplied.
         """
 
@@ -149,27 +156,33 @@ class ScalarField:
         packed_grad = None
         if grad_q is not None and grad_p is not None:
             def packed_grad(x):
-                return np.concatenate(
-                    [np.asarray(grad_q(x[:n], x[n:]), dtype=float),
-                     np.asarray(grad_p(x[:n], x[n:]), dtype=float)]
-                )
+                q, p = x[..., :n], x[..., n:]
+                return np.concatenate([np.asarray(grad_q(q, p), dtype=float),
+                                       np.asarray(grad_p(q, p), dtype=float)], axis=-1)
 
         return ScalarField(value=packed_value, grad=packed_grad, name=name)
 
 
 class PoissonBracket:
-    """Poisson bracket {f, g}(x) = grad(f) . P(x) . grad(g)."""
+    """Poisson bracket {f, g}(x) = grad(f) . P(x) . grad(g).
+
+    ``tensor(x)`` is a C-contiguous (..., d, d) array, or one (d, d) array
+    for all states.  The bracket runs on a row-major copy of x, so each row
+    rounds as that state alone does, in either layout.
+    """
 
     dim: int
 
     def tensor(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, f: ScalarField, g: ScalarField, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"state has shape {x.shape}, expected ({self.dim},)")
-        return float(f.gradient(x) @ self.tensor(x) @ g.gradient(x))
+    def __call__(self, f: ScalarField, g: ScalarField, x):
+        """One value per state of x (..., d); a float for one state."""
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"state has shape {x.shape}, expected (..., {self.dim})")
+        out = _dot((f.gradient(x)[..., None, :] @ self.tensor(x))[..., 0, :], g.gradient(x))
+        return float(out) if x.ndim == 1 else out
 
 
 class CanonicalBracket(PoissonBracket):
@@ -193,9 +206,9 @@ class LiePoissonBracket(PoissonBracket):
         self.dim = alg.dim
 
     def tensor(self, m: np.ndarray) -> np.ndarray:
-        # column b is ad*(e_b, m); copied to C order so that the bracket's
-        # matrix products round as they do on a row-major tensor
-        return ad_star(self.alg, np.eye(self.dim), m).T.copy()
+        # column b is ad*(e_b, m), in C order so that rows round as one state
+        star = ad_star(self.alg, np.eye(self.dim), m[..., None, :])
+        return np.ascontiguousarray(star.swapaxes(-1, -2))
 
 
 class HamelBracket(PoissonBracket):
@@ -214,23 +227,22 @@ class HamelBracket(PoissonBracket):
 
     def tensor(self, x: np.ndarray) -> np.ndarray:
         r, n = self.r, self.n
-        m, q = x[:r], x[r:]
+        m, q = x[..., :r], x[..., r:]
         a = self.chart.coefficients(q)
-        out = np.zeros((r + n, r + n))
-        out[:r, :r] = ad_star(self.alg, np.eye(r), m).T
-        out[:r, r:] = -a
-        out[r:, :r] = a.T
+        out = np.zeros(x.shape[:-1] + (r + n, r + n))
+        out[..., :r, :r] = ad_star(self.alg, np.eye(r), m[..., None, :]).swapaxes(-1, -2)
+        out[..., :r, r:] = -a
+        out[..., r:, :r] = a.swapaxes(-1, -2)
         return out
 
 
-def double_bracket(bracket: PoissonBracket, g: ScalarField, f: ScalarField, x) -> float:
-    """Nested bracket {g, {g, f}}(x).
+def double_bracket(bracket: PoissonBracket, g: ScalarField, f: ScalarField, x):
+    """Nested bracket {g, {g, f}}(x), one value per state of x (..., d).
 
     The inner bracket is wrapped as a plain field, so the outer gradient is
     taken by finite differences of actual inner-bracket evaluations; this is
     the independent oracle against which closed-form Ito corrections are
-    checked.  That inner field is the one field that takes a single state
-    only: it is evaluated point by point, never on a state array.
+    checked.
     """
     inner = ScalarField(value=lambda y: bracket(g, f, y), name=f"{{{g.name},{f.name}}}")
     return bracket(g, inner, x)

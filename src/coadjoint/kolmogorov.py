@@ -106,17 +106,18 @@ def hamel_generator(chart: ActionChart, h: ReducedHamiltonian, xi) -> GeneratorS
     return GeneratorSpec(bracket=HamelBracket(chart), phi=phi, psi=h.as_mq_field(chart.n))
 
 
-def _apply(spec: GeneratorSpec, f: ScalarField, x, sign: float) -> float:
+def _apply(spec: GeneratorSpec, f: ScalarField, x, sign: float):
     """sign {f, psi}(x) + (1/2) sum_k {g_k, {g_k, f}}(x)."""
     x = np.asarray(x, dtype=float)
     out = sign * spec.bracket(f, spec.psi, x)
     for g in spec.phi:
         out += 0.5 * double_bracket(spec.bracket, g, f, x)
-    return float(out)
+    return out
 
 
-def generator_apply(spec: GeneratorSpec, f: ScalarField, x) -> float:
-    """L f(x) = {f, psi}(x) + (1/2) sum_k {g_k, {g_k, f}}(x).
+def generator_apply(spec: GeneratorSpec, f: ScalarField, x):
+    """L f(x) = {f, psi}(x) + (1/2) sum_k {g_k, {g_k, f}}(x), one value per
+    state of x (..., d); a float for one state.
 
     Inner brackets use analytic gradients where the fields carry them; the
     outer bracket differentiates actual inner-bracket evaluations by central
@@ -125,8 +126,8 @@ def generator_apply(spec: GeneratorSpec, f: ScalarField, x) -> float:
     return _apply(spec, f, x, 1.0)
 
 
-def adjoint_apply(spec: GeneratorSpec, f: ScalarField, x) -> float:
-    """L* f(x) = -{f, psi}(x) + (1/2) sum_k {g_k, {g_k, f}}(x)."""
+def adjoint_apply(spec: GeneratorSpec, f: ScalarField, x):
+    """L* f(x) = -{f, psi}(x) + (1/2) sum_k {g_k, {g_k, f}}(x), per state."""
     return _apply(spec, f, x, -1.0)
 
 

@@ -21,7 +21,7 @@ from coadjoint.dynamics import (
     linear_potential,
     momentum_pairing_field,
 )
-from coadjoint.fields import ScalarField, fd_jacobian
+from coadjoint.fields import LiePoissonBracket, ScalarField, double_bracket, fd_jacobian
 from coadjoint.kolmogorov import hamel_generator, lie_poisson_generator
 from coadjoint.scenario import build_scenario, load_scenario
 
@@ -41,6 +41,7 @@ def builtin_fields():
         (ScalarField.coordinate(1, 3), 3),
         (ScalarField.constant(2.5, 3), 3),
         (ScalarField.linear([0.3, -1.2, 0.7]), 3),
+        (ScalarField.linear([0.3, -1.2, 0.7, 0.5, -0.4, 1.1]), 6),
         (ScalarField.from_qp(3, lambda q, p: q[..., 0] * p[..., 1] - p[..., 2]), 6),
         (casimir(so3), 3),
         (h.as_field(), 3),
@@ -160,6 +161,16 @@ class TestHamiltonianVectorField:
         assert np.allclose(dq, s.p)
         assert np.allclose(dp, 0.0)
 
+    def test_batch_rows_equal_single_states(self, rotation):
+        h = momentum_pairing_field(rotation, [0.3, -1.0, 0.7])
+        rng = np.random.default_rng(13)
+        batch = PhaseState(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
+        dq, dp = hamiltonian_vector_field(h, batch)
+        assert dq.shape == dp.shape == (5, 3)
+        for row, (q, p) in enumerate(zip(batch.q, batch.p)):
+            dq1, dp1 = hamiltonian_vector_field(h, PhaseState(q, p))
+            assert np.array_equal(dq[row], dq1) and np.array_equal(dp[row], dp1)
+
 
 class TestEquivariance:
     @pytest.mark.parametrize("name", ["so3_on_r3", "rn_translation", "h3_on_r3"])
@@ -183,6 +194,17 @@ class TestEquivariance:
         corrupt = ActionChart(alg=rotation.alg, n=3, A=bad_A, name="corrupt")
         s = PhaseState(np.array([0.9, -0.4, 0.2]), np.array([1.1, 0.5, -0.7]))
         assert np.max(np.abs(equivariance_residual(corrupt, s))) > 1e-3
+
+    @pytest.mark.parametrize("name", ["so3_on_r3", "rn_translation", "h3_on_r3"])
+    def test_batch_rows_equal_single_states(self, name):
+        chart = builtin_chart(name)
+        rng = np.random.default_rng(14)
+        batch = PhaseState(rng.normal(size=(5, 7, 3)), rng.normal(size=(5, 7, 3)))
+        whole = equivariance_residual(chart, batch)
+        assert whole.shape == (5, 7, 3, 3)
+        for idx in np.ndindex(5, 7):
+            assert np.array_equal(whole[idx],
+                                  equivariance_residual(chart, PhaseState(batch.q[idx], batch.p[idx])))
 
 
 class TestBuiltinCharts:
@@ -259,10 +281,10 @@ class TestScalarField:
         w = rng.normal(size=4)
 
         def value(x):
-            return float(np.sin(x @ w) + 0.5 * x @ x)
+            return np.sin(x @ w) + 0.5 * np.sum(x * x, axis=-1)
 
         def grad(x):
-            return np.cos(x @ w) * w + x
+            return np.cos(x @ w)[..., None] * w + x
 
         with_grad = ScalarField(value=value, grad=grad)
         without = ScalarField(value=value)
@@ -294,6 +316,12 @@ class TestScalarField:
         # a batch steps each row by its own norm: rows equal single states
         batch = fd_jacobian(value, xs)
         assert np.array_equal(batch, np.array([fd_jacobian(value, x) for x in xs]))
+        # one call on all shifted copies, in either layout; a contiguous result
+        calls = []
+        counted = lambda x: calls.append(x.shape) or value(x)  # noqa: E731
+        comp = np.moveaxis(np.ascontiguousarray(xs.T), 0, -1)
+        assert np.array_equal(fd_jacobian(counted, comp), batch)
+        assert calls == [(2, dim, 50, dim)] and batch.flags.c_contiguous
 
     @pytest.mark.parametrize("layout", ["row-major", "component-major"])
     def test_whole_array_value_matches_each_state(self, layout):
@@ -305,6 +333,9 @@ class TestScalarField:
             whole = f.evaluate(states)
             each = np.array([f(x) for x in states.reshape(-1, dim)]).reshape(5, 7)
             assert np.array_equal(whole, each), f.name
+            grad = f.gradient(states)
+            each = np.array([f.gradient(x) for x in states.reshape(-1, dim)])
+            assert np.array_equal(grad, each.reshape(grad.shape)), f.name
 
     def test_wrong_shape_names_the_field(self):
         pointwise = ScalarField(value=lambda m: float(m[2]), name="pointwise m3")
@@ -314,3 +345,23 @@ class TestScalarField:
             pointwise.evaluate(states)
         with pytest.raises(ValueError, match=r"'doubled' returned shape \(4, 3\)"):
             vector.evaluate(states)
+
+    def test_wrong_gradient_shape_names_the_field(self):
+        one_state = ScalarField(value=lambda m: m[..., 2], grad=lambda m: np.array([0.0, 0.0, 1.0]),
+                                name="one-state grad")
+        states = np.ones((4, 3))
+        with pytest.raises(ValueError, match=r"'one-state grad' gradient returned shape \(3,\)"):
+            one_state.gradient(states)
+        assert ScalarField.coordinate(0, 3).gradient(states).shape == (4, 3)
+
+    def test_pointwise_value_refused_by_fd_gradient(self):
+        # the finite-difference fallback evaluates all shifted states in one
+        # call, so a value that takes one state fails there, even on one state
+        pointwise = ScalarField(value=lambda m: float(m[2]), name="pointwise m3")
+        with pytest.raises(ValueError, match="'pointwise m3'"):
+            pointwise.gradient(np.ones(3))
+        with pytest.raises(ValueError, match="'pointwise m3'"):
+            pointwise.gradient(np.ones((4, 3)))
+        bracket = LiePoissonBracket(builtin("so3"))
+        with pytest.raises(ValueError, match="'pointwise m3'"):
+            double_bracket(bracket, ScalarField.linear([0.0, 0.0, 1.0]), pointwise, np.ones(3))

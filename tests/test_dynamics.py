@@ -164,16 +164,12 @@ class TestItoCorrectionPhase:
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.4, -0.1, 0.2]], seed=0)
         cb = CanonicalBracket(3)
         gks = [momentum_pairing_field(chart, noise.xi[k]) for k in range(2)]
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = rng.normal(size=6)
-            closed = ito_correction_phase(chart, noise, x)
-            oracle = np.array([
-                sum(0.5 * double_bracket(cb, g, ScalarField.coordinate(i, 6), x)
-                    for g in gks)
-                for i in range(6)
-            ])
-            assert np.max(np.abs(closed - oracle)) <= 1e-9
+        xs = np.random.default_rng(1).normal(size=(20, 6))
+        oracle = np.stack([
+            sum(0.5 * double_bracket(cb, g, ScalarField.coordinate(i, 6), xs) for g in gks)
+            for i in range(6)
+        ], axis=-1)
+        assert np.max(np.abs(ito_correction_phase(chart, noise, xs) - oracle)) <= 1e-9
 
 
 class TestLiePoissonSystem:
@@ -206,17 +202,14 @@ class TestLiePoissonSystem:
         noise = NoiseSpec.make([[0.2, 0.0, 1.0], [0.5, 0.5, 0.0]], seed=0)
         sys = lie_poisson_system(SO3, K_RIGID, noise)
         br = LiePoissonBracket(SO3)
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            m = rng.normal(size=3)
-            closed = sys.ito_correction(0.0, m)
-            oracle = np.array([
-                sum(0.5 * double_bracket(br, ScalarField.linear(noise.xi[k]),
-                                         ScalarField.coordinate(a, 3), m)
-                    for k in range(2))
-                for a in range(3)
-            ])
-            assert np.max(np.abs(closed - oracle)) <= 1e-9
+        ms = np.random.default_rng(4).normal(size=(20, 3))
+        oracle = np.stack([
+            sum(0.5 * double_bracket(br, ScalarField.linear(noise.xi[k]),
+                                     ScalarField.coordinate(a, 3), ms)
+                for k in range(2))
+            for a in range(3)
+        ], axis=-1)
+        assert np.max(np.abs(sys.ito_correction(0.0, ms) - oracle)) <= 1e-9
 
     def test_constant_u_policy(self):
         u = np.array([0.0, 0.0, 2.0])
@@ -330,21 +323,18 @@ class TestHamelSystem:
         hb = HamelBracket(chart)
         gks = [
             ScalarField(
-                value=lambda y, w=noise.xi[k]: float(w @ y[:3]),
-                grad=lambda y, w=noise.xi[k]: np.concatenate([w, np.zeros(3)]),
+                value=lambda y, w=noise.xi[k]: y[..., :3] @ w,
+                grad=lambda y, w=np.concatenate([noise.xi[k], np.zeros(3)]):
+                    np.broadcast_to(w, y.shape).copy(),
             )
             for k in range(2)
         ]
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            x = rng.normal(size=6)
-            closed = sys.ito_correction(0.0, x)
-            oracle = np.array([
-                sum(0.5 * double_bracket(hb, g, ScalarField.coordinate(i, 6), x)
-                    for g in gks)
-                for i in range(6)
-            ])
-            assert np.max(np.abs(closed - oracle)) <= 1e-9
+        xs = np.random.default_rng(7).normal(size=(20, 6))
+        oracle = np.stack([
+            sum(0.5 * double_bracket(hb, g, ScalarField.coordinate(i, 6), xs) for g in gks)
+            for i in range(6)
+        ], axis=-1)
+        assert np.max(np.abs(sys.ito_correction(0.0, xs) - oracle)) <= 1e-9
 
 
 class TestOtherAlgebras:

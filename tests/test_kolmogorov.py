@@ -7,9 +7,16 @@ from coadjoint.dynamics import (
     ReducedHamiltonian,
     casimir,
     lie_poisson_system,
+    momentum_pairing_field,
     phase_space_system,
 )
-from coadjoint.fields import ScalarField
+from coadjoint.fields import (
+    CanonicalBracket,
+    HamelBracket,
+    LiePoissonBracket,
+    ScalarField,
+    double_bracket,
+)
 from coadjoint.integrators import IntegrationDiverged, SdeSystem, _drive, integrate
 from coadjoint.kolmogorov import (
     DensityGrid,
@@ -43,19 +50,18 @@ def rigid_spec(xi=((0.0, 0.0, 1.0),)):
 def bump(center, radius):
     c = np.asarray(center, dtype=float)
 
+    def inside(m):
+        s = np.sum((m - c) ** 2, axis=-1) / radius ** 2
+        return s < 1.0, np.where(s < 1.0, s, 0.0)
+
     def value(m):
-        s = float(np.sum((np.asarray(m) - c) ** 2)) / radius ** 2
-        if s >= 1.0:
-            return 0.0
-        return float(np.exp(-s / (1.0 - s)))
+        ok, s = inside(m)
+        return np.where(ok, np.exp(-s / (1.0 - s)), 0.0)
 
     def grad(m):
-        m = np.asarray(m, dtype=float)
-        s = float(np.sum((m - c) ** 2)) / radius ** 2
-        if s >= 1.0:
-            return np.zeros(3)
-        v = np.exp(-s / (1.0 - s))
-        return v * (-1.0 / (1.0 - s) ** 2) * (2.0 * (m - c) / radius ** 2)
+        ok, s = inside(m)
+        dv = np.where(ok, np.exp(-s / (1.0 - s)) * (-1.0 / (1.0 - s) ** 2), 0.0)
+        return dv[..., None] * (2.0 * (m - c) / radius ** 2)
 
     return ScalarField(value=value, grad=grad, name="bump")
 
@@ -91,11 +97,9 @@ class TestGenerator:
     def test_kills_casimir(self):
         spec = rigid_spec()
         C = casimir(SO3)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = rng.normal(size=3)
-            assert abs(generator_apply(spec, C, m)) <= 1e-8
-            assert abs(adjoint_apply(spec, C, m)) <= 1e-8
+        ms = np.random.default_rng(0).normal(size=(50, 3))
+        assert np.max(np.abs(generator_apply(spec, C, ms))) <= 1e-8
+        assert np.max(np.abs(adjoint_apply(spec, C, ms))) <= 1e-8
 
     def test_kills_constants_exactly(self):
         spec = rigid_spec()
@@ -107,24 +111,19 @@ class TestGenerator:
         rng = np.random.default_rng(1)
         for i in range(3):
             f = ScalarField.coordinate(i, 3)
-            for _ in range(5):
-                m = rng.normal(size=3)
-                assert generator_apply(spec, f, m) == pytest.approx(
-                    spec.system.drift(0.0, m)[i], abs=1e-10
-                )
-                # noise-free adjoint is minus the generator
-                assert adjoint_apply(spec, f, m) == pytest.approx(
-                    -generator_apply(spec, f, m), abs=1e-12
-                )
+            ms = rng.normal(size=(5, 3))
+            lf = generator_apply(spec, f, ms)
+            assert lf == pytest.approx(spec.system.drift(0.0, ms)[:, i], abs=1e-10)
+            # noise-free adjoint is minus the generator
+            assert adjoint_apply(spec, f, ms) == pytest.approx(-lf, abs=1e-12)
 
     def test_bracket_antisymmetric_at_samples(self):
         spec = rigid_spec()
         rng = np.random.default_rng(2)
         f = ScalarField.coordinate(0, 3)
         g = ScalarField.coordinate(2, 3)
-        for _ in range(20):
-            m = rng.normal(size=3)
-            assert spec.bracket(f, g, m) == pytest.approx(-spec.bracket(g, f, m), abs=1e-10)
+        ms = rng.normal(size=(20, 3))
+        assert spec.bracket(f, g, ms) == pytest.approx(-spec.bracket(g, f, ms), abs=1e-10)
 
     def test_hamel_generator_casimir_on_m_block(self):
         chart = builtin_chart("so3_on_r3")
@@ -132,13 +131,12 @@ class TestGenerator:
         spec = hamel_generator(chart, h, [[0.0, 0.0, 1.0]])
         C = casimir(SO3)
         Cmq = ScalarField(
-            value=lambda x: C(x[:3]),
-            grad=lambda x: np.concatenate([C.gradient(x[:3]), np.zeros(3)]),
+            value=lambda x: C.value(x[..., :3]),
+            grad=lambda x: np.concatenate([C.gradient(x[..., :3]), np.zeros_like(x[..., 3:])],
+                                          axis=-1),
         )
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = rng.normal(size=6)
-            assert abs(generator_apply(spec, Cmq, x)) <= 1e-8
+        xs = np.random.default_rng(3).normal(size=(20, 6))
+        assert np.max(np.abs(generator_apply(spec, Cmq, xs))) <= 1e-8
 
     def test_duality_quadrature(self):
         # integral of (Lf) g minus integral of f (L*g) over a box that
@@ -152,10 +150,77 @@ class TestGenerator:
         margin = 0.02
         in_f = np.linalg.norm(nodes - [0.15, 0.0, 0.1], axis=1) <= 0.45 + margin
         in_g = np.linalg.norm(nodes - [-0.05, 0.1, 0.0], axis=1) <= 0.5 + margin
-        both = in_f & in_g
-        lhs = sum(generator_apply(spec, f, x) * g.value(x) for x in nodes[both]) * dV
-        rhs = sum(f.value(x) * adjoint_apply(spec, g, x) for x in nodes[both]) * dV
+        x = nodes[in_f & in_g]
+        lhs = np.sum(generator_apply(spec, f, x) * g.evaluate(x)) * dV
+        rhs = np.sum(f.evaluate(x) * adjoint_apply(spec, g, x)) * dV
         assert abs(lhs - rhs) <= 1e-4
+
+
+def states(lead, dim, layout, seed=11):
+    """Normal states of shape (*lead, dim) in row-major or component-major
+    (``GridGeometry.nodes()``) layout."""
+    x = np.random.default_rng(seed).normal(size=lead + (dim,))
+    if layout == "component-major":
+        x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+    return x
+
+
+def assert_rows_equal_single_states(fn, x):
+    """fn on the whole state array equals fn on each state alone, a contiguous
+    copy, bit for bit."""
+    whole = fn(x)
+    single = [fn(row.copy()) for row in x.reshape(-1, x.shape[-1])]
+    assert all(isinstance(v, float) for v in single)
+    assert np.array_equal(whole, np.reshape(single, x.shape[:-1]))
+
+
+def wavy(dim):
+    """A field without an analytic gradient, so brackets take finite differences."""
+    return ScalarField(value=lambda x: np.sin(x[..., 0]) * x[..., -1] + x[..., 1] ** 2,
+                       name="wavy")
+
+
+LEADS = [(40,), (5, 7)]
+# a full K, whose gradient einsum rounds by memory layout
+K_FULL = np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 1.0 / 3.0]])
+LAYOUTS = ["row-major", "component-major"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("lead", LEADS)
+class TestBracketBatch:
+    """Brackets, the nested bracket and the generator evaluate on state
+    arrays, each row as the call on that state alone."""
+
+    def cases(self):
+        chart = builtin_chart("so3_on_r3")
+        h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_FULL)
+        pairing = momentum_pairing_field(chart, [0.3, -1.0, 0.7])
+        yield CanonicalBracket(3), pairing, wavy(6), 6
+        for name in ("so3", "se2", "h3"):
+            yield LiePoissonBracket(builtin(name)), ScalarField.linear([0.4, -0.2, 1.1]), wavy(3), 3
+        yield HamelBracket(chart), h.as_mq_field(3), wavy(6), 6
+
+    def test_bracket(self, lead, layout):
+        for br, f, g, dim in self.cases():
+            assert_rows_equal_single_states(lambda x: br(f, g, x), states(lead, dim, layout))
+            assert_rows_equal_single_states(lambda x: br(g, f, x), states(lead, dim, layout))
+
+    def test_double_bracket(self, lead, layout):
+        for br, f, g, dim in self.cases():
+            assert_rows_equal_single_states(lambda x: double_bracket(br, f, g, x),
+                                            states(lead, dim, layout))
+
+    @pytest.mark.parametrize("xi", [np.zeros((0, 3)), [[0.0, 0.0, 1.0]],
+                                    [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]])
+    def test_generator_and_adjoint(self, lead, layout, xi):
+        h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_FULL)
+        specs = [(rigid_spec(xi), 3), (hamel_generator(builtin_chart("so3_on_r3"), h, xi), 6)]
+        for spec, dim in specs:
+            for f in (ScalarField.coordinate(1, dim), wavy(dim)):
+                for apply in (generator_apply, adjoint_apply):
+                    assert_rows_equal_single_states(lambda x: apply(spec, f, x),
+                                                    states(lead, dim, layout))
 
 
 class TestBackwardSolve:
@@ -206,17 +271,15 @@ class TestBackwardSolve:
         A = np.array([[0.5, 0.3, 0.0], [0.3, -0.2, 0.1], [0.0, 0.1, 0.8]])
         b = np.array([0.2, -0.5, 1.0])
         f = ScalarField(
-            value=lambda m: float(m @ A @ m + b @ m),
-            grad=lambda m: (A + A.T) @ m + b,
+            value=lambda m: np.einsum("...i,ij,...j->...", m, A, m) + m @ b,
+            grad=lambda m: m @ (A + A.T) + b,
         )
         geo = GridGeometry.cube(-1.2, 1.2, 24)
         nodes = geo.nodes()
         vals = np.einsum("...i,ij,...j->...", nodes, A, nodes) + nodes @ b
         applied = _GridOperator(spec, geo, "backward").apply(vals)
-        for idx in [(5, 6, 7), (12, 12, 12), (18, 4, 9), (8, 15, 3)]:
-            assert applied[idx] == pytest.approx(
-                generator_apply(spec, f, nodes[idx]), abs=1e-10
-            )
+        idx = tuple(np.array([(5, 6, 7), (12, 12, 12), (18, 4, 9), (8, 15, 3)]).T)
+        assert applied[idx] == pytest.approx(generator_apply(spec, f, nodes[idx]), abs=1e-10)
 
     @pytest.mark.parametrize("mode, sign", [("backward", 1.0), ("forward", -1.0)])
     @pytest.mark.parametrize("xi", [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]])
