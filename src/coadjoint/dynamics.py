@@ -66,12 +66,16 @@ class Potential:
     name: str = "potential"
 
 
+_ZERO_POTENTIAL = Potential(
+    value=lambda q: np.zeros(q.shape[:-1]),
+    grad=lambda q: np.zeros_like(q),
+    name="zero",
+)
+
+
 def zero_potential() -> Potential:
-    return Potential(
-        value=lambda q: np.zeros(q.shape[:-1]),
-        grad=lambda q: np.zeros_like(q),
-        name="zero",
-    )
+    """V = 0, one shared instance: the builders add no force for it."""
+    return _ZERO_POTENTIAL
 
 
 def linear_potential(g) -> Potential:
@@ -232,12 +236,14 @@ def _ito_drift(field, dfield, xi: np.ndarray, x) -> np.ndarray:
     All channels are evaluated in one call of ``field`` and ``dfield``.
     """
     x = np.asarray(x, dtype=float)
-    xs = x[..., None, :]
-    terms = dfield(xi, xs, field(xi, xs))
+    # channels outermost, (C, ..., d), so a batch is the innermost axis of
+    # each channel's term
+    w = xi.reshape(xi.shape[:1] + (1,) * (x.ndim - 1) + xi.shape[1:])
+    terms = dfield(w, x, field(w, x))
     out = np.zeros_like(x)
     # a fixed channel order keeps each row independent of the batch size
     for k in range(xi.shape[0]):
-        out = out + terms[..., k, :]
+        out = out + terms[k]
     return 0.5 * out
 
 
@@ -259,7 +265,7 @@ def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
     ``dfield(w, x, v)`` = DX_w(x)[v] and its momentum map ``momentum(x)``.
     The velocity u is ``u_of(t, x)`` or the Legendre feedback K mu(x);
     ``force`` is ``(block, f)``, adding f(x) to the drift's coordinates
-    ``[..., block]`` only.  The drift carries ``stacked()``, whose
+    ``[..., block]`` only, or None.  The drift carries ``stacked()``, whose
     evaluators compute X once at (u, xi_1, ..., xi_C) for the integrators
     (the contract is in :class:`SdeSystem`); ``field`` must return a new
     array, since an evaluator reuses its W.  The
@@ -269,10 +275,25 @@ def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
     r = K.shape[0]
     xi = _directions(noise, r)
 
-    def velocity(t, x):
-        if u_of is None:
-            return np.einsum("ab,...b->...a", K, momentum(x))
-        return _validated_u(u_of, t, x, r)
+    # u into ``out`` (a new array without one).  A diagonal K, a rigid body
+    # in principal axes, scales each component of mu by its one entry,
+    # which rounds as the full sum does; any other K sums each row of a
+    # C-contiguous K * mu in one order, so no u depends on its batch layout
+    if u_of is None and np.array_equal(K, np.diag(np.diag(K))):
+        k = np.diag(K).copy()
+
+        def velocity(t, x, out=None):
+            return np.multiply(momentum(x), k, out=out)
+    else:
+        def velocity(t, x, out=None):
+            if u_of is None:
+                u = np.add.reduce(np.multiply(K, momentum(x)[..., None, :], order="C"), -1)
+            else:
+                u = _validated_u(u_of, t, x, r)
+            if out is None:
+                return u
+            out[...] = u
+            return out
 
     def forced(out, x):
         if force is not None:
@@ -287,19 +308,21 @@ def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
         return field(xi, x[..., None, :])
 
     def stacked():
-        W = None
+        W = U = None
 
         def evaluate(t, x):
             # one W per evaluator; its noise rows are set when the batch
-            # shape changes, so each stage writes only the velocity row
-            nonlocal W
+            # shape changes, so each stage writes only the velocity row U
+            nonlocal W, U
             lead = x.shape[:-1]
             if W is None or W.shape[1:-1] != lead:
                 W = _stack_buffer(1 + len(xi), lead, r)
                 W[1:] = xi.reshape((len(xi),) + (1,) * len(lead) + (r,))
-            W[0] = velocity(t, x)
+                U = W[0]
+            velocity(t, x, U)
             out = field(W, x)
-            forced(out[0], x)
+            if force is not None:
+                forced(out[0], x)
             return out
 
         return evaluate
@@ -364,7 +387,8 @@ def phase_space_system(
     labels = tuple(f"q{i+1}" for i in range(n)) + tuple(f"p{i+1}" for i in range(n))
     return _coupled_system(
         field, dfield, lambda x: momentum_map(chart, x), L.kinetic_inverse, noise, u_of,
-        force=(slice(n, None), lambda x: L.grad_q(x[..., :n])),
+        force=None if L.potential is zero_potential() else (
+            slice(n, None), lambda x: L.grad_q(x[..., :n])),
         state_dim=2 * n, labels=labels, name=name or f"phase_space[{chart.name}]",
     )
 
@@ -449,7 +473,7 @@ def hamel_system(
     labels = tuple(f"m{i+1}" for i in range(r)) + tuple(f"q{i+1}" for i in range(n))
     return _coupled_system(
         field, dfield, lambda x: x[..., :r], h.kinetic_inverse, noise,
-        force=(slice(0, r), force),
+        force=None if h.potential is zero_potential() else (slice(0, r), force),
         state_dim=r + n, labels=labels, name=name or f"hamel[{chart.name}]",
     )
 

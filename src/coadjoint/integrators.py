@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -160,22 +161,24 @@ def _checked_increments(sys: SdeSystem, dW) -> np.ndarray:
 # 1..C, as one reduction; the stacked arrays keep that axis outermost in
 # memory, so numpy adds the rows in that order.  The corrector works in the
 # array F returned, which saves two (1 + C)-row temporaries per step.
+# np.add.reduce(a, 0) is the reduction a.sum(axis=0) runs, without its
+# Python wrapper.
 
 def _heun(F, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
     fx = F(t, x)
-    xp = x + (fx * inc).sum(axis=0)
+    xp = x + np.add.reduce(fx * inc, 0)
     out = F(t + dt, xp)
     out += fx
     out *= 0.5 * inc
     out[0] += x
-    return out.sum(axis=0)
+    return np.add.reduce(out, 0)
 
 
 def _euler_ito(F, correction, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
     fx = F(t, x)
     out = fx * inc
     out[0] = x + (fx[0] + correction(t, x)) * dt
-    return out.sum(axis=0)
+    return np.add.reduce(out, 0)
 
 
 def _kernel(sys: SdeSystem, scheme: str):
@@ -281,7 +284,9 @@ def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(dW)):
             x_new = advance(i, x)
-            if not np.isfinite(x_new).all():
+            # the sum of all entries is finite only if every entry is; a
+            # finite state whose sum overflows takes the per-entry check
+            if not math.isfinite(np.add.reduce(x_new, None)) and not np.isfinite(x_new).all():
                 if x.ndim == 1:
                     raise IntegrationDiverged(step=i + 1, last_state=x)
                 bad = int(np.argmin(np.isfinite(x_new).all(axis=-1)))

@@ -9,11 +9,11 @@ dimension agreement, power-of-two step counts) raise
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .actions import builtin_chart, chart_names
@@ -89,6 +89,18 @@ class BuiltScenario:
     outputs: dict = field(default_factory=dict)
 
 
+@functools.cache
+def _scenario_validator():
+    """The schema's validator, built and checked against its metaschema once
+    per process; jsonschema is imported on the first scenario load."""
+    from jsonschema.validators import validator_for
+
+    schema = scenario_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file against the published schema."""
     with open(path) as fh:
@@ -96,10 +108,12 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    try:
-        jsonschema.validate(doc, scenario_schema())
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(f"{exc.json_path}: {exc.message}") from None
+    from jsonschema.exceptions import best_match
+
+    # the error jsonschema.validate would raise
+    error = best_match(_scenario_validator().iter_errors(doc))
+    if error is not None:
+        raise ScenarioError(f"{error.json_path}: {error.message}")
     _semantic_checks(doc)
     return Scenario(doc=doc)
 

@@ -108,6 +108,50 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="line"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("overrides", [
+        {"xis": [[1, 0, 0]]}, {"M": "64"}, {"scheme": "milstein"},
+        {"kinetic": {"K": [[1.0, 0.0], [0.0, 1.0]], "G": [[1.0]]}}, {"m0": "x"},
+    ], ids=["unknown_field", "type", "enum", "two_kinetics", "m0_string"])
+    def test_schema_messages_match_jsonschema_validate(self, tmp_path, overrides):
+        import jsonschema
+
+        from coadjoint.scenario import scenario_schema
+
+        doc = rigid_body_doc(**overrides)
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, scenario_schema())
+        with pytest.raises(ScenarioError) as got:
+            load_scenario(write_scenario(tmp_path, doc))
+        assert str(got.value) == f"{want.value.json_path}: {want.value.message}"
+
+    def test_schema_checked_once_per_process(self, monkeypatch):
+        # the validator is built, and the schema checked against its
+        # metaschema, on the first load only
+        from jsonschema.validators import validator_for
+
+        from coadjoint import scenario
+
+        cls = validator_for(scenario.scenario_schema())
+        check, calls = cls.check_schema.__func__, []
+
+        def counting(c, schema, *args, **kwargs):
+            calls.append(schema)
+            return check(c, schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", classmethod(counting))
+        scenario._scenario_validator.cache_clear()
+        for _ in range(2):
+            load_scenario(SCENARIOS / "rigid_body.json")
+        scenario._scenario_validator.cache_clear()
+        assert len(calls) == 1
+
+    def test_cli_import_leaves_jsonschema_unloaded(self):
+        code = "import sys, coadjoint, coadjoint.cli; print('jsonschema' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=src_env(), timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
     def test_hamel_rejects_constant_policy(self, tmp_path):
         doc = {
             "schema_version": 1,

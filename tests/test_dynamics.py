@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from coadjoint import dynamics
 from coadjoint.actions import ActionChart, PhaseState, builtin_chart, momentum_map
-from coadjoint.algebra import _TRIPLE_MIN_ROWS, LieAlgebraSpec, abelian, ad_star, builtin
+from coadjoint.algebra import _TRIPLE_MIN_ROWS, LieAlgebraSpec, _ad_star, abelian, ad_star, builtin
 from coadjoint.diagnostics import observable_series, strong_error
 from coadjoint.dynamics import (
+    Potential,
     QuadraticLagrangian,
     ReducedHamiltonian,
     casimir,
@@ -18,6 +20,7 @@ from coadjoint.dynamics import (
     momentum_pairing_field,
     phase_space_system,
     reconstruct_momentum,
+    zero_potential,
 )
 from coadjoint.fields import (
     CanonicalBracket,
@@ -33,6 +36,8 @@ from coadjoint.noise import BrownianGrid, NoiseSpec, _increments, sample_grid, t
 SO3 = builtin("so3")
 K_RIGID = np.diag([1.0, 0.5, 1.0 / 3.0])
 G_RIGID = np.diag([1.0, 2.0, 3.0])
+# a rigid body off its principal axes
+K_DENSE = np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 1.0 / 3.0]])
 
 
 def rotation_chart():
@@ -682,6 +687,163 @@ class TestStackedFields:
         given = f"{np.shape(dW)[-1]} increments" if np.ndim(dW) else "a scalar"
         with pytest.raises(ValueError, match=f"dW holds {given} per step.* 2 noise channels"):
             step(lp, 0.0, np.ones((4, 3)), 0.01, dW)
+
+
+def _einsum_velocity_drift(level, K, x):
+    """The drift of a zero-potential system of ``level`` with the Legendre
+    velocity u = K mu(x) contracted by ``einsum``, its form before the
+    diagonal kernel; the level's action field is written out here."""
+    chart = rotation_chart()
+    if level == "phase_space":
+        u = np.einsum("ab,...b->...a", K, momentum_map(chart, x))
+        return dynamics._phase_fields(chart)[0](u, x)
+    u = np.einsum("ab,...b->...a", K, x[..., :3])
+    if level == "lie_poisson":
+        return ad_star(SO3, u, x)
+    dq = np.einsum("...bi,...b->...i", chart.coefficients(x[..., 3:]), u)
+    return np.concatenate([ad_star(SO3, u, x[..., :3]), dq], axis=-1)
+
+
+def _layouts(x):
+    """One state, and a batch of them row-major and component-major."""
+    return {"single": x[0], "row_major": x, "component_major": np.asfortranarray(x)}
+
+
+class TestVelocityKernel:
+    @pytest.mark.parametrize("layout", ["single", "row_major", "component_major"])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_diagonal_kernel_equals_einsum(self, level, layout):
+        # a diagonal K scales mu by one entry per component, which rounds as
+        # the einsum over the whole row of K does; the drift and the
+        # evaluator's drift row keep every bit
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = _three_levels(noise)[level]
+        K = QuadraticLagrangian(alg=SO3, kinetic=G_RIGID).kinetic_inverse
+        assert np.array_equal(K, np.diag(np.diag(K)))
+        rows = np.random.default_rng(21).normal(size=(2 * _TRIPLE_MIN_ROWS, sys.state_dim))
+        x = _layouts(rows)[layout]
+        want = _einsum_velocity_drift(level, K, x)
+        assert np.array_equal(sys.drift(0.3, x), want)
+        assert np.array_equal(sys.drift.stacked()(0.3, x)[0], want)
+
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_dense_kernel_rows_equal_single_state(self, level):
+        # off the principal axes each row of K * mu is summed in one order,
+        # so a batch row in either layout is the single-state call
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = _dense_levels(noise)[level]
+        x = np.random.default_rng(22).normal(size=(_TRIPLE_MIN_ROWS + 7, sys.state_dim))
+        for layout in ("row_major", "component_major"):
+            batch = _layouts(x)[layout]
+            drift, stack = sys.drift(0.3, batch), sys.drift.stacked()(0.3, batch)
+            for j, row in enumerate(x):
+                assert np.array_equal(drift[j], sys.drift(0.3, row)), (layout, j)
+                assert np.array_equal(stack[:, j], sys.drift.stacked()(0.3, row)), (layout, j)
+
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_dense_kernel_ensemble_path_is_integrate(self, level):
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=31)
+        sys = _dense_levels(noise)[level]
+        x0 = np.random.default_rng(23).normal(size=sys.state_dim)
+        T, M = 0.5, 32
+        finals = ensemble_finals(sys, x0, T, M, ensemble=_TRIPLE_MIN_ROWS, seed=31)
+        alone = integrate(sys, "heun_strat", sample_grid(noise, T, M), x0).final()
+        assert np.array_equal(finals[0], alone)
+
+
+def _dense_levels(noise):
+    """The three levels of the rigid body with kinetic inverse K_DENSE and a
+    linear potential."""
+    chart, potential = rotation_chart(), linear_potential([0.0, 0.0, 1.0])
+    L = QuadraticLagrangian(alg=SO3, kinetic=np.linalg.inv(K_DENSE), chart=chart,
+                            potential=potential)
+    h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_DENSE, potential=potential)
+    return {
+        "phase_space": phase_space_system(L, noise),
+        "hamel": hamel_system(chart, h, noise),
+        "lie_poisson": lie_poisson_system(SO3, K_DENSE, noise),
+    }
+
+
+class TestZeroPotential:
+    @pytest.mark.parametrize("level", ["phase_space", "hamel"])
+    def test_no_gradient_call_and_same_bits(self, level, monkeypatch):
+        # the shared zero potential adds no force, so its gradient is never
+        # called; a second V = 0 is stepped as a force and gives the same bits
+        calls = []
+
+        def grad(q):
+            calls.append(q.shape)
+            return np.zeros_like(q)
+
+        counting = Potential(value=lambda q: np.zeros(q.shape[:-1]), grad=grad, name="zero")
+        monkeypatch.setattr(dynamics, "_ZERO_POTENTIAL", counting)
+        assert zero_potential() is counting
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        free = _three_levels(noise, zero_potential())[level]
+        forced = _three_levels(noise, dataclasses.replace(counting))[level]
+        rng = np.random.default_rng(24)
+        x, dW = rng.normal(size=(7, free.state_dim)), rng.normal(scale=0.1, size=(7, 2))
+        runs = [lambda s: s.drift(0.3, x), lambda s: s.drift.stacked()(0.3, x[0])]
+        for step in (heun_stratonovich_step, euler_ito_step):
+            runs += [lambda s, step=step: step(s, 0.3, x[0], 0.01, dW[0]),
+                     lambda s, step=step: step(s, 0.3, x, 0.01, dW)]
+        table = _increments(5, 2, 0.5, 16, 7)
+        runs += [lambda s: _drive(s, "heun_strat", x, 0.5 / 16, table),
+                 lambda s: _drive(s, "euler_ito", x[3], 0.5 / 16, table[:, 3])]
+        for run in runs:
+            calls.clear()
+            got = run(free)
+            assert not calls
+            want = run(forced)
+            assert calls
+            assert np.array_equal(got, want)
+
+
+def _ito_drift_channel_last(field, dfield, xi, x):
+    """The Ito correction in its earlier form, channels on the second-to-last
+    axis of every term."""
+    xs = x[..., None, :]
+    terms = dfield(xi, xs, field(xi, xs))
+    out = np.zeros_like(x)
+    for k in range(xi.shape[0]):
+        out = out + terms[..., k, :]
+    return 0.5 * out
+
+
+def _level_fields(level, chart):
+    """A level's action field X_w and its derivative DX_w, written out."""
+    if level == "phase_space":
+        return dynamics._phase_fields(chart)
+    if level == "lie_poisson":
+        return (lambda w, m: _ad_star(SO3, w, m)), (lambda w, m, v: _ad_star(SO3, w, v))
+
+    def field(w, x):
+        dq = np.einsum("...bi,...b->...i", chart.coefficients(x[..., 3:]), w)
+        return np.concatenate([_ad_star(SO3, w, x[..., :3]), dq], axis=-1)
+
+    def dfield(w, x, v):
+        db = dynamics._chart_jacobian(chart, x[..., 3:], w)
+        dq = np.einsum("...ij,...j->...i", db, v[..., 3:])
+        return np.concatenate([_ad_star(SO3, w, v[..., :3]), dq], axis=-1)
+
+    return field, dfield
+
+
+class TestItoCorrectionShape:
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_channel_first_equals_channel_last(self, level, channels):
+        # channels outermost changes where each term is stored, not how it
+        # is computed: single states and batches keep every bit
+        rng = np.random.default_rng(30 + channels)
+        noise = NoiseSpec(channels=channels, xi=rng.normal(size=(channels, 3)), seed=0)
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        field, dfield = _level_fields(level, rotation_chart())
+        x = rng.normal(size=(_TRIPLE_MIN_ROWS + 7, sys.state_dim))
+        for arg in (x[0], x[:7], np.asfortranarray(x)):
+            want = _ito_drift_channel_last(field, dfield, noise.xi, arg)
+            assert np.array_equal(sys.ito_correction(0.0, arg), want), arg.shape
 
 
 def _euler_ensemble(sys, x0, T, M, ensemble, seed):

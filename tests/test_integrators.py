@@ -7,6 +7,7 @@ from coadjoint.integrators import (
     IntegrationDiverged,
     SdeSystem,
     Trajectory,
+    _drive,
     euler_ito_step,
     heun_stratonovich_step,
     integrate,
@@ -14,7 +15,7 @@ from coadjoint.integrators import (
     rk4_step,
     write_trajectory_csv,
 )
-from coadjoint.noise import NoiseSpec, coarsen, sample_grid, time_grid
+from coadjoint.noise import BrownianGrid, NoiseSpec, _increments, coarsen, sample_grid, time_grid
 
 
 def scalar_multiplicative(with_correction=True):
@@ -38,6 +39,16 @@ def additive(sigma=0.7):
         diffusion=lambda t, x: np.full_like(x, sigma)[..., None, :],
         ito_correction=lambda t, x: np.zeros_like(x),
         labels=("x",),
+    )
+
+
+def additive_plane(sigma=0.7):
+    """dx = sigma dW on both coordinates of the plane."""
+    return SdeSystem(
+        state_dim=2,
+        channels=1,
+        drift=lambda t, x: np.zeros_like(x),
+        diffusion=lambda t, x: np.full_like(x, sigma)[..., None, :],
     )
 
 
@@ -195,6 +206,74 @@ class TestIntegrate:
             Trajectory(times=np.array([0.0, 0.5, 2.0]), states=np.zeros((3, 1)))
         with pytest.raises(ValueError, match="equal length"):
             Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 1)))
+
+
+def _first_divergence(sys, x0, dt, dW):
+    """(step, last finite state, path) of the first step whose state has a
+    non-finite entry, found by checking every entry after each step."""
+    x = np.array(x0)
+    for i in range(len(dW)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_new = heun_stratonovich_step(sys, i * dt, x, dt, dW[i])
+        finite = np.isfinite(x_new).all(axis=-1)
+        if not finite.all():
+            if x.ndim == 1:
+                return i + 1, x, None
+            bad = int(np.argmin(finite))
+            return i + 1, x[bad], bad
+        x = x_new
+    return None
+
+
+def _blowing_up(bad):
+    """dx = f(x) dt + x o dW with f(x) = x**3 (bad = inf: overflow) or
+    f(x) = x until an entry passes 2, then NaN (bad = nan)."""
+    if bad == "inf":
+        def drift(t, x):
+            return x ** 3
+    else:
+        def drift(t, x):
+            return np.where(x > 2.0, np.nan, x)
+    return SdeSystem(2, 1, drift=drift, diffusion=lambda t, x: x[..., None, :])
+
+
+class TestDivergenceCheck:
+    def test_finite_state_whose_sum_overflows_keeps_stepping(self):
+        # every entry is finite though their sum is not
+        x0 = np.array([1e308, 1e308])
+        dW = _increments(3, 1, 1.0, 16, 7)
+        states = np.empty((17, 7, 2))
+        final = _drive(additive_plane(), "heun_strat", np.tile(x0, (7, 1)), 1.0 / 16, dW,
+                       states=states)
+        assert np.all(np.isfinite(states))
+        assert np.array_equal(final, np.tile(x0, (7, 1)))
+        grid = BrownianGrid(T=1.0, steps=16, dW=dW[:, 0], seed=3)
+        traj = integrate(additive_plane(), "heun_strat", grid, x0)
+        assert np.array_equal(traj.final(), x0)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(traj.final()))
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_divergence_reports_first_bad_step_and_path(self, bad):
+        sys = _blowing_up(bad)
+        # the largest row, which diverges first, is row 3
+        x0 = np.linspace(0.4, 1.2, 14).reshape(7, 2)[[2, 5, 0, 6, 1, 4, 3]]
+        T, M = 2.0, 64
+        dW = _increments(4, 1, T, M, 7)
+        step, last, path = _first_divergence(sys, x0, T / M, dW)
+        assert path == 3
+        with pytest.raises(IntegrationDiverged) as err:
+            _drive(sys, "heun_strat", x0, T / M, dW, first_path=100)
+        assert (err.value.step, err.value.path) == (step, 100 + path)
+        assert np.array_equal(err.value.last_state, last)
+        for j in (1, 3):
+            step, last, _ = _first_divergence(sys, x0[j], T / M, dW[:, j])
+            grid = BrownianGrid(T=T, steps=M, dW=dW[:, j], seed=4)
+            with pytest.raises(IntegrationDiverged) as err:
+                integrate(sys, "heun_strat", grid, x0[j])
+            assert (err.value.step, err.value.path) == (step, None)
+            assert np.array_equal(err.value.last_state, last)
+            assert np.array_equal(err.value.partial.states[-1], last)
 
 
 class TestCsv:
