@@ -148,6 +148,30 @@ class QuadraticLagrangian:
         return -self.potential.grad(np.asarray(q, dtype=float))
 
 
+def _legendre_velocity(K: np.ndarray) -> Callable:
+    """The Legendre velocity u = K m as ``velocity(m, out=None)``, one rule
+    for every caller, writing into ``out`` (a new array without one).
+
+    A diagonal K, a rigid body in principal axes, scales each component of
+    m by its one entry, which rounds as the full sum does; any other K sums
+    each row of a C-contiguous K * m in one order, so no u depends on the
+    memory layout of its batch.
+    """
+    if np.array_equal(K, np.diag(np.diag(K))):
+        k = np.diag(K).copy()
+
+        def velocity(m, out=None):
+            return np.multiply(m, k, out=out)
+    else:
+        def velocity(m, out=None):
+            u = np.add.reduce(np.multiply(K, m[..., None, :], order="C"), -1)
+            if out is None:
+                return u
+            out[...] = u
+            return out
+    return velocity
+
+
 @dataclass(frozen=True)
 class ReducedHamiltonian:
     """h(m, q) = (1/2) m . K m + V(q) with K = G^(-1) symmetric positive definite."""
@@ -163,6 +187,7 @@ class ReducedHamiltonian:
                 f"K is {K.shape[0]}x{K.shape[0]}, algebra dimension is {self.alg.dim}"
             )
         object.__setattr__(self, "kinetic_inverse", K)
+        object.__setattr__(self, "_velocity", _legendre_velocity(K))
 
     @staticmethod
     def from_lagrangian(L: QuadraticLagrangian) -> "ReducedHamiltonian":
@@ -172,7 +197,7 @@ class ReducedHamiltonian:
 
     def velocity(self, m) -> np.ndarray:
         """dh/dm = K m, the Legendre inverse of m = G u."""
-        return np.einsum("ab,...b->...a", self.kinetic_inverse, np.asarray(m, dtype=float))
+        return self._velocity(np.asarray(m, dtype=float))
 
     def value(self, m, q=None) -> np.ndarray:
         m = np.asarray(m, dtype=float)
@@ -275,21 +300,15 @@ def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
     r = K.shape[0]
     xi = _directions(noise, r)
 
-    # u into ``out`` (a new array without one).  A diagonal K, a rigid body
-    # in principal axes, scales each component of mu by its one entry,
-    # which rounds as the full sum does; any other K sums each row of a
-    # C-contiguous K * mu in one order, so no u depends on its batch layout
-    if u_of is None and np.array_equal(K, np.diag(np.diag(K))):
-        k = np.diag(K).copy()
+    # u into ``out`` (a new array without one)
+    if u_of is None:
+        legendre = _legendre_velocity(K)
 
         def velocity(t, x, out=None):
-            return np.multiply(momentum(x), k, out=out)
+            return legendre(momentum(x), out)
     else:
         def velocity(t, x, out=None):
-            if u_of is None:
-                u = np.add.reduce(np.multiply(K, momentum(x)[..., None, :], order="C"), -1)
-            else:
-                u = _validated_u(u_of, t, x, r)
+            u = _validated_u(u_of, t, x, r)
             if out is None:
                 return u
             out[...] = u

@@ -740,6 +740,30 @@ class TestVelocityKernel:
                 assert np.array_equal(drift[j], sys.drift(0.3, row)), (layout, j)
                 assert np.array_equal(stack[:, j], sys.drift.stacked()(0.3, row)), (layout, j)
 
+    @pytest.mark.parametrize("layout", ["single", "row_major", "component_major"])
+    def test_hamiltonian_diagonal_velocity_equals_einsum(self, layout):
+        # dh/dm, the gradient of as_field() and the m block of as_mq_field's
+        # gradient take the systems' Legendre rule, which for a diagonal K
+        # keeps the einsum's values
+        K = QuadraticLagrangian(alg=SO3, kinetic=G_RIGID).kinetic_inverse
+        h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K)
+        x = _layouts(np.random.default_rng(25).normal(size=(2000, 6)))[layout]
+        want = np.einsum("ab,...b->...a", K, x[..., :3])
+        assert np.array_equal(h.velocity(x[..., :3]), want)
+        assert np.array_equal(h.as_field().gradient(x[..., :3]), want)
+        assert np.array_equal(h.as_mq_field(3).gradient(x)[..., :3], want)
+
+    def test_hamiltonian_dense_velocity_rows_equal_single_state(self):
+        h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_DENSE)
+        rows = np.random.default_rng(26).normal(size=(2000, 6))
+        grads = {"velocity": lambda x: h.velocity(x[..., :3]),
+                 "as_field": lambda x: h.as_field().gradient(x[..., :3]),
+                 "as_mq_field": lambda x: h.as_mq_field(3).gradient(x)[..., :3]}
+        for name, grad in grads.items():
+            single = np.array([grad(row) for row in rows])
+            for layout in ("row_major", "component_major"):
+                assert np.array_equal(grad(_layouts(rows)[layout]), single), (name, layout)
+
     @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
     def test_dense_kernel_ensemble_path_is_integrate(self, level):
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=31)

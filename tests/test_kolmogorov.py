@@ -35,7 +35,8 @@ from coadjoint.kolmogorov import (
     write_density,
     write_density_slice_csv,
 )
-from coadjoint.kolmogorov import _GridOperator, _rkc_coefficients, _rkc_stages
+from coadjoint import kolmogorov
+from coadjoint.kolmogorov import _GridOperator, _rkc_coefficients, _rkc_stages, _transport
 from coadjoint.noise import BrownianGrid, NoiseSpec, _increments, sample_grid, time_grid
 from coadjoint.actions import builtin_chart
 
@@ -91,6 +92,92 @@ def reference_apply(spec, geo, rho, sign):
             cross = u(e[i] + e[j]) - u(e[i] - e[j]) - u(e[j] - e[i]) + u(-e[i] - e[j])
             out += 2.0 * a[..., i, j] * cross / (4.0 * dx[i] * dx[j])
     return out
+
+
+def _shifted(ghost, offsets):
+    """Interior-shaped view of the ghost-padded array moved by {axis: +-1}."""
+    return ghost[tuple(slice(1 + offsets.get(a, 0), n - 1 + offsets.get(a, 0))
+                       for a, n in enumerate(ghost.shape))]
+
+
+class ReferenceOperator:
+    """The whole-array fused stencil on 3-D node arrays, with its own ghost
+    array: the per-node operations, in their order, that the chunked stage
+    kernel must reproduce bit for bit."""
+
+    def __init__(self, spec, geometry, mode):
+        dx = geometry.dx
+        nodes, transport, _ = _transport(spec, geometry, mode)
+        sigma = spec.system.diffusion(0.0, nodes)
+        a_diag = 0.5 * np.einsum("...ki,...ki->...i", sigma, sigma)
+        a_max = float(np.max(a_diag))
+        diff_bound = float(np.min(dx ** 2)) / (6.0 * a_max) if a_max > 0 else np.inf
+        self.spectral_radius = 2.0 / min(diff_bound, admissible_dt(spec, geometry, mode))
+        g = self._ghost = np.zeros(tuple(n + 2 for n in geometry.shape))
+        self._scratch = np.empty(geometry.shape)
+        self._faces = [tuple(g[(slice(None),) * axis + (k,)] for k in ks)
+                       for axis in range(3) for ks in ((0, 1, 2), (-1, -2, -3))]
+        second = a_diag / dx ** 2
+        first = transport / (2.0 * dx)
+        self._centre = -2.0 * np.sum(second, axis=-1)
+        self._neighbours = [(second[..., i] + s * first[..., i], _shifted(g, {i: s}))
+                            for i in range(3) for s in (1, -1)]
+        self._cross = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            w = np.einsum("...k,...k->...", sigma[..., i], sigma[..., j])
+            if np.any(w):
+                w *= 0.5 / (2.0 * dx[i] * dx[j])
+                views = tuple(_shifted(g, {i: si, j: sj})
+                              for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+                self._cross.append((w, views))
+
+    def apply(self, rho, out):
+        self._ghost[1:-1, 1:-1, 1:-1] = rho
+        for ghost, in1, in2 in self._faces:
+            np.multiply(in1, 2.0, out=ghost)
+            ghost -= in2
+        tmp = self._scratch
+        np.multiply(self._centre, rho, out=out)
+        for w, view in self._neighbours:
+            np.multiply(w, view, out=tmp)
+            out += tmp
+        for w, (pp, pm, mp, mm) in self._cross:
+            np.subtract(pp, pm, out=tmp)
+            tmp -= mp
+            tmp += mm
+            tmp *= w
+            out += tmp
+        return out
+
+
+def reference_evolve(spec, values, T, geometry, mode):
+    """Damped RKC2 steps at the default outer step, each stage one whole-array
+    apply followed by a whole-array update on rotating buffers."""
+    op = ReferenceOperator(spec, geometry, mode)
+    nsteps = max(1, int(np.ceil(T / min(admissible_dt(spec, geometry, mode), T))))
+    tau = T / nsteps
+    mt1, coeffs, _ = _rkc_coefficients(_rkc_stages(tau * op.spectral_radius))
+    y0 = np.array(values, dtype=float)
+    f0, f, prev, older = (np.empty_like(y0) for _ in range(4))
+    for _ in range(nsteps):
+        op.apply(y0, out=f0)
+        older[...] = y0
+        np.multiply(f0, mt1 * tau, out=prev)
+        prev += y0
+        for mu, nu, mt, gt in coeffs:
+            op.apply(prev, out=f)
+            older *= nu
+            f *= mt * tau
+            older += f
+            np.multiply(prev, mu, out=f)
+            older += f
+            np.multiply(y0, 1.0 - mu - nu, out=f)
+            older += f
+            np.multiply(f0, gt * tau, out=f)
+            older += f
+            prev, older = older, prev
+        y0, prev = prev, y0
+    return y0
 
 
 class TestGenerator:
@@ -362,9 +449,9 @@ class TestGridStepper:
         spec = rigid_spec(xi=np.zeros((0, 3)))
         geo = GridGeometry.cube(-1.2, 1.2, 24)
         applies = []
-        apply = _GridOperator.apply
-        monkeypatch.setattr(_GridOperator, "apply",
-                            lambda self, *a, **kw: applies.append(1) or apply(self, *a, **kw))
+        sweep = _GridOperator.sweep
+        monkeypatch.setattr(_GridOperator, "sweep",
+                            lambda self, *a: applies.append(1) or sweep(self, *a))
         T = 1.0
         steps = int(np.ceil(T / admissible_dt(spec, geo)))
         rho = backward_solve(spec, ScalarField.coordinate(0, 3), T, geometry=geo)
@@ -397,12 +484,53 @@ class TestNodeLayout:
         monkeypatch.setattr(GridGeometry, "nodes", lambda self: rows)
         ref = _GridOperator(spec, geo, mode)
         assert np.array_equal(op._centre, ref._centre)
-        for (w, _), (w_ref, _) in zip(op._neighbours, ref._neighbours):
+        assert len(op._neighbours) == len(ref._neighbours) == 6
+        for w, w_ref in zip(op._neighbours, ref._neighbours):
             assert np.array_equal(w, w_ref)
         assert len(op._cross) == len(ref._cross)
-        for (w, _), (w_ref, _) in zip(op._cross, ref._cross):
+        for w, w_ref in zip(op._cross, ref._cross):
             assert np.array_equal(w, w_ref)
         assert (op.drift_bound, op.spectral_radius) == (ref.drift_bound, ref.spectral_radius)
+
+
+class TestStageKernel:
+    GEO = GridGeometry(bounds=np.array([[-1.2, 1.2], [-1.0, 1.1], [-0.9, 1.3]]),
+                       shape=(12, 10, 9))
+
+    @pytest.mark.parametrize("chunk", [100, 1 << 20])
+    @pytest.mark.parametrize("xi", [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]])
+    def test_solves_bit_identical_to_whole_array_stages(self, monkeypatch, xi, chunk):
+        # the chunked stage kernel gives each node the operations of the
+        # whole-array apply and RKC2 update, in their order, however the
+        # interior span is cut: several chunks with a remainder, or one
+        monkeypatch.setattr(kolmogorov, "_CHUNK", chunk)
+        spec, geo = rigid_spec(xi=xi), self.GEO
+        for mode in ("backward", "forward"):
+            chunks = _GridOperator(spec, geo, mode).chunks
+            span = chunks[-1].stop - chunks[0].start
+            if chunk < span:
+                assert len(chunks) > 1 and span % chunk != 0
+            else:
+                assert len(chunks) == 1
+        nodes = geo.nodes()
+        f0 = ScalarField(value=lambda m: np.sin(2.0 * m[..., 0]) * np.cos(m[..., 1]) + m[..., 2] ** 2)
+        back = backward_solve(spec, f0, 0.1, geo)
+        assert np.array_equal(back.values, reference_evolve(spec, f0.evaluate(nodes), 0.1, geo, "backward"))
+        x0 = np.array([0.6, 0.0, 0.3])
+        sigma = kolmogorov._DELTA_WIDTH_CELLS * float(np.mean(geo.dx))
+        r2 = np.sum((nodes - x0) ** 2, axis=-1)
+        delta = np.exp(-0.5 * r2 / sigma ** 2) / ((2.0 * np.pi) ** 1.5 * sigma ** 3)
+        fwd = forward_solve(spec, x0, 0.05, geo)
+        assert np.array_equal(fwd.values, reference_evolve(spec, delta, 0.05, geo, "forward"))
+
+    @pytest.mark.parametrize("chunk", [100, 1 << 20])
+    def test_apply_bit_identical_to_whole_array_apply(self, monkeypatch, chunk):
+        monkeypatch.setattr(kolmogorov, "_CHUNK", chunk)
+        spec = rigid_spec(xi=[[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
+        rho = np.random.default_rng(8).normal(size=self.GEO.shape)
+        for mode in ("backward", "forward"):
+            ref = ReferenceOperator(spec, self.GEO, mode).apply(rho, np.empty_like(rho))
+            assert np.array_equal(_GridOperator(spec, self.GEO, mode).apply(rho), ref)
 
 
 class TestWholeArrayFields:
@@ -432,6 +560,12 @@ class TestForwardSolve:
         # refinement (reported at both resolutions, no rate asserted)
         assert abs(masses[0] - 1.0) <= 0.05
         assert abs(masses[1] - 1.0) <= abs(masses[0] - 1.0)
+
+    @pytest.mark.parametrize("x0", [[5.0, 0.0, 0.0], [0.0, -1.3, 0.2], [0.0, 0.0, np.nan]])
+    def test_delta_outside_box_rejected(self, x0):
+        geo = GridGeometry.cube(-1.2, 1.2, 16)
+        with pytest.raises(ValueError, match=r"x0 .* lies outside the grid box \[\[-1.2, 1.2\]"):
+            forward_solve(rigid_spec(), x0, 0.05, geo)
 
 
 class TestMcExpectation:
