@@ -156,6 +156,14 @@ def _checked_increments(sys: SdeSystem, dW) -> np.ndarray:
     return dW
 
 
+def _checked_state(sys: SdeSystem, x0) -> np.ndarray:
+    """``x0`` as floats; refuses one that is not a single (state_dim,) state."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (sys.state_dim,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({sys.state_dim},)")
+    return x
+
+
 # The stage kernels take the stacked fields F and increments inc of one step.
 # Each sum over the leading stack axis adds the drift first, then channels
 # 1..C, as one reduction; the stacked arrays keep that axis outermost in
@@ -317,9 +325,7 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
         raise ValueError(
             f"grid has {grid.channels} channels, system expects {sys.channels}"
         )
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (sys.state_dim,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({sys.state_dim},)")
+    x = _checked_state(sys, x0)
     M = grid.steps
     dt = grid.dt
     meta = {

@@ -6,10 +6,11 @@ each channel is an independent stream and the same ``(seed, T, M)`` always
 reproduces the same grid bit for bit, across runs and platforms.  Path j of
 a Monte-Carlo ensemble takes draws j*M ... j*M + M - 1 of each stream, so
 path 0 is the single-path grid and ensembles on different seeds share no
-increment.  Increments are stored at the finest level only; coarser
-views are derived by :func:`coarsen`, which sums adjacent pairs repeatedly
-(factor 2 at a time) so that coarsening twice by 2 is bitwise identical to
-coarsening once by 4.
+increment.  An ensemble draws its paths in consecutive blocks that
+continue the same streams, so no block size moves a bit.  Increments are
+stored at the finest level only; coarser views are derived by
+:func:`coarsen`, which sums adjacent pairs repeatedly (factor 2 at a time)
+so that coarsening twice by 2 is bitwise identical to coarsening once by 4.
 """
 
 from __future__ import annotations
@@ -118,17 +119,20 @@ class BrownianGrid:
         return float(np.max(np.abs(sample - target)) / (target * np.sqrt(2.0 / self.steps)))
 
 
-# Paths drawn per call when filling an ensemble table; it bounds the
-# temporary block and changes no value, since consecutive calls continue
-# the same stream.
+# Paths drawn per generator call when filling an increment table; it
+# bounds the (rows, M) temporary of one call and changes no value, since
+# consecutive calls continue the same stream.
 _FILL_ROWS = 1024
 
 
-def _increments(seed: int, channels: int, T: float, M: int, paths: int) -> np.ndarray:
-    """Brownian increments (M, paths, C), each N(0, T/M).
+def _increment_blocks(seed: int, channels: int, T: float, M: int):
+    """A drawer ``draw(paths)`` of consecutive path blocks: each call returns
+    the next ``paths`` paths' Brownian increments (M, paths, C), each N(0, T/M).
 
-    Path j of channel k is draws j*M ... j*M + M - 1 of the Philox stream
-    keyed (seed, k).
+    Channel k keeps one Philox stream keyed (seed, k) across calls, so the
+    j-th path drawn, counting over all calls, takes draws j*M ... j*M + M - 1
+    of each stream whatever the block sizes.  The ziggurat normals take a
+    variable number of counter words, so blocks must be drawn in order.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -137,13 +141,25 @@ def _increments(seed: int, channels: int, T: float, M: int, paths: int) -> np.nd
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     scale = np.sqrt(T / M)
-    dW = np.empty((M, paths, channels))
-    for k in range(channels):
-        gen = np.random.Generator(np.random.Philox(key=[seed, k]))
-        for j in range(0, paths, _FILL_ROWS):
-            rows = min(_FILL_ROWS, paths - j)
-            dW[:, j:j + rows, k] = (gen.standard_normal((rows, M)) * scale).T
-    return dW
+    gens = [np.random.Generator(np.random.Philox(key=[seed, k])) for k in range(channels)]
+
+    def draw(paths: int) -> np.ndarray:
+        dW = np.empty((M, paths, channels))
+        for k, gen in enumerate(gens):
+            for j in range(0, paths, _FILL_ROWS):
+                rows = min(_FILL_ROWS, paths - j)
+                dW[:, j:j + rows, k] = (gen.standard_normal((rows, M)) * scale).T
+        return dW
+
+    return draw
+
+
+def _increments(seed: int, channels: int, T: float, M: int, paths: int) -> np.ndarray:
+    """The whole increment table (M, paths, C) of the first ``paths`` paths:
+    one block of :func:`_increment_blocks`, so path j of channel k is draws
+    j*M ... j*M + M - 1 of the Philox stream keyed (seed, k).
+    """
+    return _increment_blocks(seed, channels, T, M)(paths)
 
 
 def sample_grid(spec: NoiseSpec, T: float, M: int) -> BrownianGrid:

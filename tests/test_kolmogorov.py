@@ -1,3 +1,7 @@
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -595,25 +599,61 @@ class TestMcExpectation:
         with pytest.raises(ValueError, match="positive"):
             mc_expectation(sys, ScalarField.coordinate(0, 3), np.ones(3), 1.0, 8, 0, 0)
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
+    @pytest.mark.parametrize("channels", [0, 1])
+    @pytest.mark.parametrize("ensemble", [-3, 2.5, 8.0, True, "8", None])
+    def test_ensemble_must_be_an_integer(self, channels, ensemble):
+        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make(np.eye(3)[:channels], seed=0))
+        f = ScalarField.coordinate(0, 3)
+        with pytest.raises(ValueError, match=f"ensemble must be a positive integer, got {ensemble!r}"):
+            mc_expectation(sys, f, np.ones(3), 1.0, 8, ensemble, 0)
+        with pytest.raises(ValueError, match="ensemble must be a positive integer"):
+            ensemble_finals(sys, np.ones(3), 1.0, 8, ensemble, 0)
+
+    def test_numpy_integer_ensemble(self):
+        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make([[0.0, 0.0, 1.0]], seed=0))
+        x0 = np.array([0.8, 0.3, 0.5])
+        assert np.array_equal(ensemble_finals(sys, x0, 0.5, 8, np.int64(12), 3),
+                              ensemble_finals(sys, x0, 0.5, 8, 12, 3))
+
+    @pytest.mark.parametrize("channels", [0, 1])
+    @pytest.mark.parametrize("x0", [np.ones(2), np.ones((4, 3)), 1.0])
+    def test_x0_must_be_one_state(self, channels, x0):
+        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make(np.eye(3)[:channels], seed=0))
+        shape = re.escape(f"x0 has shape {np.shape(x0)}, expected (3,)")
+        with pytest.raises(ValueError, match=shape):
+            mc_expectation(sys, ScalarField.coordinate(0, 3), x0, 1.0, 8, 16, 0)
+        with pytest.raises(ValueError, match=shape):
+            ensemble_finals(sys, x0, 1.0, 8, 16, 0)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", "", " 2", "\u00b2"])
+    def test_thread_count_must_be_a_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("COADJOINT_THREADS", value)
+        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make([[0.0, 0.0, 1.0]], seed=0))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"COADJOINT_THREADS must be an integer >= 1, got {value!r}")):
+            ensemble_finals(sys, np.ones(3), 1.0, 8, 16, 0)
+
+    @pytest.mark.parametrize("budget", [None, 60])
+    @pytest.mark.parametrize("threads", [None, "2", "4"])
+    def test_thread_count_does_not_change_result(self, monkeypatch, threads, budget):
+        # a budget of 60 values makes 10-path blocks: 6 of them and a 4-path remainder
         noise = NoiseSpec.make([[0.0, 0.0, 1.0]], seed=0)
         sys = lie_poisson_system(SO3, K_RIGID, noise)
         f = ScalarField.coordinate(2, 3)
         x0 = np.array([0.8, 0.3, 0.5])
+        monkeypatch.delenv("COADJOINT_THREADS", raising=False)
         serial = mc_expectation(sys, f, x0, T=0.2, M=32, ensemble=64, seed=5)
-        monkeypatch.setenv("COADJOINT_THREADS", "4")
-        threaded = mc_expectation(sys, f, x0, T=0.2, M=32, ensemble=64, seed=5)
-        assert serial == threaded
+        _run_blocks(monkeypatch, threads, budget)
+        assert mc_expectation(sys, f, x0, T=0.2, M=32, ensemble=64, seed=5) == serial
 
+    @pytest.mark.parametrize("budget", [None, 63])
     @pytest.mark.parametrize("threads", [None, "2"])
     @pytest.mark.parametrize("j", [3, 10, 40])
-    def test_path_independent_of_batch(self, monkeypatch, j, threads):
+    def test_path_independent_of_batch(self, monkeypatch, j, threads, budget):
         # path j ends bit for bit alike alone, in a batch of 7 and in the
-        # full ensemble, whatever COADJOINT_THREADS is
-        if threads is None:
-            monkeypatch.delenv("COADJOINT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("COADJOINT_THREADS", threads)
+        # full ensemble, whatever COADJOINT_THREADS and the block size are;
+        # a budget of 63 values makes 7-path blocks: 9 of them and one path
+        _run_blocks(monkeypatch, threads, budget)
         xi = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
         sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=2, xi=xi, seed=0))
         x0 = np.array([0.8, 0.3, 0.5])
@@ -626,6 +666,70 @@ class TestMcExpectation:
         assert np.array_equal(batch[3], alone)
         assert np.array_equal(full[j], alone)
 
+    @pytest.mark.parametrize("budget", [None, 10, 100])
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_ensemble_holds_one_block_per_block_in_flight(self, monkeypatch, threads, budget):
+        # every table drawn holds at most one block of paths, the blocks
+        # cover the ensemble in order, and no more than COADJOINT_THREADS
+        # blocks are drawn and not yet stepped at any time
+        _run_blocks(monkeypatch, threads, budget)
+        xi = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
+        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=2, xi=xi, seed=0))
+        x0, seed, T, M, paths = np.array([0.8, 0.3, 0.5]), 4, 0.5, 16, 100
+        block = kolmogorov._BLOCK_VALUES // ((1 + 2) * 3)
+        tables, firsts, done, held, idents = [], [], [0], [0], set()
+        lock = threading.Lock()
+        blocks, drive = kolmogorov._increment_blocks, kolmogorov._drive
+
+        def recording_blocks(*args):
+            draw = blocks(*args)
+
+            def recording_draw(n):
+                with lock:
+                    held[0] = max(held[0], len(tables) - done[0] + 1)
+                tables.append(draw(n))
+                return tables[-1]
+
+            return recording_draw
+
+        def counting_drive(*args, first_path):
+            firsts.append(first_path)
+            idents.add(threading.get_ident())
+            try:
+                return drive(*args, first_path=first_path)
+            finally:
+                with lock:
+                    done[0] += 1
+
+        monkeypatch.setattr(kolmogorov, "_increment_blocks", recording_blocks)
+        monkeypatch.setattr(kolmogorov, "_drive", counting_drive)
+        finals = ensemble_finals(sys, x0, T, M, ensemble=paths, seed=seed)
+        assert [t.shape[1] for t in tables] == [min(block, paths - a) for a in range(0, paths, block)]
+        assert sorted(firsts) == list(range(0, paths, block))
+        assert held[0] <= (1 if threads is None else int(threads))
+        # a serial run steps in the calling thread, a threaded one only in workers
+        assert (idents == {threading.get_ident()}) == (threads is None)
+        table = _increments(seed, 2, T, M, paths)
+        assert np.array_equal(np.concatenate(tables, axis=1), table)
+        assert np.array_equal(finals, _drive(sys, "heun_strat", np.broadcast_to(x0, (paths, 3)),
+                                             T / M, table))
+
+    def test_threads_over_cores_with_fast_switching(self, monkeypatch):
+        # 8 threads on 3-path blocks, switching every microsecond: each
+        # block writes its own rows of the result, and none is lost
+        _run_blocks(monkeypatch, "8", 27)
+        xi = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
+        system = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=2, xi=xi, seed=0))
+        x0, seed, T, M, paths = np.array([0.8, 0.3, 0.5]), 6, 0.5, 8, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            finals = ensemble_finals(system, x0, T, M, ensemble=paths, seed=seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(finals, _drive(system, "heun_strat", np.broadcast_to(x0, (paths, 3)),
+                                             T / M, _increments(seed, 2, T, M, paths)))
+
     def test_neighbouring_seeds_share_no_path(self):
         # dX = dW, so each final state is the sum of its path's increments
         eye = np.eye(2)
@@ -635,15 +739,14 @@ class TestMcExpectation:
         b = ensemble_finals(sys, np.zeros(2), 1.0, 16, ensemble=32, seed=9)
         assert np.intersect1d(a, b).size == 0
 
+    @pytest.mark.parametrize("budget", [None, 10])
     @pytest.mark.parametrize("threads", [None, "2"])
-    def test_divergent_path_reported(self, monkeypatch, threads):
+    def test_divergent_path_reported(self, monkeypatch, threads, budget):
         # dx = x^3 dt + 0.8 dW from 0 on seed 2 blows up on path 0 at step 58
-        # and on path 13 at step 38; with 2 threads they are in different
-        # blocks, and the earlier one (second block) must be reported
-        if threads is None:
-            monkeypatch.delenv("COADJOINT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("COADJOINT_THREADS", threads)
+        # and on path 13 at step 38; a budget of 10 values makes 5-path
+        # blocks (3 of them and one path), which puts them in blocks 0 and
+        # 2, and the earlier one (path 13) must be reported
+        _run_blocks(monkeypatch, threads, budget)
         sys = SdeSystem(1, 1, drift=lambda t, x: x ** 3,
                         diffusion=lambda t, x: np.full_like(x, 0.8)[..., None, :])
         x0, seed, T, M, paths = np.array([0.0]), 2, 1.0, 64, 16
@@ -656,11 +759,22 @@ class TestMcExpectation:
             except IntegrationDiverged as err:
                 fates.append((err.step, j, err.last_state))
         step, j, last = min(fates, key=lambda fate: fate[:2])
-        assert len(fates) > 1 and j >= paths // 2
+        assert [fate[:2] for fate in fates] == [(58, 0), (38, 13)]
         with pytest.raises(IntegrationDiverged, match=f"path {j} diverged at step {step}") as err:
             ensemble_finals(sys, x0, T, M, ensemble=paths, seed=seed)
         assert (err.value.step, err.value.path) == (step, j)
         assert np.array_equal(err.value.last_state, last)
+
+
+def _run_blocks(monkeypatch, threads, budget):
+    """Set COADJOINT_THREADS (unset for None) and the ensemble block budget
+    (the default for None)."""
+    if threads is None:
+        monkeypatch.delenv("COADJOINT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("COADJOINT_THREADS", threads)
+    if budget is not None:
+        monkeypatch.setattr(kolmogorov, "_BLOCK_VALUES", budget)
 
 
 class TestDensityIO:

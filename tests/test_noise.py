@@ -12,6 +12,7 @@ from coadjoint.noise import (
     sample_grid,
     time_grid,
     write_grid,
+    _increment_blocks,
     _increments,
 )
 
@@ -94,6 +95,16 @@ class TestEnsembleKeying:
         monkeypatch.setattr(noise, "_FILL_ROWS", fill_rows)
         assert np.array_equal(_increments(5, 2, 1.0, 8, j + 1)[:, j, :], alone)
         assert np.array_equal(_increments(5, 2, 1.0, 8, 10_000)[:, j, :], alone)
+
+    @pytest.mark.parametrize("fill_rows", [3, 1024])
+    @pytest.mark.parametrize("blocks", [[1, 1, 1], [5, 2, 9], [17], [4, 0, 13]])
+    def test_blocks_continue_the_streams(self, monkeypatch, blocks, fill_rows):
+        # consecutive blocks are the whole table cut along its path axis
+        monkeypatch.setattr(noise, "_FILL_ROWS", fill_rows)
+        draw = _increment_blocks(7, 3, 0.5, 16)
+        tables = [draw(n) for n in blocks]
+        assert [t.shape for t in tables] == [(16, n, 3) for n in blocks]
+        assert np.array_equal(np.concatenate(tables, axis=1), _increments(7, 3, 0.5, 16, sum(blocks)))
 
     def test_seed_range_checked(self):
         with pytest.raises(ValueError, match="64 bits"):
