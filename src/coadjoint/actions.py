@@ -134,18 +134,22 @@ def action_field(chart: ActionChart, u, q) -> np.ndarray:
     return np.einsum("...ai,...a->...i", chart.coefficients(q), u)
 
 
+def _packed_phase(chart: ActionChart, state) -> np.ndarray:
+    """``state`` as floats, refused unless its last axis packs (q, p), 2n wide."""
+    x = np.asarray(state, dtype=float)
+    if x.shape[-1:] != (2 * chart.n,):
+        raise ValueError(f"packed phase state has shape {x.shape}; chart {chart.name!r} "
+                         f"needs a last axis of 2n = {2 * chart.n}")
+    return x
+
+
 def momentum_map(chart: ActionChart, state) -> np.ndarray:
     """Cotangent-lift momentum map m_a = p_i A_a^i(q).
 
     ``state`` is a PhaseState or a packed (..., 2n) array.
     """
-    if isinstance(state, PhaseState):
-        q, p = state.q, state.p
-    else:
-        x = np.asarray(state, dtype=float)
-        q, p = x[..., : chart.n], x[..., chart.n :]
-    if q.shape[-1] != chart.n:
-        raise ValueError(f"state chart dimension {q.shape[-1]} != {chart.n}")
+    x = _packed_phase(chart, state.packed() if isinstance(state, PhaseState) else state)
+    q, p = x[..., : chart.n], x[..., chart.n :]
     return np.einsum("...ai,...i->...a", chart.coefficients(q), p)
 
 

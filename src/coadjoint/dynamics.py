@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .actions import ActionChart, momentum_map
+from .actions import ActionChart, _packed_phase, momentum_map
 from .algebra import LieAlgebraSpec, _ad_star
 from .fields import ScalarField, _dot
 from .integrators import SdeSystem, Trajectory
@@ -236,39 +236,15 @@ def legendre(L: QuadraticLagrangian, u, q=None):
     return m, ReducedHamiltonian.from_lagrangian(L).value(m, q)
 
 
-def _validated_u(u_of, t, x, r: int) -> np.ndarray:
-    u = np.asarray(u_of(t, x), dtype=float)
-    if u.shape[-1] != r:
-        raise ValueError(f"u policy returned dimension {u.shape[-1]}, expected {r}")
-    return u
-
-
-def _directions(noise: NoiseSpec, r: int) -> np.ndarray:
-    """The noise directions as a (C, r) array; the reshape turns the (0, 0)
-    directions of ``NoiseSpec.make([], seed)`` into (0, r)."""
-    if noise.channels and noise.xi.shape[1] != r:
-        raise ValueError(
-            f"noise directions have dimension {noise.xi.shape[1]}, algebra needs {r}"
-        )
-    return noise.xi.reshape(noise.channels, r)
-
-
-def _ito_drift(field, dfield, xi: np.ndarray, x) -> np.ndarray:
-    """(1/2) sum_k DX_{xi_k}(x)[X_{xi_k}(x)] for the action field X of one level.
-
+def _ito_sum(terms: np.ndarray) -> np.ndarray:
+    """(1/2) sum_k DX_{xi_k}(x)[X_{xi_k}(x)] from its terms, channels outermost,
+    summed from zeros in channel order so no row depends on the batch size.
     X_w is the Hamiltonian vector field of <mu, w>, so per coordinate
     function f this is the double bracket (1/2) sum_k {{f, <mu, xi_k>}, <mu, xi_k>}.
-    All channels are evaluated in one call of ``field`` and ``dfield``.
     """
-    x = np.asarray(x, dtype=float)
-    # channels outermost, (C, ..., d), so a batch is the innermost axis of
-    # each channel's term
-    w = xi.reshape(xi.shape[:1] + (1,) * (x.ndim - 1) + xi.shape[1:])
-    terms = dfield(w, x, field(w, x))
-    out = np.zeros_like(x)
-    # a fixed channel order keeps each row independent of the batch size
-    for k in range(xi.shape[0]):
-        out = out + terms[k]
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out = out + term
     return 0.5 * out
 
 
@@ -281,105 +257,126 @@ def _stack_buffer(rows: int, lead: tuple, width: int) -> np.ndarray:
     return np.empty((rows,) + lead + (width,))
 
 
-def _coupled_system(field, dfield, momentum, K: np.ndarray, noise: NoiseSpec,
+def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
                     u_of: Optional[Callable] = None, force=None, **system_kw) -> SdeSystem:
     """The SDE dx = X_u(x) dt + force(x) dt + X_{xi_k}(x) o dW^k of one level.
 
-    A level supplies its action field ``field(w, x)`` = X_w(x), broadcasting
-    algebra elements w against states x, the directional derivative
-    ``dfield(w, x, v)`` = DX_w(x)[v] and its momentum map ``momentum(x)``.
-    The velocity u is ``u_of(t, x)`` or the Legendre feedback K mu(x);
-    ``force`` is ``(block, f)``, adding f(x) to the drift's coordinates
-    ``[..., block]`` only, or None.  The drift carries ``stacked()``, whose
-    evaluators compute X once at (u, xi_1, ..., xi_C) for the integrators
-    (the contract is in :class:`SdeSystem`); ``field`` must return a new
-    array, since an evaluator reuses its W.  The
-    system carries ``momentum`` as its own; the remaining keyword arguments
-    go to :class:`SdeSystem`.
+    A level evaluates once per stage what it needs at x: the stage s =
+    ``at(x)``, arrays the stage owns (x itself if ``at`` is None).  From s
+    come the action field ``field(w, s)`` = X_w(x), a new array broadcasting
+    algebra elements w against states, ``dfield(w, s, v)`` = DX_w(x)[v] and
+    the momentum map ``mu(s)``.  u is ``u_of(t, x)`` or K mu; ``force`` is
+    None or ``(block, f)``, adding f(s) to the drift's ``[..., block]``.
+    ``drift.stacked(ito)`` makes the integrators' evaluators (see
+    :class:`SdeSystem`); the other keywords go to SdeSystem.
     """
-    r = K.shape[0]
-    xi = _directions(noise, r)
+    r, C = K.shape[0], noise.channels
+    if C and noise.xi.shape[1] != r:
+        raise ValueError(f"noise directions have dimension {noise.xi.shape[1]}, algebra needs {r}")
+    # (C, r); the reshape turns the (0, 0) directions of NoiseSpec.make([], seed) into (0, r)
+    xi = noise.xi.reshape(C, r)
+    stage = at or (lambda x: x)
 
     # u into ``out`` (a new array without one)
     if u_of is None:
         legendre = _legendre_velocity(K)
 
-        def velocity(t, x, out=None):
-            return legendre(momentum(x), out)
+        def velocity(t, x, s, out=None):
+            return legendre(mu(s), out)
     else:
-        def velocity(t, x, out=None):
-            u = _validated_u(u_of, t, x, r)
-            if out is None:
-                return u
-            out[...] = u
-            return out
+        def velocity(t, x, s, out=None):
+            u = np.asarray(u_of(t, x), dtype=float)
+            if u.shape[-1] != r:
+                raise ValueError(f"u policy returned dimension {u.shape[-1]}, expected {r}")
+            if out is not None:
+                out[...] = u
+            return u
 
-    def forced(out, x):
-        if force is not None:
-            block, f = force
-            out[..., block] += f(x)
-        return out
+    block, f = force or (None, None)
 
     def drift(t, x):
-        return forced(field(velocity(t, x), x), x)
+        s = stage(x)
+        out = field(velocity(t, x, s), s)
+        if f is not None:
+            out[..., block] += f(s)
+        return out
 
     def diffusion(t, x):
-        return field(xi, x[..., None, :])
+        return field(xi, stage(x[..., None, :]))
 
-    def stacked():
-        W = U = None
+    def correction(t, x):
+        x = np.asarray(x, dtype=float)
+        # channels outermost, (C, ..., d): a batch is each term's inner axis
+        w = xi.reshape((C,) + (1,) * (x.ndim - 1) + (r,))
+        s = stage(x)
+        return _ito_sum(dfield(w, s, field(w, s)))
+
+    def stacked(ito=False):
+        W = U = w = None
 
         def evaluate(t, x):
             # one W per evaluator; its noise rows are set when the batch
             # shape changes, so each stage writes only the velocity row U
-            nonlocal W, U
+            nonlocal W, U, w
             lead = x.shape[:-1]
             if W is None or W.shape[1:-1] != lead:
-                W = _stack_buffer(1 + len(xi), lead, r)
-                W[1:] = xi.reshape((len(xi),) + (1,) * len(lead) + (r,))
+                W = _stack_buffer(1 + C, lead, r)
+                w = xi.reshape((C,) + (1,) * len(lead) + (r,))
+                W[1:] = w
                 U = W[0]
-            velocity(t, x, U)
-            out = field(W, x)
-            if force is not None:
-                forced(out[0], x)
+            s = x if at is None else at(x)  # no added call on the collective level
+            velocity(t, x, s, U)
+            out = field(W, s)
+            if f is not None:
+                out[0, ..., block] += f(s)
+            if ito:
+                out[0] += _ito_sum(dfield(w, s, out[1:]))
             return out
 
         return evaluate
 
-    def correction(t, x):
-        return _ito_drift(field, dfield, xi, x)
-
-    drift.stacked, stacked.fields = stacked, (drift, diffusion)
-    return SdeSystem(channels=noise.channels, drift=drift, diffusion=diffusion,
-                     ito_correction=correction, momentum=momentum, **system_kw)
+    drift.stacked, stacked.fields = stacked, (drift, diffusion, correction)
+    return SdeSystem(channels=C, drift=drift, diffusion=diffusion,
+                     ito_correction=correction, **system_kw)
 
 
-def _chart_jacobian(chart: ActionChart, q, w) -> np.ndarray:
-    """dB^i/dq^j of the configuration field B^i = A_a^i(q) w^a, shape (..., n, n)."""
-    return np.einsum("...aij,...a->...ij", chart.d_coefficients(q), w)
+def _chart_jacobian(da: np.ndarray, w) -> np.ndarray:
+    """dB^i/dq^j of B^i = A_a^i(q) w^a from ``da`` = dA(q), shape (..., n, n)."""
+    return np.einsum("...aij,...a->...ij", da, w)
 
 
 def _phase_fields(chart: ActionChart):
-    """X_w(q, p) = (A(q)^T w, -dA(q)^T p . w), the cotangent lift, and its derivative."""
+    """X_w(q, p) = (A(q)^T w, -dA(q)^T p . w), the cotangent lift, as the
+    stage (q, p, A(q), dA(q)), field, derivative and m = p . A(q)."""
     n = chart.n
 
-    def field(w, x):
-        q, p = x[..., :n], x[..., n:]
-        dq = np.einsum("...ai,...a->...i", chart.coefficients(q), w)
-        dp = -np.einsum("...aji,...j,...a->...i", chart.d_coefficients(q), p, w)
-        return np.concatenate([dq, dp], axis=-1)
+    def at(x):
+        q = x[..., :n]
+        return q, x[..., n:], chart.coefficients(q), chart.d_coefficients(q)
 
-    def dfield(w, x, v):
-        q, p = x[..., :n], x[..., n:]
+    def field(w, s):
+        q, p, a, da = s
+        out = np.empty(np.broadcast(w[..., 0], q[..., 0]).shape + (2 * n,))
+        dp = out[..., n:]
+        np.einsum("...ai,...a->...i", a, w, out=out[..., :n])
+        np.einsum("...aji,...j,...a->...i", da, p, w, out=dp)
+        np.negative(dp, out=dp)
+        return out
+
+    def dfield(w, s, v):
+        q, p, a, da = s
         vq, vp = v[..., :n], v[..., n:]
-        db = _chart_jacobian(chart, q, w)
+        db = _chart_jacobian(da, w)
         d2b = np.einsum("...aijl,...a->...ijl", chart.d2_coefficients(q), w)
         dq = np.einsum("...ij,...j->...i", db, vq)
         dp = (-np.einsum("...lij,...l,...j->...i", d2b, p, vq)
               - np.einsum("...li,...l->...i", db, vp))
         return np.concatenate([dq, dp], axis=-1)
 
-    return field, dfield
+    def mu(s):
+        return np.einsum("...ai,...i->...a", s[2], s[1])
+
+    return at, field, dfield, mu
 
 
 def phase_space_system(
@@ -402,12 +399,12 @@ def phase_space_system(
     if chart.alg.dim != L.alg.dim:
         raise ValueError("chart and Lagrangian algebras must conform")
     n = chart.n
-    field, dfield = _phase_fields(chart)
     labels = tuple(f"q{i+1}" for i in range(n)) + tuple(f"p{i+1}" for i in range(n))
     return _coupled_system(
-        field, dfield, lambda x: momentum_map(chart, x), L.kinetic_inverse, noise, u_of,
+        *_phase_fields(chart), L.kinetic_inverse, noise, u_of,
         force=None if L.potential is zero_potential() else (
-            slice(n, None), lambda x: L.grad_q(x[..., :n])),
+            slice(n, None), lambda s: L.grad_q(s[0])),
+        momentum=lambda x: momentum_map(chart, x),
         state_dim=2 * n, labels=labels, name=name or f"phase_space[{chart.name}]",
     )
 
@@ -419,7 +416,9 @@ def ito_correction_phase(chart: ActionChart, noise: NoiseSpec, state) -> np.ndar
       q-block: (1/2) dB^i/dq^j B^j,
       p-block: (1/2) [ -p_l d2B^l/dq^i dq^j B^j + dB^l/dq^i p_m dB^m/dq^l ].
     """
-    return _ito_drift(*_phase_fields(chart), _directions(noise, chart.alg.dim), state)
+    sys = _coupled_system(*_phase_fields(chart), np.eye(chart.alg.dim), noise,
+                          state_dim=2 * chart.n)
+    return sys.ito_correction(0.0, _packed_phase(chart, state))
 
 
 def lie_poisson_system(
@@ -428,32 +427,19 @@ def lie_poisson_system(
     noise: NoiseSpec,
     u_of: Optional[Callable] = None,
     name: str = "",
-    reproject_casimir: bool = False,
 ) -> SdeSystem:
     """Collective Stratonovich dynamics on the dual algebra.
 
     The algebra acts by X_w(m) = ad*(w, m) with momentum map m itself:
     drift ad*(u, m) with u = K m (or a supplied policy), diffusion channel k
     ad*(xi_k, m), and the Ito correction (1/2) sum_k ad*(xi_k, ad*(xi_k, m)).
-
-    ``reproject_casimir`` renormalizes |m| to its initial value after every
-    step (off by default; the unprojected Casimir drift is itself a
-    diagnostic quantity).
     """
     K = _check_spd(K, "kinetic inverse K")
-
-    post = None
-    if reproject_casimir:
-        def post(x_new, x0):
-            norm = np.linalg.norm(x_new, axis=-1, keepdims=True)
-            target = np.linalg.norm(x0, axis=-1, keepdims=True)
-            return x_new * np.divide(target, norm, out=np.ones_like(norm), where=norm != 0.0)
-
     return _coupled_system(
-        lambda w, m: _ad_star(alg, w, m), lambda w, m, v: _ad_star(alg, w, v),
-        lambda m: m, K, noise, u_of,
+        None, lambda w, m: _ad_star(alg, w, m), lambda w, m, v: _ad_star(alg, w, v),
+        lambda m: m, K, noise, u_of, momentum=lambda m: m,
         state_dim=alg.dim, labels=tuple(f"m{i+1}" for i in range(alg.dim)),
-        name=name or f"lie_poisson[{alg.name}]", post_step=post,
+        name=name or f"lie_poisson[{alg.name}]",
     )
 
 
@@ -473,26 +459,33 @@ def hamel_system(
     """
     if chart.alg.dim != h.alg.dim:
         raise ValueError("chart and Hamiltonian algebras must conform")
-    r, n = h.alg.dim, chart.n
-    alg = h.alg
+    alg, r, n = h.alg, h.alg.dim, chart.n
 
-    def field(w, x):
-        m, q = x[..., :r], x[..., r:]
-        dq = np.einsum("...bi,...b->...i", chart.coefficients(q), w)
-        return np.concatenate([_ad_star(alg, w, m), dq], axis=-1)
+    def at(x):
+        q = x[..., r:]
+        return x[..., :r], q, chart.coefficients(q)
 
-    def dfield(w, x, v):
-        dq = np.einsum("...ij,...j->...i", _chart_jacobian(chart, x[..., r:], w), v[..., r:])
+    def field(w, s):
+        m, q, a = s
+        out = np.empty(np.broadcast(w[..., 0], m[..., 0]).shape + (r + n,))
+        out[..., :r] = _ad_star(alg, w, m)
+        np.einsum("...bi,...b->...i", a, w, out=out[..., r:])
+        return out
+
+    def dfield(w, s, v):
+        dq = np.einsum("...ij,...j->...i", _chart_jacobian(chart.d_coefficients(s[1]), w),
+                       v[..., r:])
         return np.concatenate([_ad_star(alg, w, v[..., :r]), dq], axis=-1)
 
-    def force(x):
-        q = x[..., r:]
-        return -np.einsum("...aj,...j->...a", chart.coefficients(q), h.potential.grad(q))
+    def force(s):
+        _, q, a = s
+        return -np.einsum("...aj,...j->...a", a, h.potential.grad(q))
 
     labels = tuple(f"m{i+1}" for i in range(r)) + tuple(f"q{i+1}" for i in range(n))
     return _coupled_system(
-        field, dfield, lambda x: x[..., :r], h.kinetic_inverse, noise,
+        at, field, dfield, lambda s: s[0], h.kinetic_inverse, noise,
         force=None if h.potential is zero_potential() else (slice(0, r), force),
+        momentum=lambda x: x[..., :r],
         state_dim=r + n, labels=labels, name=name or f"hamel[{chart.name}]",
     )
 

@@ -57,18 +57,17 @@ class SdeSystem:
     all C channel fields stacked as ``(..., C, d)``.  ``ito_correction`` is
     the bounded-variation extra drift that makes the Euler-Maruyama scheme
     integrate the same law the Stratonovich fields define.  Callbacks must
-    be pure and broadcast over leading axes of x.  ``post_step(x_new, x0)``
-    maps each row given its initial row, on single paths and ensembles.
-    ``momentum(x)`` is the level's momentum map, (..., d) -> (..., r).
+    be pure and broadcast over leading axes of x.  ``momentum(x)`` is the
+    level's momentum map, (..., d) -> (..., r).
 
     A builder may give ``drift`` an attribute ``stacked``, with
-    ``drift.stacked.fields = (drift, diffusion)``: ``stacked()`` returns an
-    evaluator ``F(t, x)`` of the drift and the C noise fields as one new
-    (1 + C, ..., d) array, and each run takes its own evaluator, which may
-    keep scratch between its calls.  The integrators use it only while this
-    system's drift and diffusion are that very pair; any other system, such
-    as one rebuilt by ``dataclasses.replace`` with wrapped callbacks, is
-    stepped through its own two callbacks.
+    ``drift.stacked.fields = (drift, diffusion, ito_correction)``:
+    ``stacked()`` returns an evaluator ``F(t, x)`` of the drift and the C
+    noise fields as one new (1 + C, ..., d) array, one per run, which may
+    keep scratch between calls.  ``stacked(ito=True)``, the Ito mode, adds
+    the correction, taken from its own noise rows, to row 0.  It serves
+    only while those callbacks are the system's own; any other system, such
+    as one rebuilt by ``dataclasses.replace``, steps its own callbacks.
     """
 
     state_dim: int
@@ -78,7 +77,6 @@ class SdeSystem:
     ito_correction: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     labels: tuple = ()
     name: str = ""
-    post_step: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     momentum: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -118,23 +116,24 @@ class Trajectory:
         return self.states[-1]
 
 
-def _stacked(sys: SdeSystem) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The system's drift and noise fields in one call: ``F(t, x)``, a new
-    (1 + C, ..., d) array, row 0 the drift and row k the field of channel k.
-
-    A builder's own evaluator ``drift.stacked()`` serves while the system's
-    drift and diffusion are the pair in its ``fields`` (see
-    :class:`SdeSystem`); any other system stacks its own two callbacks.
-    """
+def _stacked(sys: SdeSystem, ito: bool = False) -> Callable[[float, np.ndarray], np.ndarray]:
+    """``F(t, x)``: the drift (plus the Ito correction when ``ito``) as row 0
+    and channel k's field as row k of one new (1 + C, ..., d) array; the
+    builder's evaluator while its ``fields`` are this system's callbacks
+    (see :class:`SdeSystem`), else a stack of the system's own callbacks."""
     own = getattr(sys.drift, "stacked", None)
-    if own is not None and own.fields[0] is sys.drift and own.fields[1] is sys.diffusion:
-        return own()
-    drift, diffusion, C = sys.drift, sys.diffusion, sys.channels
-    if not C:
-        return lambda t, x: drift(t, x)[None].copy()
+    mine = (sys.drift, sys.diffusion, sys.ito_correction)[:2 + ito]
+    if own is not None and all(a is b for a, b in zip(own.fields, mine)):
+        return own(ito=ito)
+    drift, diffusion, correction, C = sys.drift, sys.diffusion, sys.ito_correction, sys.channels
 
     def stacked(t, x):
-        f, g = drift(t, x), diffusion(t, x)
+        f = drift(t, x)
+        if ito:
+            f = f + correction(t, x)
+        if not C:
+            return f[None].copy()
+        g = diffusion(t, x)
         out = np.empty((1 + C,) + np.broadcast_shapes(f.shape, g.shape[:-2] + g.shape[-1:]))
         out[0] = f
         out[1:] = np.moveaxis(g, -2, 0)
@@ -167,8 +166,9 @@ def _checked_state(sys: SdeSystem, x0) -> np.ndarray:
 # The stage kernels take the stacked fields F and increments inc of one step.
 # Each sum over the leading stack axis adds the drift first, then channels
 # 1..C, as one reduction; the stacked arrays keep that axis outermost in
-# memory, so numpy adds the rows in that order.  The corrector works in the
-# array F returned, which saves two (1 + C)-row temporaries per step.
+# memory, so numpy adds the rows in that order.  The corrector and the
+# Euler-Ito step work in the array F returned, which saves (1 + C)-row
+# temporaries; x + y == y + x, so row 0 may take x last.
 # np.add.reduce(a, 0) is the reduction a.sum(axis=0) runs, without its
 # Python wrapper.
 
@@ -182,26 +182,26 @@ def _heun(F, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
     return np.add.reduce(out, 0)
 
 
-def _euler_ito(F, correction, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
-    fx = F(t, x)
-    out = fx * inc
-    out[0] = x + (fx[0] + correction(t, x)) * dt
+def _euler_ito(F, t: float, x: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    out = F(t, x)
+    out *= inc
+    out[0] += x
     return np.add.reduce(out, 0)
 
 
 def _kernel(sys: SdeSystem, scheme: str):
     """The stochastic scheme's step ``kernel(t, x, dt, inc)`` on the system's
-    stacked fields."""
-    F = _stacked(sys)
+    stacked fields, in Ito mode for euler_ito."""
     if scheme == "heun_strat":
+        F = _stacked(sys)
         return lambda t, x, dt, inc: _heun(F, t, x, dt, inc)
-    correction = sys.ito_correction
-    if correction is None:
+    if sys.ito_correction is None:
         raise ValueError(
             f"system {sys.name!r} has no ito_correction; supply one "
             "(exactly zero is acceptable) before using the euler_ito scheme"
         )
-    return lambda t, x, dt, inc: _euler_ito(F, correction, t, x, dt, inc)
+    F = _stacked(sys, ito=True)
+    return lambda t, x, dt, inc: _euler_ito(F, t, x, inc)
 
 
 def _one_step(sys: SdeSystem, scheme: str, t: float, x, dt: float, dW) -> np.ndarray:
@@ -300,8 +300,6 @@ def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
                 bad = int(np.argmin(np.isfinite(x_new).all(axis=-1)))
                 raise IntegrationDiverged(step=i + 1, last_state=x[bad],
                                           path=first_path + bad)
-            if sys.post_step is not None:
-                x_new = sys.post_step(x_new, x0)
             if states is not None:
                 states[i + 1] = x_new
             x = x_new

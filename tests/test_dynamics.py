@@ -29,7 +29,8 @@ from coadjoint.fields import (
     ScalarField,
     double_bracket,
 )
-from coadjoint.integrators import _drive, euler_ito_step, heun_stratonovich_step, integrate
+from coadjoint.integrators import (_drive, _stacked, euler_ito_step, heun_stratonovich_step,
+                                   integrate)
 from coadjoint.kolmogorov import ensemble_finals
 from coadjoint.noise import BrownianGrid, NoiseSpec, _increments, sample_grid, time_grid
 
@@ -176,6 +177,20 @@ class TestItoCorrectionPhase:
         ], axis=-1)
         assert np.max(np.abs(ito_correction_phase(chart, noise, xs) - oracle)) <= 1e-9
 
+    @pytest.mark.parametrize("shape", [(5,), (7,), (4, 8)])
+    @pytest.mark.parametrize("fn", ["momentum_map", "ito_correction_phase", "pairing_value"])
+    def test_packed_state_width_refused(self, fn, shape):
+        # a packed state must hold (q, p) of the chart, 2n = 6 wide
+        chart = rotation_chart()
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0]], seed=0)
+        call = {
+            "momentum_map": lambda x: momentum_map(chart, x),
+            "ito_correction_phase": lambda x: ito_correction_phase(chart, noise, x),
+            "pairing_value": lambda x: momentum_pairing_field(chart, [0.0, 0.0, 1.0]).value(x),
+        }[fn]
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*'so3_on_r3'.* 2n = 6"):
+            call(np.ones(shape))
+
 
 class TestLiePoissonSystem:
     def test_isotropic_body_stationary(self):
@@ -222,33 +237,6 @@ class TestLiePoissonSystem:
                                  u_of=lambda t, m: np.broadcast_to(u, m.shape))
         m = np.array([1.0, 0.0, 0.0])
         assert np.allclose(sys.drift(0.0, m), np.cross(m, u))
-
-    def test_casimir_reprojection_toggle(self):
-        noise = NoiseSpec.make([[0.0, 0.0, 1.0]], seed=5)
-        sys = lie_poisson_system(SO3, K_RIGID, noise, reproject_casimir=True)
-        g = sample_grid(noise, 1.0, 512)
-        m0 = np.array([0.6, 0.0, 0.8])
-        traj = integrate(sys, "heun_strat", g, m0)
-        norms = np.linalg.norm(traj.states, axis=1)
-        assert np.max(np.abs(norms - 1.0)) <= 1e-12
-
-    def test_casimir_reprojection_in_ensembles(self):
-        noise = NoiseSpec.make([[0.0, 0.0, 1.0]], seed=5)
-        sys = lie_poisson_system(SO3, K_RIGID, noise, reproject_casimir=True)
-        m0 = np.array([0.6, 0.0, 0.8]) * 0.99
-        finals = ensemble_finals(sys, m0, T=1.0, M=256, ensemble=64, seed=9)
-        norms = np.linalg.norm(finals, axis=1)
-        assert np.max(np.abs(norms - np.linalg.norm(m0))) <= 1e-12
-
-    def test_casimir_reprojection_rowwise(self):
-        noise = NoiseSpec.make([[0.0, 0.0, 1.0]], seed=5)
-        sys = lie_poisson_system(SO3, K_RIGID, noise, reproject_casimir=True)
-        x0 = np.array([[0.6, 0.0, 0.8], [0.0, 3.0, 4.0]])
-        x_new = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 2.0]])
-        out = sys.post_step(x_new, x0)
-        assert np.allclose(np.linalg.norm(out, axis=1), [1.0, 5.0], rtol=0.0, atol=1e-15)
-        assert np.allclose(out[1], [0.0, 0.0, 5.0], rtol=0.0, atol=0.0)
-        assert np.array_equal(sys.post_step(np.zeros((2, 3)), x0), np.zeros((2, 3)))
 
 
 class TestHamelSystem:
@@ -688,6 +676,86 @@ class TestStackedFields:
         with pytest.raises(ValueError, match=f"dW holds {given} per step.* 2 noise channels"):
             step(lp, 0.0, np.ones((4, 3)), 0.01, dW)
 
+    @pytest.mark.parametrize("channels", [0, 1, 2, 3])
+    @pytest.mark.parametrize("layout", ["single", "row_major", "component_major"])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_ito_mode_rows(self, level, layout, channels):
+        # the Ito-mode evaluator's row 0 is the drift plus the public
+        # correction, built from its own noise rows, which are the diffusion;
+        # the generic stack of wrapped callbacks gives the same rows
+        rng = np.random.default_rng(40 + channels)
+        noise = NoiseSpec(channels=channels, xi=rng.normal(size=(channels, 3)), seed=0)
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        x = _layouts(rng.normal(size=(7, sys.state_dim)))[layout]
+        want = np.concatenate([(sys.drift(0.3, x) + sys.ito_correction(0.3, x))[None],
+                               np.moveaxis(sys.diffusion(0.3, x), -2, 0)])
+        for s in (sys, _own_callbacks(sys)):
+            got = _stacked(s, ito=True)(0.3, x)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert np.array_equal(sys.drift.stacked(ito=True)(0.3, x), want)
+
+    def test_replaced_correction_is_the_one_stepped(self):
+        # the builder's Ito mode serves only its own correction
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        lp = lie_poisson_system(SO3, K_RIGID, noise)
+        free = dataclasses.replace(lp, ito_correction=lambda t, x: np.zeros_like(x))
+        m, dW = np.array([0.8, 0.3, 0.5]), np.array([0.1, -0.2])
+        assert np.array_equal(euler_ito_step(free, 0.0, m, 0.01, dW),
+                              _loop_euler_ito(free, 0.0, m, 0.01, dW))
+        assert not np.array_equal(euler_ito_step(free, 0.0, m, 0.01, dW),
+                                  euler_ito_step(lp, 0.0, m, 0.01, dW))
+
+
+def _counting_chart(calls):
+    """The rotation chart, recording the name of every A and dA call."""
+    chart = rotation_chart()
+
+    def counted(name, fn):
+        def call(q):
+            calls.append(name)
+            return fn(q)
+        return call
+
+    return dataclasses.replace(chart, A=counted("A", chart.A), dA=counted("dA", chart.dA))
+
+
+class TestOneEvaluationPerStage:
+    @pytest.mark.parametrize("ito", [False, True])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel"])
+    def test_one_chart_call_per_stage(self, level, ito):
+        # the stage evaluates A(q) once for the momentum map, the field and
+        # the force; dA once where the field or the Ito drift needs it
+        calls = []
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]),
+                            _counting_chart(calls))[level]
+        F = sys.drift.stacked(ito=ito)
+        x = np.random.default_rng(41).normal(size=(7, sys.state_dim))
+        for arg in (x, x[0]):
+            calls.clear()
+            F(0.3, arg)
+            want = ["A", "dA"] if level == "phase_space" or ito else ["A"]
+            assert sorted(calls) == want, calls
+
+    def test_collective_euler_ito_step_makes_two_ad_star_calls(self, monkeypatch):
+        # one call for the field at (u, xi_1, ..., xi_C), one for DX_xi on
+        # the evaluator's own noise rows
+        calls = []
+
+        def counting(alg, v, m):
+            calls.append(v.shape)
+            return _ad_star(alg, v, m)
+
+        monkeypatch.setattr(dynamics, "_ad_star", counting)
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        lp = lie_poisson_system(SO3, K_RIGID, noise)
+        for x, dW in ((np.array([0.8, 0.3, 0.5]), np.array([0.1, -0.2])),
+                      (np.ones((7, 3)), np.full((7, 2), 0.1))):
+            calls.clear()
+            euler_ito_step(lp, 0.0, x, 0.01, dW)
+            assert len(calls) == 2, calls
+
 
 def _einsum_velocity_drift(level, K, x):
     """The drift of a zero-potential system of ``level`` with the Legendre
@@ -696,7 +764,8 @@ def _einsum_velocity_drift(level, K, x):
     chart = rotation_chart()
     if level == "phase_space":
         u = np.einsum("ab,...b->...a", K, momentum_map(chart, x))
-        return dynamics._phase_fields(chart)[0](u, x)
+        at, field, _, _ = dynamics._phase_fields(chart)
+        return field(u, at(x))
     u = np.einsum("ab,...b->...a", K, x[..., :3])
     if level == "lie_poisson":
         return ad_star(SO3, u, x)
@@ -836,9 +905,11 @@ def _ito_drift_channel_last(field, dfield, xi, x):
 
 
 def _level_fields(level, chart):
-    """A level's action field X_w and its derivative DX_w, written out."""
+    """A level's action field X_w and its derivative DX_w on the state x,
+    written out."""
     if level == "phase_space":
-        return dynamics._phase_fields(chart)
+        at, field, dfield, _ = dynamics._phase_fields(chart)
+        return (lambda w, x: field(w, at(x))), (lambda w, x, v: dfield(w, at(x), v))
     if level == "lie_poisson":
         return (lambda w, m: _ad_star(SO3, w, m)), (lambda w, m, v: _ad_star(SO3, w, v))
 
@@ -847,7 +918,7 @@ def _level_fields(level, chart):
         return np.concatenate([_ad_star(SO3, w, x[..., :3]), dq], axis=-1)
 
     def dfield(w, x, v):
-        db = dynamics._chart_jacobian(chart, x[..., 3:], w)
+        db = dynamics._chart_jacobian(chart.d_coefficients(x[..., 3:]), w)
         dq = np.einsum("...ij,...j->...i", db, v[..., 3:])
         return np.concatenate([_ad_star(SO3, w, v[..., :3]), dq], axis=-1)
 
