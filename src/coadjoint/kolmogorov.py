@@ -25,10 +25,7 @@ solves; the bracket form of L is kept as the independent oracle.
 from __future__ import annotations
 
 import numbers
-import os
 import struct
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,6 +165,11 @@ class GridGeometry:
     @property
     def dx(self) -> np.ndarray:
         return (self.bounds[:, 1] - self.bounds[:, 0]) / (np.array(self.shape) - 1)
+
+    def contains(self, x) -> bool:
+        """Whether the point ``x`` lies in the closed box."""
+        lo, hi = self.bounds.T
+        return bool(np.all((lo <= x) & (x <= hi)))
 
     def axes(self):
         return [np.linspace(self.bounds[i, 0], self.bounds[i, 1], self.shape[i])
@@ -526,8 +528,7 @@ def forward_solve(spec: LiePoissonGeneratorSpec, x0, T: float,
     of the adjoint coefficients.  ``x0`` must lie in the box.
     """
     x0 = np.asarray(x0, dtype=float)
-    lo, hi = geometry.bounds.T
-    if not np.all((lo <= x0) & (x0 <= hi)):
+    if not geometry.contains(x0):
         raise ValueError(f"x0 {x0} lies outside the grid box {geometry.bounds.tolist()}")
     nodes = geometry.nodes()
     sigma = _DELTA_WIDTH_CELLS * float(np.mean(geometry.dx))
@@ -575,26 +576,11 @@ def interpolate(grid: DensityGrid, x) -> float:
 _BLOCK_VALUES = 2 ** 16
 
 
-def _threads() -> int:
-    """The COADJOINT_THREADS cap on ensemble blocks in flight; 1 if unset."""
-    value = os.environ.get("COADJOINT_THREADS", "1")
-    if not value.isdecimal() or int(value) < 1:
-        raise ValueError(f"COADJOINT_THREADS must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def _ensemble_size(ensemble) -> int:
     """``ensemble`` as an int; refuses anything but an integer >= 1."""
     if isinstance(ensemble, bool) or not isinstance(ensemble, numbers.Integral) or ensemble < 1:
         raise ValueError(f"ensemble must be a positive integer, got {ensemble!r}")
     return int(ensemble)
-
-
-def _completed(fn, *args) -> Future:
-    """``fn(*args)``, run now, as a finished future."""
-    future = Future()
-    future.set_result(fn(*args))
-    return future
 
 
 def ensemble_finals(sys: SdeSystem, x0, T: float, M: int, ensemble: int,
@@ -607,41 +593,25 @@ def ensemble_finals(sys: SdeSystem, x0, T: float, M: int, ensemble: int,
     bit for bit where ``integrate`` on its own grid ends.
 
     Paths are drawn and stepped in blocks of ``_BLOCK_VALUES // ((1 + C) d)``
-    consecutive paths, so an ensemble holds one block's increments and
-    stage stacks per block in flight, not the whole table.  The caller
-    draws the blocks in stream order; up to COADJOINT_THREADS of them are
-    in flight, stepped by worker threads when that is more than 1.  Every
-    block runs; a divergence reports the earliest (step, path) of all
-    blocks, so the outcome depends on neither the block size nor the
-    thread count.
+    consecutive paths, one block at a time in stream order, so an ensemble
+    holds one block's increments and stage stacks, not the whole table.
+    Every block runs; a divergence reports the earliest (step, path) of all
+    blocks, so the outcome does not depend on the block size.
     """
     ensemble = _ensemble_size(ensemble)
     x0 = _checked_state(sys, x0)
-    threads = _threads()
     draw = _increment_blocks(seed, sys.channels, T, M)
     size = max(1, _BLOCK_VALUES // ((1 + sys.channels) * sys.state_dim))
     finals = np.empty((ensemble, sys.state_dim))
-
-    def step(start: int, dW: np.ndarray):
+    diverged = []
+    for start in range(0, ensemble, size):
+        dW = draw(min(size, ensemble - start))
         rows = finals[start:start + dW.shape[1]]
         try:
             rows[...] = _drive(sys, "heun_strat", np.broadcast_to(x0, rows.shape), T / M,
                                dW, first_path=start)
         except IntegrationDiverged as err:
-            return err
-
-    outcomes, running = [], deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # a serial run steps each block in the calling thread and starts no
-        # thread: a worker's own malloc arena added 2 MB of peak RSS to the
-        # 1e4-path MC cross-check
-        submit = pool.submit if threads > 1 else _completed
-        for start in range(0, ensemble, size):
-            if len(running) == threads:
-                outcomes.append(running.popleft().result())
-            running.append(submit(step, start, draw(min(size, ensemble - start))))
-        outcomes += [block.result() for block in running]
-    diverged = [err for err in outcomes if err is not None]
+            diverged.append(err)
     if diverged:
         raise min(diverged, key=lambda err: (err.step, err.path))
     return finals

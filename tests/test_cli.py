@@ -356,6 +356,7 @@ class TestKolmogorovCommand:
         ("--box", ["--grid", "16,16,16", "--box", "1.4"]),
         ("--grid", ["--grid", "3,16,16", "--box=-1.2,1.2"]),
         ("--box", ["--grid", "16,16,16", "--box=1.2,-1.2"]),
+        ("--box", ["--grid", "16,16,16", "--box=-0.5,0.5"]),
     ])
     def test_bad_flag_exits_1_before_writing(self, tmp_path, capsys, flag, args):
         path = write_scenario(tmp_path, rigid_body_doc())
