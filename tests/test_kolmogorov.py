@@ -624,9 +624,12 @@ class TestMcExpectation:
         with pytest.raises(ValueError, match=shape):
             ensemble_finals(sys, x0, 1.0, 8, 16, 0)
 
-    @pytest.mark.parametrize("budget", [None, 60])
+    @pytest.mark.parametrize("budget", [None, 1, 6, 60, 96, 378, 384, 390])
     def test_block_size_does_not_change_result(self, monkeypatch, budget):
-        # a budget of 60 values makes 10-path blocks: 6 of them and a 4-path remainder
+        # a path takes 6 values: budgets of 1 and 6 make 1-path blocks, 60
+        # makes 10-path blocks (6 of them and a 4-path remainder), 96 four
+        # 16-path blocks, 378 one 63-path block and one path, and 384 and
+        # 390 one block of the whole ensemble
         noise = NoiseSpec.make([[0.0, 0.0, 1.0]], seed=0)
         sys = lie_poisson_system(SO3, K_RIGID, noise)
         f = ScalarField.coordinate(2, 3)
@@ -635,12 +638,14 @@ class TestMcExpectation:
         _run_blocks(monkeypatch, budget)
         assert mc_expectation(sys, f, x0, T=0.2, M=32, ensemble=64, seed=5) == whole
 
-    @pytest.mark.parametrize("budget", [None, 63])
+    @pytest.mark.parametrize("budget", [None, 1, 36, 63, 576])
     @pytest.mark.parametrize("j", [3, 10, 40])
     def test_path_independent_of_batch(self, monkeypatch, j, budget):
         # path j ends bit for bit alike alone, in a batch of 7 and in the
-        # full ensemble, whatever the block size is; a budget of 63 values
-        # makes 7-path blocks: 9 of them and one path
+        # full ensemble, whatever the block size is; a path takes 9 values,
+        # so a budget of 1 makes 1-path blocks, 36 makes 4-path blocks
+        # (path 3 ends one, path 40 starts one), 63 makes 7-path blocks
+        # (9 of them and one path) and 576 one block of all 64 paths
         _run_blocks(monkeypatch, budget)
         xi = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
         sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=2, xi=xi, seed=0))
@@ -654,16 +659,18 @@ class TestMcExpectation:
         assert np.array_equal(batch[3], alone)
         assert np.array_equal(full[j], alone)
 
-    @pytest.mark.parametrize("budget", [None, 10, 100])
+    @pytest.mark.parametrize("budget", [None, 1, 10, 100, 297, 450, 900])
     def test_ensemble_holds_one_block_at_a_time(self, monkeypatch, budget):
         # every table drawn holds at most one block of paths, the blocks
         # cover the ensemble in order, and no block is drawn before the
-        # one before it is stepped
+        # one before it is stepped; a path takes 9 values, so budgets of
+        # 1 and 10 make 1-path blocks, 297 three 33-path blocks and one
+        # path, 450 two 50-path blocks and 900 one block of all 100 paths
         _run_blocks(monkeypatch, budget)
         xi = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
         sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=2, xi=xi, seed=0))
         x0, seed, T, M, paths = np.array([0.8, 0.3, 0.5]), 4, 0.5, 16, 100
-        block = kolmogorov._BLOCK_VALUES // ((1 + 2) * 3)
+        block = max(1, kolmogorov._BLOCK_VALUES // ((1 + 2) * 3))
         tables, firsts, done, held, idents = [], [], [0], [0], set()
         blocks, drive = kolmogorov._increment_blocks, kolmogorov._drive
 
@@ -707,12 +714,14 @@ class TestMcExpectation:
         b = ensemble_finals(sys, np.zeros(2), 1.0, 16, ensemble=32, seed=9)
         assert np.intersect1d(a, b).size == 0
 
-    @pytest.mark.parametrize("budget", [None, 10])
+    @pytest.mark.parametrize("budget", [None, 1, 2, 10, 26, 28])
     def test_divergent_path_reported(self, monkeypatch, budget):
         # dx = x^3 dt + 0.8 dW from 0 on seed 2 blows up on path 0 at step 58
-        # and on path 13 at step 38; a budget of 10 values makes 5-path
-        # blocks (3 of them and one path), which puts them in blocks 0 and
-        # 2, and the earlier one (path 13) must be reported
+        # and on path 13 at step 38, and the earlier one (path 13) must be
+        # reported wherever the blocks split; a path takes 2 values, so
+        # budgets of 1 and 2 make 1-path blocks, 10 makes 5-path blocks
+        # (path 13 in block 2), 26 makes 13-path blocks (path 13 starts
+        # block 1), and 28 makes 14-path blocks, which hold both in block 0
         _run_blocks(monkeypatch, budget)
         sys = SdeSystem(1, 1, drift=lambda t, x: x ** 3,
                         diffusion=lambda t, x: np.full_like(x, 0.8)[..., None, :])
