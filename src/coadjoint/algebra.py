@@ -121,13 +121,13 @@ class LieAlgebraSpec:
     def check_valid(self, tol: float = JACOBI_TOL) -> None:
         """Raise ValueError unless antisymmetry and Jacobi hold to ``tol``."""
         anti = antisymmetry_residual(self)
-        if anti > tol:
+        if not anti <= tol:
             raise ValueError(
                 f"structure constants of {self.name!r} are not antisymmetric "
                 f"(residual {anti:.3e} > {tol:.1e})"
             )
         jac = jacobi_residual(self)
-        if jac > tol:
+        if not jac <= tol:
             raise ValueError(
                 f"structure constants of {self.name!r} violate the Jacobi "
                 f"identity (residual {jac:.3e} > {tol:.1e})"

@@ -145,8 +145,8 @@ def cmd_kolmogorov(args) -> int:
         lo, hi = _flag_values("--box", args.box, float, 2)
         if min(shape) < 4:
             raise ScenarioError(f"--grid: need at least 4 nodes per axis, got {args.grid!r}")
-        if not lo < hi:
-            raise ScenarioError(f"--box: need lo < hi, got {args.box!r}")
+        if not -np.inf < lo < hi < np.inf:
+            raise ScenarioError(f"--box: need finite lo < hi, got {args.box!r}")
         if args.paths < 1:
             raise ScenarioError(f"--paths: need at least 1 path, got {args.paths}")
         geometry = GridGeometry(bounds=np.array([[lo, hi]] * 3), shape=shape)

@@ -11,6 +11,7 @@ identical noise, and steps single paths and Monte-Carlo ensembles alike.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -156,21 +157,23 @@ def _checked_increments(sys: SdeSystem, dW) -> np.ndarray:
 
 
 def _checked_state(sys: SdeSystem, x0) -> np.ndarray:
-    """``x0`` as floats; refuses one that is not a single (state_dim,) state."""
+    """``x0`` as floats; refuses one that is not a single finite (state_dim,) state."""
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.state_dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.state_dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x0 {x} is not finite")
     return x
 
 
-# The stage kernels take the stacked fields F and increments inc of one step.
-# Each sum over the leading stack axis adds the drift first, then channels
-# 1..C, as one reduction; the stacked arrays keep that axis outermost in
-# memory, so numpy adds the rows in that order.  The corrector and the
-# Euler-Ito step work in the array F returned, which saves (1 + C)-row
-# temporaries; x + y == y + x, so row 0 may take x last.
-# np.add.reduce(a, 0) is the reduction a.sum(axis=0) runs, without its
-# Python wrapper.
+# The kernels take one stage evaluator F (the stacked fields, or rk4's
+# drift) and the increments inc of one step.  Each sum over the leading
+# stack axis adds the drift first, then channels 1..C, as one reduction; the
+# stacked arrays keep that axis outermost in memory, so numpy adds the rows
+# in that order.  The corrector and the Euler-Ito step work in the array F
+# returned, which saves (1 + C)-row temporaries; x + y == y + x, so row 0
+# may take x last.  np.add.reduce(a, 0) is the reduction a.sum(axis=0)
+# runs, without its Python wrapper.
 
 def _heun(F, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
     fx = F(t, x)
@@ -182,43 +185,54 @@ def _heun(F, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
     return np.add.reduce(out, 0)
 
 
-def _euler_ito(F, t: float, x: np.ndarray, inc: np.ndarray) -> np.ndarray:
+def _euler_ito(F, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
     out = F(t, x)
     out *= inc
     out[0] += x
     return np.add.reduce(out, 0)
 
 
-def _kernel(sys: SdeSystem, scheme: str):
-    """The stochastic scheme's step ``kernel(t, x, dt, inc)`` on the system's
-    stacked fields, in Ito mode for euler_ito."""
-    if scheme == "heun_strat":
-        F = _stacked(sys)
-        return lambda t, x, dt, inc: _heun(F, t, x, dt, inc)
-    if sys.ito_correction is None:
+_KERNELS = {"heun_strat": _heun, "euler_ito": _euler_ito,
+            "rk4": lambda drift, t, x, dt, inc: rk4_step(drift, t, x, dt)}
+
+
+def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
+    """One run's set-up for ``scheme`` over the rows of ``dW``, (M, ..., C).
+
+    Returns the step ``step(t, x, dt, inc)``; a copy of ``x0`` broadcast to
+    ``lead``, its leading axes and the rows' aligned from the right; the
+    increment buffer (dt, dW^1, ..., dW^C) as one (1 + C, *lead, 1) array,
+    row 0 filled; and the channel-first views ``rows[i]`` that fill rows 1..C.
+    The stochastic schemes step the stacked fields, euler_ito in Ito mode;
+    rk4 steps the drift alone and takes only the number of rows.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if scheme == "rk4":
+        F, dW = sys.drift, np.zeros((len(dW), sys.channels))
+    elif scheme == "euler_ito" and sys.ito_correction is None:
         raise ValueError(
             f"system {sys.name!r} has no ito_correction; supply one "
             "(exactly zero is acceptable) before using the euler_ito scheme"
         )
-    F = _stacked(sys, ito=True)
-    return lambda t, x, dt, inc: _euler_ito(F, t, x, inc)
+    else:
+        F, dW = _stacked(sys, ito=scheme == "euler_ito"), _checked_increments(sys, dW)
+    lead, wlead = x0.shape[:-1], dW.shape[1:-1]
+    if wlead != lead:
+        lead = np.broadcast_shapes(lead, wlead)
+        x0 = np.broadcast_to(x0, lead + x0.shape[-1:])
+    inc = np.empty((1 + sys.channels,) + lead + (1,))
+    inc[0] = dt
+    rows = dW.transpose(0, -1, *range(1, dW.ndim - 1)).reshape(
+        (len(dW), dW.shape[-1]) + (1,) * (len(lead) - len(wlead)) + wlead + (1,))
+    return functools.partial(_KERNELS[scheme], F), np.array(x0), inc, rows
 
 
 def _one_step(sys: SdeSystem, scheme: str, t: float, x, dt: float, dW) -> np.ndarray:
     """One step of a stochastic scheme; the leading axes of x and dW
     broadcast against each other, aligned from the right."""
-    kernel = _kernel(sys, scheme)
-    x, dW = np.asarray(x, dtype=float), _checked_increments(sys, dW)
-    lead = x.shape[:-1]
-    if dW.shape[:-1] != lead:
-        lead = np.broadcast_shapes(lead, dW.shape[:-1])
-        x = np.broadcast_to(x, lead + x.shape[-1:])
-        dW = np.broadcast_to(dW, lead + dW.shape[-1:])
-    # the increments (dt, dW^1, ..., dW^C) as one (1 + C, *lead, 1) array
-    inc = np.empty((1 + sys.channels,) + lead + (1,))
-    inc[0] = dt
-    inc[1:, ..., 0] = dW.transpose((len(lead),) + tuple(range(len(lead))))
-    return kernel(t, x, dt, inc)
+    step, x, inc, rows = _run(sys, scheme, x, dt, _checked_increments(sys, dW)[None])
+    inc[1:] = rows[0]
+    return step(t, x, dt, inc)
 
 
 def heun_stratonovich_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.ndarray:
@@ -251,9 +265,6 @@ def rk4_step(drift: Callable[[float, np.ndarray], np.ndarray], t: float, x,
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-_SCHEMES = ("heun_strat", "euler_ito", "rk4")
-
-
 def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
            first_path: int = 0) -> np.ndarray:
     """Step ``x0``, one state (d,) or a batch (E, d), over the rows of ``dW``,
@@ -265,33 +276,15 @@ def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
     non-finite row raises :class:`IntegrationDiverged` with the step, its
     last finite state and, for a batch, its path index ``first_path + row``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if scheme == "rk4":
-        x = np.array(x0)
-
-        def advance(i, x):
-            return rk4_step(sys.drift, i * dt, x, dt)
-    else:
-        kernel, dW = _kernel(sys, scheme), _checked_increments(sys, dW)
-        lead = np.broadcast_shapes(x0.shape[:-1], dW.shape[1:-1])
-        x = np.array(np.broadcast_to(x0, lead + x0.shape[-1:]))
-        # one increment buffer for the whole run: row 0 is dt, rows 1..C take
-        # each step's dW through a channel-first view right-aligned with lead
-        inc = np.empty((1 + sys.channels,) + lead + (1,))
-        inc[0] = dt
-        pad = tuple(range(2, 2 + len(lead) - (dW.ndim - 2)))
-        rows = np.expand_dims(np.moveaxis(dW, -1, 1), pad)[..., None]
-
-        def advance(i, x):
-            inc[1:] = rows[i]
-            return kernel(i * dt, x, dt, inc)
+    step, x, inc, rows = _run(sys, scheme, x0, dt, dW)
     if states is not None:
         states[0] = x
     # blowup is detected and reported below; suppress the transient
     # overflow warnings the diverging step itself emits
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(dW)):
-            x_new = advance(i, x)
+        for i in range(len(rows)):
+            inc[1:] = rows[i]
+            x_new = step(i * dt, x, dt, inc)
             # the sum of all entries is finite only if every entry is; a
             # finite state whose sum overflows takes the per-entry check
             if not math.isfinite(np.add.reduce(x_new, None)) and not np.isfinite(x_new).all():
@@ -312,8 +305,8 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
     Deterministic given (sys, scheme, grid, x0).  Raises
     :class:`IntegrationDiverged` on the first non-finite component.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {_SCHEMES}")
+    if scheme not in _KERNELS:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {tuple(_KERNELS)}")
     if scheme == "rk4" and sys.channels:
         raise ValueError(
             f"rk4 steps the drift alone; system {sys.name!r} has {sys.channels} "

@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import LieAlgebraSpec
 from .actions import ActionChart
-from .dynamics import ReducedHamiltonian, lie_poisson_system
+from .dynamics import ReducedHamiltonian, hamel_system, lie_poisson_system
 from .fields import (
     HamelBracket,
     LiePoissonBracket,
@@ -49,11 +49,10 @@ from .integrators import (
     _write_rows,
     integrate,
 )
-from .noise import NoiseSpec, _increment_blocks, time_grid
+from .noise import NoiseSpec, _check_horizon, _increment_blocks, time_grid
 
 __all__ = [
     "GeneratorSpec",
-    "LiePoissonGeneratorSpec",
     "lie_poisson_generator",
     "hamel_generator",
     "generator_apply",
@@ -75,45 +74,39 @@ __all__ = [
 
 @dataclass(frozen=True, kw_only=True)
 class GeneratorSpec:
-    """Bracket structure plus channel-contracted noise Hamiltonians g_k and drift psi."""
+    """A process generator in bracket form and as the SDE it generates.
+
+    ``system`` is the level's Stratonovich SDE itself, e.g. on the dual of a
+    Lie algebra dm = ad*(K m, m) dt + ad*(xi_k, m) o dW^k: the grid solvers
+    evaluate its drift, Ito correction and stacked diffusion on whole node
+    arrays, and Monte-Carlo cross-checks run it, so both sides solve one
+    equation.  The bracket structure with the channel-contracted noise
+    Hamiltonians g_k (``phi``) and drift ``psi`` is the independent oracle
+    for the same generator.
+    """
 
     bracket: PoissonBracket
     phi: tuple
     psi: ScalarField
-
-
-@dataclass(frozen=True, kw_only=True)
-class LiePoissonGeneratorSpec(GeneratorSpec):
-    """Generator data for the collective system on the dual of a Lie algebra.
-
-    ``system`` is the collective SDE dm = ad*(K m, m) dt + ad*(xi_k, m) o dW^k
-    itself: the grid solvers evaluate its drift, Ito correction and stacked
-    diffusion on whole node arrays, and Monte-Carlo cross-checks run it, so
-    both sides solve one equation.  The bracket-form ``phi`` and ``psi`` are
-    the independent oracle for the same generator.
-    """
-
     system: SdeSystem
 
 
-def lie_poisson_generator(alg: LieAlgebraSpec, K, xi) -> LiePoissonGeneratorSpec:
+def lie_poisson_generator(alg: LieAlgebraSpec, K, xi) -> GeneratorSpec:
     """Generator of the stochastic coadjoint flow with Hamiltonian (1/2) m.Km."""
     noise = NoiseSpec.make(xi, 0)
     h = ReducedHamiltonian(alg=alg, kinetic_inverse=K)
     phi = tuple(ScalarField.linear(x, name=f"g{k+1}") for k, x in enumerate(noise.xi))
-    return LiePoissonGeneratorSpec(
-        bracket=LiePoissonBracket(alg),
-        phi=phi,
-        psi=h.as_field(),
-        system=lie_poisson_system(alg, K, noise),
-    )
+    return GeneratorSpec(bracket=LiePoissonBracket(alg), phi=phi, psi=h.as_field(),
+                         system=lie_poisson_system(alg, K, noise))
 
 
 def hamel_generator(chart: ActionChart, h: ReducedHamiltonian, xi) -> GeneratorSpec:
     """Generator on the mixed (m, q) level; psi is the reduced Hamiltonian."""
+    noise = NoiseSpec.make(xi, 0)
     phi = tuple(ScalarField.linear(np.concatenate([w, np.zeros(chart.n)]), name=f"g{k+1}")
-                for k, w in enumerate(NoiseSpec.make(xi, 0).xi))
-    return GeneratorSpec(bracket=HamelBracket(chart), phi=phi, psi=h.as_mq_field(chart.n))
+                for k, w in enumerate(noise.xi))
+    return GeneratorSpec(bracket=HamelBracket(chart), phi=phi, psi=h.as_mq_field(chart.n),
+                         system=hamel_system(chart, h, noise))
 
 
 def _apply(spec: GeneratorSpec, f: ScalarField, x, sign: float):
@@ -150,8 +143,9 @@ class GridGeometry:
 
     def __post_init__(self):
         bounds = np.asarray(self.bounds, dtype=float)
-        if bounds.shape != (3, 2) or np.any(bounds[:, 1] <= bounds[:, 0]):
-            raise ValueError("bounds must be a (3, 2) array of increasing pairs")
+        if bounds.shape != (3, 2) or not (np.isfinite(bounds).all()
+                                          and np.all(bounds[:, 0] < bounds[:, 1])):
+            raise ValueError("bounds must be a (3, 2) array of finite increasing pairs")
         shape = tuple(int(s) for s in self.shape)
         if len(shape) != 3 or any(s < 4 for s in shape):
             raise ValueError("grid needs at least 4 nodes per axis")
@@ -167,7 +161,9 @@ class GridGeometry:
         return (self.bounds[:, 1] - self.bounds[:, 0]) / (np.array(self.shape) - 1)
 
     def contains(self, x) -> bool:
-        """Whether the point ``x`` lies in the closed box."""
+        """Whether the point ``x``, shape (3,), lies in the closed box."""
+        if np.shape(x) != (3,):
+            raise ValueError(f"point has shape {np.shape(x)}, expected (3,)")
         lo, hi = self.bounds.T
         return bool(np.all((lo <= x) & (x <= hi)))
 
@@ -205,21 +201,17 @@ class DensityGrid:
         object.__setattr__(self, "values", values)
 
 
-def _transport(spec: LiePoissonGeneratorSpec, geometry: GridGeometry, mode: str):
+def _transport(spec: GeneratorSpec, geometry: GridGeometry, mode: str):
     """The grid nodes, the transport b on them and its drift CFL bound.
 
     b is the Ito drift of the generator's SdeSystem, with the Stratonovich
     drift's sign flipped for the adjoint (``mode`` "forward"); the bound
     is min_i dx_i / max|b_i|.
     """
-    if not isinstance(spec, LiePoissonGeneratorSpec):
-        raise ValueError(
-            "grid solvers support generators on the dual of so(3) built "
-            "by lie_poisson_generator"
-        )
     sys = spec.system
     if sys.state_dim != 3:
-        raise ValueError("grid solvers are limited to 3-dimensional duals")
+        raise ValueError("grid solvers support generators on a 3-dimensional dual, "
+                         "built by lie_poisson_generator")
     if mode not in ("backward", "forward"):
         raise ValueError(f"mode must be 'backward' or 'forward', not {mode!r}")
     nodes = geometry.nodes()
@@ -309,7 +301,7 @@ class _GridOperator:
     the next refill overwrites.
     """
 
-    def __init__(self, spec: LiePoissonGeneratorSpec, geometry: GridGeometry,
+    def __init__(self, spec: GeneratorSpec, geometry: GridGeometry,
                  mode: str = "backward"):
         dx = geometry.dx
         nodes, transport, self.drift_bound = _transport(spec, geometry, mode)
@@ -396,7 +388,7 @@ class _GridOperator:
         return out.interior
 
 
-def admissible_dt(spec: LiePoissonGeneratorSpec, geometry: GridGeometry,
+def admissible_dt(spec: GeneratorSpec, geometry: GridGeometry,
                   mode: str = "backward") -> float:
     """Largest outer step of the grid solves: the drift CFL bound min_i dx_i / max|b_i|.
 
@@ -461,8 +453,7 @@ def _evolve(spec, f0_values: np.ndarray, T: float, geometry: GridGeometry,
     whose chunks take their RKC2 combination as they come, in place on
     rotating padded states.
     """
-    if T <= 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
+    _check_horizon(T)
     op = _GridOperator(spec, geometry, mode)
     bound = op.drift_bound
     if dt is None:
@@ -503,7 +494,7 @@ def _evolve(spec, f0_values: np.ndarray, T: float, geometry: GridGeometry,
     return DensityGrid(geometry=geometry, values=y0.interior.copy(), time=T)
 
 
-def backward_solve(spec: LiePoissonGeneratorSpec, f0: ScalarField, T: float,
+def backward_solve(spec: GeneratorSpec, f0: ScalarField, T: float,
                    geometry: GridGeometry, dt: Optional[float] = None) -> DensityGrid:
     """Damped RKC2 solve of d rho/dt = L rho, rho(0, m) = f0(m).
 
@@ -518,7 +509,7 @@ def backward_solve(spec: LiePoissonGeneratorSpec, f0: ScalarField, T: float,
 _DELTA_WIDTH_CELLS = 2.0
 
 
-def forward_solve(spec: LiePoissonGeneratorSpec, x0, T: float,
+def forward_solve(spec: GeneratorSpec, x0, T: float,
                   geometry: GridGeometry, dt: Optional[float] = None) -> DensityGrid:
     """Damped RKC2 solve of the Fokker-Planck equation d rho/dt = L* rho.
 
@@ -541,13 +532,11 @@ def interpolate(grid: DensityGrid, x) -> float:
     """Trilinear interpolation of the grid values at a point inside the box."""
     x = np.asarray(x, dtype=float)
     g = grid.geometry
+    if not g.contains(x):
+        raise ValueError(f"point {x} lies outside the grid box {g.bounds.tolist()}")
     rel = (x - g.bounds[:, 0]) / g.dx
-    idx = np.floor(rel).astype(int)
-    idx = np.clip(idx, 0, np.array(g.shape) - 2)
-    frac = rel - idx
-    if np.any(frac < -1e-9) or np.any(frac > 1.0 + 1e-9):
-        raise ValueError(f"point {x} lies outside the grid box")
-    frac = np.clip(frac, 0.0, 1.0)
+    idx = np.clip(np.floor(rel).astype(int), 0, np.array(g.shape) - 2)
+    frac = np.clip(rel - idx, 0.0, 1.0)
     out = 0.0
     for di in (0, 1):
         for dj in (0, 1):

@@ -43,6 +43,12 @@ def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
+def _check_horizon(T: float) -> None:
+    """Refuses a horizon T outside 0 < T < inf, NaN included."""
+    if not 0 < T < np.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Diffusion directions xi_k in the Lie algebra plus an RNG seed.
@@ -134,8 +140,7 @@ def _increment_blocks(seed: int, channels: int, T: float, M: int):
     of each stream whatever the block sizes.  The ziggurat normals take a
     variable number of counter words, so blocks must be drawn in order.
     """
-    if T <= 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
+    _check_horizon(T)
     if not _is_power_of_two(M):
         raise ValueError(f"step count must be a power of two, got {M}")
     if not 0 <= seed < 2 ** 64:
@@ -180,8 +185,7 @@ def time_grid(T: float, M: int) -> BrownianGrid:
     dyadic coarsening exact); a bare time grid may use any step count.  No
     random numbers are drawn, so its seed and generator are None.
     """
-    if T <= 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
+    _check_horizon(T)
     if M < 1:
         raise ValueError(f"step count must be at least 1, got {M}")
     return BrownianGrid(T=T, steps=M, dW=np.zeros((M, 0)), seed=None, generator=None)

@@ -108,6 +108,7 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    _check_finite(doc)
     from jsonschema.exceptions import best_match
 
     # the error jsonschema.validate would raise
@@ -116,6 +117,17 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{error.json_path}: {error.message}")
     _semantic_checks(doc)
     return Scenario(doc=doc)
+
+
+def _check_finite(node, path: str = "$") -> None:
+    """Refuses a NaN or infinite number anywhere in ``node``, naming its JSON
+    path; json reads NaN, Infinity and an overflowing 1e400 as such floats."""
+    if isinstance(node, float) and not np.isfinite(node):
+        raise ScenarioError(f"{path}: {node!r} is not a finite number")
+    if isinstance(node, (dict, list)):
+        keyed = isinstance(node, dict)
+        for key, value in node.items() if keyed else enumerate(node):
+            _check_finite(value, f"{path}.{key}" if keyed else f"{path}[{key}]")
 
 
 def _semantic_checks(doc: dict) -> None:

@@ -29,7 +29,6 @@ from .dynamics import (
     QuadraticLagrangian,
     ReducedHamiltonian,
     casimir,
-    hamel_system,
     lie_poisson_system,
     momentum_pairing_field,
     phase_space_system,
@@ -170,7 +169,7 @@ def _nested_correction_residual(seed: int = 303) -> dict:
         "lie_poisson": (lp.system, lp.bracket, lp.phi, 3),
         "phase_space": (phase_space_system(L_RIGID, NOISE_PAIR), CanonicalBracket(3),
                         [momentum_pairing_field(SO3_CHART, x) for x in NOISE_PAIR.xi], 6),
-        "hamel": (hamel_system(SO3_CHART, h, NOISE_PAIR), hamel.bracket, hamel.phi, 6),
+        "hamel": (hamel.system, hamel.bracket, hamel.phi, 6),
     }
     out = {}
     for name, (sys, br, gks, dim) in cases.items():

@@ -265,6 +265,12 @@ class TestJsonLoader:
         with pytest.raises(ValueError, match="Jacobi"):
             load_algebra_json(doc)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_rejects_non_finite_constants(self, value):
+        # NaN fails every comparison, so the residual test must not pass it
+        with pytest.raises(ValueError, match="antisymmetric"):
+            load_algebra_json('{"dim": 3, "c": [[0, 1, 0, %s]]}' % value)
+
     def test_rejects_unknown_keys_and_bad_indices(self):
         with pytest.raises(ValueError, match="only"):
             load_algebra_json(json.dumps({"dim": 3, "c": [], "extra": 1}))

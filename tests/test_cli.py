@@ -212,6 +212,20 @@ class TestSimulateCommand:
         assert meta["seed"] is None
         assert meta["generator"] is None
 
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400"])
+    @pytest.mark.parametrize("field, where", [("T", "$.T"), ("m0", "$.m0[0]")])
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, literal, field, where):
+        # json reads NaN, Infinity and an overflowing literal as non-finite
+        # floats, which the schema takes for numbers
+        doc = rigid_body_doc(**{field: "@" if field == "T" else ["@", 0.45, 0.3]})
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{where}: " in err and "not a finite number" in err
+        assert not out.exists()
+
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):
         path = write_scenario(tmp_path, rigid_body_doc(M=100))
         assert main(["simulate", str(path), "--out", str(tmp_path)]) == 1
@@ -357,6 +371,7 @@ class TestKolmogorovCommand:
         ("--grid", ["--grid", "3,16,16", "--box=-1.2,1.2"]),
         ("--box", ["--grid", "16,16,16", "--box=1.2,-1.2"]),
         ("--box", ["--grid", "16,16,16", "--box=-0.5,0.5"]),
+        ("--box", ["--grid", "16,16,16", "--box=-inf,inf"]),
     ])
     def test_bad_flag_exits_1_before_writing(self, tmp_path, capsys, flag, args):
         path = write_scenario(tmp_path, rigid_body_doc())

@@ -228,6 +228,21 @@ class TestGenerator:
         xs = np.random.default_rng(3).normal(size=(20, 6))
         assert np.max(np.abs(generator_apply(spec, Cmq, xs))) <= 1e-8
 
+    @pytest.mark.parametrize("level", ["lie_poisson", "hamel"])
+    def test_generator_is_its_systems_ito_drift(self, level):
+        # L x_i is component i of the Ito drift (drift plus Ito correction)
+        # of the SDE the spec carries, on either level
+        xi = [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]
+        h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_RIGID)
+        spec = (rigid_spec(xi) if level == "lie_poisson"
+                else hamel_generator(builtin_chart("so3_on_r3"), h, xi))
+        sys, d = spec.system, spec.system.state_dim
+        xs = np.random.default_rng(5).normal(size=(20, d))
+        ito_drift = sys.drift(0.0, xs) + sys.ito_correction(0.0, xs)
+        for i in range(d):
+            lx = generator_apply(spec, ScalarField.coordinate(i, d), xs)
+            assert np.max(np.abs(lx - ito_drift[..., i])) <= 1e-9
+
     def test_duality_quadrature(self):
         # integral of (Lf) g minus integral of f (L*g) over a box that
         # contains both bump supports; trapezoid sums on a 64^3 grid
@@ -326,6 +341,21 @@ class TestBackwardSolve:
         # contamination has not propagated that deep by T = 0.1
         q = 64 // 4
         assert float(np.max(err[q:-q, q:-q, q:-q])) <= 1e-4
+
+    def test_refuses_a_generator_off_a_3_dimensional_dual(self):
+        # a Hamel generator carries its 6-dimensional (m, q) system
+        h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_RIGID)
+        spec = hamel_generator(builtin_chart("so3_on_r3"), h, [[0.0, 0.0, 1.0]])
+        assert spec.system.state_dim == 6
+        with pytest.raises(ValueError, match="3-dimensional dual, built by lie_poisson_generator"):
+            backward_solve(spec, casimir(SO3), 0.1, GridGeometry.cube(-1.0, 1.0, 8))
+
+    @pytest.mark.parametrize("T", [0.0, -0.1, np.nan, np.inf])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        geo = GridGeometry.cube(-1.0, 1.0, 8)
+        for solve, datum in ((backward_solve, casimir(SO3)), (forward_solve, np.zeros(3))):
+            with pytest.raises(ValueError, match="horizon T must be positive and finite, got"):
+                solve(rigid_spec(), datum, T, geo)
 
     def test_constant_initial_data_stays_constant(self):
         spec = rigid_spec()
@@ -624,6 +654,16 @@ class TestMcExpectation:
         with pytest.raises(ValueError, match=shape):
             ensemble_finals(sys, x0, 1.0, 8, 16, 0)
 
+    @pytest.mark.parametrize("channels", [0, 1])
+    @pytest.mark.parametrize("x0", [[np.nan, 0.3, 0.5], [0.8, -np.inf, 0.5]])
+    def test_x0_must_be_finite(self, channels, x0):
+        # a non-finite start is refused, not reported as a divergence at step 1
+        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make(np.eye(3)[:channels], seed=0))
+        with pytest.raises(ValueError, match=r"x0 \[.*\] is not finite"):
+            mc_expectation(sys, ScalarField.coordinate(0, 3), x0, 1.0, 8, 16, 0)
+        with pytest.raises(ValueError, match=r"x0 \[.*\] is not finite"):
+            ensemble_finals(sys, x0, 1.0, 8, 16, 0)
+
     @pytest.mark.parametrize("budget", [None, 1, 6, 60, 96, 378, 384, 390])
     def test_block_size_does_not_change_result(self, monkeypatch, budget):
         # a path takes 6 values: budgets of 1 and 6 make 1-path blocks, 60
@@ -790,8 +830,39 @@ class TestInterpolate:
             x = rng.uniform(-0.99, 0.99, size=3)
             assert interpolate(grid, x) == pytest.approx(float(x @ w + 0.1), abs=1e-12)
 
-    def test_outside_box_rejected(self):
+    @pytest.mark.parametrize("x", [[2.0, 0.0, 0.0], [1.0 + 1e-12, 0.0, 0.0],
+                                   [np.nan, 0.0, 0.0], [0.0, 0.0, np.inf]])
+    def test_outside_box_rejected(self, x):
+        # the closed box of GridGeometry.contains, the rule forward_solve and
+        # the kolmogorov command apply; a NaN point lies in no box
         geo = GridGeometry.cube(-1.0, 1.0, 9)
         grid = DensityGrid(geometry=geo, values=np.zeros((9, 9, 9)))
         with pytest.raises(ValueError, match="outside"):
-            interpolate(grid, np.array([2.0, 0.0, 0.0]))
+            interpolate(grid, np.array(x))
+
+    def test_corners_inside(self):
+        geo = GridGeometry.cube(-1.0, 1.0, 9)
+        grid = DensityGrid(geometry=geo, values=geo.nodes()[..., 0])
+        assert interpolate(grid, [1.0, -1.0, 1.0]) == 1.0
+        assert interpolate(grid, [-1.0, 1.0, -1.0]) == -1.0
+
+    def test_point_must_be_one_state(self):
+        geo = GridGeometry.cube(-1.0, 1.0, 9)
+        grid = DensityGrid(geometry=geo, values=np.zeros((9, 9, 9)))
+        with pytest.raises(ValueError, match=re.escape("point has shape (2, 3), expected (3,)")):
+            interpolate(grid, np.zeros((2, 3)))
+
+
+class TestGridGeometry:
+    @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5), (np.nan, 1.0), (-1.0, np.nan),
+                                        (-np.inf, 1.0), (-1.0, np.inf)])
+    def test_bounds_must_be_finite_increasing_pairs(self, lo, hi):
+        with pytest.raises(ValueError, match="finite increasing pairs"):
+            GridGeometry.cube(lo, hi, 8)
+
+    def test_contains_is_the_closed_box(self):
+        geo = GridGeometry(bounds=np.array([[-1.0, 1.0], [0.0, 2.0], [-3.0, -2.0]]), shape=(4, 4, 4))
+        assert geo.contains([1.0, 0.0, -2.0]) and geo.contains([-1.0, 2.0, -3.0])
+        assert not geo.contains([0.0, 0.0, -1.9]) and not geo.contains([0.0, np.nan, -2.5])
+        with pytest.raises(ValueError, match=re.escape("point has shape (6,), expected (3,)")):
+            geo.contains(np.zeros(6))

@@ -56,6 +56,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="positive"):
             sample_grid(spec(), -1.0, 8)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        for make in (sample_grid, lambda _, T, M: time_grid(T, M)):
+            with pytest.raises(ValueError, match=r"horizon T must be positive and finite, got"):
+                make(spec(), T, 8)
+
     def test_time_grid_allows_any_steps(self):
         g = time_grid(1.0, 10000)
         assert g.steps == 10000
