@@ -19,13 +19,10 @@ from .algebra import (
 from .actions import (
     ActionChart,
     PhaseState,
-    action_field,
     builtin_chart,
     canonical_poisson,
     equivariance_residual,
-    hamiltonian_vector_field,
     momentum_map,
-    register_chart,
 )
 from .diagnostics import DriftSeries, empirical_order, observable_series, strong_error
 from .dynamics import (
@@ -34,8 +31,6 @@ from .dynamics import (
     ReducedHamiltonian,
     casimir,
     hamel_system,
-    ito_correction_phase,
-    legendre,
     lie_poisson_system,
     linear_potential,
     momentum_pairing_field,
@@ -77,10 +72,8 @@ from .noise import (
     BrownianGrid,
     NoiseSpec,
     coarsen,
-    read_grid,
     sample_grid,
     time_grid,
-    write_grid,
 )
 
 __version__ = "0.1.0"

@@ -24,13 +24,10 @@ from .fields import CanonicalBracket, ScalarField, fd_jacobian
 __all__ = [
     "ActionChart",
     "PhaseState",
-    "action_field",
     "momentum_map",
     "canonical_poisson",
-    "hamiltonian_vector_field",
     "equivariance_residual",
     "builtin_chart",
-    "register_chart",
     "chart_names",
 ]
 
@@ -101,54 +98,17 @@ class ActionChart:
         target = np.einsum("abg,...gk->...abk", self.alg.c, a)
         return float(np.max(np.abs(comm - target)))
 
-    def validate(self, rng: np.random.Generator, samples: int = 100,
-                 closure_tol: float = 1e-9, fd_rel_tol: float = 1e-6,
-                 scale: float = 2.0) -> None:
-        """Check commutation closure and dA/A consistency at sampled points."""
-        qs = rng.uniform(-scale, scale, size=(samples, self.n))
-        res = self.closure_residual(qs)
-        if res > closure_tol:
-            raise ValueError(
-                f"chart {self.name!r} fails commutation closure "
-                f"(residual {res:.3e} > {closure_tol:.1e})"
-            )
-        if self.dA is not None:
-            da = self.d_coefficients(qs)
-            da_fd = fd_jacobian(self.coefficients, qs)
-            err = np.max(np.abs(da - da_fd)) / (1.0 + np.max(np.abs(da)))
-            if err > fd_rel_tol:
-                raise ValueError(
-                    f"chart {self.name!r}: analytic dA disagrees with finite "
-                    f"differences (relative error {err:.3e} > {fd_rel_tol:.1e})"
-                )
-
-
-def action_field(chart: ActionChart, u, q) -> np.ndarray:
-    """Infinitesimal generator v^i = A_a^i(q) u^a."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != chart.alg.dim:
-        raise ValueError(f"u has dimension {u.shape[-1]}, expected {chart.alg.dim}")
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != chart.n:
-        raise ValueError(f"q has dimension {q.shape[-1]}, expected {chart.n}")
-    return np.einsum("...ai,...a->...i", chart.coefficients(q), u)
-
-
-def _packed_phase(chart: ActionChart, state) -> np.ndarray:
-    """``state`` as floats, refused unless its last axis packs (q, p), 2n wide."""
-    x = np.asarray(state, dtype=float)
-    if x.shape[-1:] != (2 * chart.n,):
-        raise ValueError(f"packed phase state has shape {x.shape}; chart {chart.name!r} "
-                         f"needs a last axis of 2n = {2 * chart.n}")
-    return x
-
 
 def momentum_map(chart: ActionChart, state) -> np.ndarray:
     """Cotangent-lift momentum map m_a = p_i A_a^i(q).
 
-    ``state`` is a PhaseState or a packed (..., 2n) array.
+    ``state`` is a PhaseState or a packed (..., 2n) array; a last axis that
+    is not 2n wide is refused.
     """
-    x = _packed_phase(chart, state.packed() if isinstance(state, PhaseState) else state)
+    x = np.asarray(state.packed() if isinstance(state, PhaseState) else state, dtype=float)
+    if x.shape[-1:] != (2 * chart.n,):
+        raise ValueError(f"packed phase state has shape {x.shape}; chart {chart.name!r} "
+                         f"needs a last axis of 2n = {2 * chart.n}")
     q, p = x[..., : chart.n], x[..., chart.n :]
     return np.einsum("...ai,...i->...a", chart.coefficients(q), p)
 
@@ -156,13 +116,6 @@ def momentum_map(chart: ActionChart, state) -> np.ndarray:
 def canonical_poisson(f: ScalarField, g: ScalarField, state: PhaseState) -> float:
     """{f, g} = df/dq^k dg/dp_k - dg/dq^k df/dp_k at the given state."""
     return CanonicalBracket(state.n)(f, g, state.packed())
-
-
-def hamiltonian_vector_field(h: ScalarField, state: PhaseState):
-    """Components (dh/dp, -dh/dq) of the Hamiltonian vector field of h."""
-    grad = h.gradient(state.packed())
-    n = state.n
-    return grad[..., n:].copy(), -grad[..., :n]
 
 
 def equivariance_residual(chart: ActionChart, state: PhaseState) -> np.ndarray:
@@ -258,11 +211,6 @@ def builtin_chart(name: str, n: int = 3) -> ActionChart:
     if name == "rn_translation":
         return make(n)
     return make()
-
-
-def register_chart(name: str, factory: Callable[[], ActionChart]) -> None:
-    """Register a user chart factory under a name (overwrites existing)."""
-    _CHART_REGISTRY[name] = factory
 
 
 def chart_names() -> list[str]:

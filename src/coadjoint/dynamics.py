@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .actions import ActionChart, _packed_phase, momentum_map
+from .actions import ActionChart, momentum_map
 from .algebra import LieAlgebraSpec, _ad_star
 from .fields import ScalarField, _dot
 from .integrators import SdeSystem, Trajectory
@@ -43,9 +43,7 @@ __all__ = [
     "quadratic_potential",
     "QuadraticLagrangian",
     "ReducedHamiltonian",
-    "legendre",
     "phase_space_system",
-    "ito_correction_phase",
     "lie_poisson_system",
     "hamel_system",
     "reconstruct_momentum",
@@ -102,6 +100,8 @@ def _check_spd(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.array(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} must be finite, got {mat.tolist()}")
     if np.max(np.abs(mat - mat.T)) > 1e-12 * (1.0 + np.max(np.abs(mat))):
         raise ValueError(f"{what} must be symmetric")
     eigs = np.linalg.eigvalsh(mat)
@@ -221,19 +221,6 @@ class ReducedHamiltonian:
             return np.concatenate([self.velocity(x[..., :r]), self.potential.grad(x[..., r:])], -1)
 
         return ScalarField(value=value, grad=grad, name="h")
-
-
-def legendre(L: QuadraticLagrangian, u, q=None):
-    """Legendre transform: m = G u and h = (1/2) m . K m + V(q).
-
-    Returns (m, h_value); the inverse u = K m recovers u exactly for the
-    quadratic kinetic energy.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != L.alg.dim:
-        raise ValueError(f"u has dimension {u.shape[-1]}, expected {L.alg.dim}")
-    m = np.einsum("ab,...b->...a", L.kinetic, u)
-    return m, ReducedHamiltonian.from_lagrangian(L).value(m, q)
 
 
 def _ito_sum(terms: np.ndarray) -> np.ndarray:
@@ -409,18 +396,6 @@ def phase_space_system(
     )
 
 
-def ito_correction_phase(chart: ActionChart, noise: NoiseSpec, state) -> np.ndarray:
-    """Stratonovich-to-Ito drift correction on T*Q, (1/2) sum_k DX_{xi_k} X_{xi_k}.
-
-    Per channel, with B^i = A_a^i xi^a:
-      q-block: (1/2) dB^i/dq^j B^j,
-      p-block: (1/2) [ -p_l d2B^l/dq^i dq^j B^j + dB^l/dq^i p_m dB^m/dq^l ].
-    """
-    sys = _coupled_system(*_phase_fields(chart), np.eye(chart.alg.dim), noise,
-                          state_dim=2 * chart.n)
-    return sys.ito_correction(0.0, _packed_phase(chart, state))
-
-
 def lie_poisson_system(
     alg: LieAlgebraSpec,
     K,
@@ -507,14 +482,12 @@ def reconstruct_momentum(traj: Trajectory, chart: ActionChart) -> Trajectory:
     return Trajectory(times=traj.times, states=m, labels=labels, metadata=meta)
 
 
-def casimir(alg: LieAlgebraSpec, name: str = "quadratic") -> ScalarField:
+def casimir(alg: LieAlgebraSpec) -> ScalarField:
     """The quadratic Casimir C(m) = sum m_a^2 on the dual of so(3).
 
     Only so(3) carries this invariant form in v1; other algebras are
     rejected.
     """
-    if name != "quadratic":
-        raise LookupError(f"unknown Casimir {name!r}; only 'quadratic' is available")
     if alg.name != "so3":
         raise LookupError(
             f"the quadratic Casimir is available for so3 only, not {alg.name!r}"

@@ -136,32 +136,6 @@ class ScalarField:
             name=name,
         )
 
-    @staticmethod
-    def from_qp(
-        n: int,
-        value: Callable[[np.ndarray, np.ndarray], float],
-        grad_q: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-        grad_p: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-        name: str = "",
-    ) -> "ScalarField":
-        """Wrap a function of separate (q, p) arguments over the packed state.
-
-        All three callbacks broadcast over leading axes of q and p.  Analytic
-        gradients are used only if both blocks are supplied.
-        """
-
-        def packed_value(x):
-            return value(x[..., :n], x[..., n:])
-
-        packed_grad = None
-        if grad_q is not None and grad_p is not None:
-            def packed_grad(x):
-                q, p = x[..., :n], x[..., n:]
-                return np.concatenate([np.asarray(grad_q(q, p), dtype=float),
-                                       np.asarray(grad_p(q, p), dtype=float)], axis=-1)
-
-        return ScalarField(value=packed_value, grad=packed_grad, name=name)
-
 
 class PoissonBracket:
     """Poisson bracket {f, g}(x) = grad(f) . P(x) . grad(g).

@@ -15,7 +15,6 @@ so that coarsening twice by 2 is bitwise identical to coarsening once by 4.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,15 +27,9 @@ __all__ = [
     "sample_grid",
     "time_grid",
     "coarsen",
-    "write_grid",
-    "read_grid",
 ]
 
 GENERATOR_ID = "philox4x64"
-
-_MAGIC = b"COADGRID"
-_VERSION = 1
-_HEADER = struct.Struct("<8sIIQQd16s")
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -69,6 +62,8 @@ class NoiseSpec:
                 f"xi must be an array of {self.channels} algebra vectors, "
                 f"got shape {xi.shape}"
             )
+        if not np.all(np.isfinite(xi)):
+            raise ValueError(f"xi must be finite, got {xi.tolist()}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         xi.setflags(write=False)
@@ -211,31 +206,3 @@ def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:
     return BrownianGrid(T=grid.T, steps=grid.steps // factor, dW=dW,
                         seed=grid.seed, generator=grid.generator)
 
-
-def write_grid(path, grid: BrownianGrid) -> None:
-    """Binary export: header (magic, version, N, M, T, seed, generator id)
-    followed by little-endian float64 increments, row-major [step][channel]."""
-    if grid.generator is None:
-        raise ValueError("a time grid draws no noise; there is nothing to write")
-    gen_id = grid.generator.encode("ascii")[:16].ljust(16, b"\0")
-    header = _HEADER.pack(_MAGIC, _VERSION, grid.channels, grid.steps,
-                          grid.seed, grid.T, gen_id)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(grid.dW, dtype="<f8").tobytes())
-
-
-def read_grid(path) -> BrownianGrid:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, version, channels, steps, seed, T, gen_id = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"not a Brownian grid file (magic {magic!r})")
-        if version != _VERSION:
-            raise ValueError(f"unsupported grid file version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != steps * channels:
-        raise ValueError("grid file truncated")
-    dW = data.reshape(steps, channels).astype(float)
-    return BrownianGrid(T=T, steps=steps, dW=dW, seed=seed,
-                        generator=gen_id.rstrip(b"\0").decode("ascii"))

@@ -6,13 +6,10 @@ import pytest
 from coadjoint.actions import (
     ActionChart,
     PhaseState,
-    action_field,
     builtin_chart,
     canonical_poisson,
     equivariance_residual,
-    hamiltonian_vector_field,
     momentum_map,
-    register_chart,
 )
 from coadjoint.algebra import builtin
 from coadjoint.dynamics import (
@@ -42,7 +39,6 @@ def builtin_fields():
         (ScalarField.constant(2.5, 3), 3),
         (ScalarField.linear([0.3, -1.2, 0.7]), 3),
         (ScalarField.linear([0.3, -1.2, 0.7, 0.5, -0.4, 1.1]), 6),
-        (ScalarField.from_qp(3, lambda q, p: q[..., 0] * p[..., 1] - p[..., 2]), 6),
         (casimir(so3), 3),
         (h.as_field(), 3),
         (h.as_mq_field(3), 6),
@@ -74,20 +70,9 @@ def heisenberg():
 class TestActionField:
     def test_rotation_sign_pinned(self, rotation):
         # closure with +Levi-Civita constants fixes A_a(q) = q x e_a
-        v = action_field(rotation, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        assert np.allclose(v, [0.0, -1.0, 0.0])
-
-    def test_linearity_zero(self, rotation):
-        q = np.array([0.3, -0.2, 0.9])
-        assert np.allclose(action_field(rotation, np.zeros(3), q), 0.0)
-
-    def test_translation_constant(self, translation):
-        u = np.array([0.5, -1.0, 2.0])
-        assert np.allclose(action_field(translation, u, np.array([9.0, 9.0, 9.0])), u)
-
-    def test_dimension_mismatch(self, rotation):
-        with pytest.raises(ValueError, match="dimension"):
-            action_field(rotation, np.ones(4), np.zeros(3))
+        a = rotation.coefficients(np.array([1.0, 0.0, 0.0]))
+        assert np.allclose(a[2], [0.0, -1.0, 0.0])
+        assert np.array_equal(a, np.cross(np.array([1.0, 0.0, 0.0]), np.eye(3)))
 
 
 class TestMomentumMap:
@@ -130,46 +115,6 @@ class TestCanonicalPoisson:
             s = PhaseState(rng.normal(size=3), rng.normal(size=3))
             m = momentum_map(rotation, s)
             assert canonical_poisson(m1, m2, s) == pytest.approx(-m[2], abs=1e-9)
-
-
-class TestHamiltonianVectorField:
-    def test_h_equals_p1(self):
-        h = ScalarField.coordinate(3, 6)
-        s = PhaseState(np.zeros(3), np.array([2.0, 0.0, 0.0]))
-        dq, dp = hamiltonian_vector_field(h, s)
-        assert np.allclose(dq, [1.0, 0.0, 0.0])
-        assert np.allclose(dp, 0.0)
-
-    def test_momentum_pairing_generates_action(self, rotation):
-        rng = np.random.default_rng(2)
-        xi = np.array([0.3, -1.0, 0.7])
-        h = momentum_pairing_field(rotation, xi)
-        for _ in range(20):
-            s = PhaseState(rng.normal(size=3), rng.normal(size=3))
-            dq, _ = hamiltonian_vector_field(h, s)
-            assert np.allclose(dq, action_field(rotation, xi, s.q), atol=1e-9)
-
-    def test_kinetic_energy(self):
-        h = ScalarField.from_qp(
-            3,
-            value=lambda q, p: 0.5 * float(p @ p),
-            grad_q=lambda q, p: np.zeros(3),
-            grad_p=lambda q, p: p,
-        )
-        s = PhaseState(np.array([1.0, 1.0, 1.0]), np.array([0.2, -0.5, 0.9]))
-        dq, dp = hamiltonian_vector_field(h, s)
-        assert np.allclose(dq, s.p)
-        assert np.allclose(dp, 0.0)
-
-    def test_batch_rows_equal_single_states(self, rotation):
-        h = momentum_pairing_field(rotation, [0.3, -1.0, 0.7])
-        rng = np.random.default_rng(13)
-        batch = PhaseState(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
-        dq, dp = hamiltonian_vector_field(h, batch)
-        assert dq.shape == dp.shape == (5, 3)
-        for row, (q, p) in enumerate(zip(batch.q, batch.p)):
-            dq1, dp1 = hamiltonian_vector_field(h, PhaseState(q, p))
-            assert np.array_equal(dq[row], dq1) and np.array_equal(dp[row], dp1)
 
 
 class TestEquivariance:
@@ -229,10 +174,14 @@ class TestBuiltinCharts:
             comm = np.einsum("s,ks->k", a[0], da[1]) - np.einsum("s,ks->k", a[1], da[0])
             assert np.allclose(comm, a[2])
 
-    def test_validate_accepts_builtins(self):
-        rng = np.random.default_rng(6)
-        for name in ("so3_on_r3", "rn_translation", "h3_on_r3"):
-            builtin_chart(name).validate(rng)
+    @pytest.mark.parametrize("name", ["so3_on_r3", "rn_translation", "h3_on_r3"])
+    def test_derivatives_match_finite_differences(self, name):
+        # analytic dA and d2A against central differences of A and dA
+        chart = builtin_chart(name)
+        qs = np.random.default_rng(6).uniform(-2, 2, size=(100, chart.n))
+        for d, d_fd in ((chart.d_coefficients(qs), fd_jacobian(chart.coefficients, qs)),
+                        (chart.d2_coefficients(qs), fd_jacobian(chart.d_coefficients, qs))):
+            assert np.max(np.abs(d - d_fd)) <= 1e-6 * (1.0 + np.max(np.abs(d)))
 
     def test_unknown_chart(self):
         with pytest.raises(LookupError, match="unknown chart"):
@@ -245,34 +194,15 @@ class TestBuiltinCharts:
 
 
 class TestUserCharts:
-    def test_registered_chart_with_fd_fallback(self, rotation):
+    def test_chart_with_fd_fallback(self, rotation):
         # same rotation coefficients, but derivatives left to finite differences
-        def factory():
-            return ActionChart(alg=builtin("so3"), n=3, A=rotation.A, name="user_rot")
-
-        register_chart("user_rot", factory)
-        chart = builtin_chart("user_rot")
+        chart = ActionChart(alg=builtin("so3"), n=3, A=rotation.A, name="user_rot")
         rng = np.random.default_rng(7)
         qs = rng.uniform(-1, 1, size=(50, 3))
         assert chart.closure_residual(qs) <= 1e-9
         q = np.array([0.4, -0.2, 0.6])
         assert np.allclose(chart.d_coefficients(q), rotation.d_coefficients(q), atol=1e-7)
         assert np.allclose(chart.d2_coefficients(q), 0.0, atol=1e-4)
-
-    def test_validate_rejects_wrong_derivatives(self):
-        # constant dA on the translation chart keeps the commutators closed
-        # (they see only antisymmetrized differences) but contradicts A
-        from coadjoint.algebra import abelian
-
-        eye = np.eye(3)
-        wrong = ActionChart(
-            alg=abelian(3), n=3,
-            A=lambda q: np.broadcast_to(eye, q.shape[:-1] + (3, 3)).copy(),
-            dA=lambda q: np.full(q.shape[:-1] + (3, 3, 3), 0.01),
-            name="drifting",
-        )
-        with pytest.raises(ValueError, match="finite differences"):
-            wrong.validate(np.random.default_rng(8))
 
 
 class TestScalarField:

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -436,8 +438,23 @@ class TestEntryPoints:
             capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert out.returncode == 1
-        assert "--seeds: need at least 1 seed" in out.stderr
-        assert "Traceback" not in out.stderr
+        assert out.stderr == "error: --seeds: need at least 1 seed, got 0\n"
+
+    def test_exports_resolve(self):
+        # each module's __all__ names exist, and each name the package
+        # re-exports is in its module's __all__, so `import *` never breaks
+        import coadjoint
+
+        for info in pkgutil.iter_modules(coadjoint.__path__):
+            module = importlib.import_module(f"coadjoint.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"coadjoint.{info.name}.__all__ lists {name!r}"
+        tree = ast.parse((ROOT / "src" / "coadjoint" / "__init__.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                listed = importlib.import_module(f"coadjoint.{node.module}").__all__
+                for alias in node.names:
+                    assert alias.name in listed, f"{alias.name!r} not in coadjoint.{node.module}.__all__"
 
     def test_module_help(self):
         out = subprocess.run([sys.executable, "-m", "coadjoint.cli", "--help"],

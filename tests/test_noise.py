@@ -8,10 +8,8 @@ from coadjoint.noise import (
     GENERATOR_ID,
     NoiseSpec,
     coarsen,
-    read_grid,
     sample_grid,
     time_grid,
-    write_grid,
     _increment_blocks,
     _increments,
 )
@@ -67,11 +65,9 @@ class TestSampling:
         assert g.steps == 10000
         assert g.channels == 0
 
-    def test_time_grid_claims_no_generator(self, tmp_path):
+    def test_time_grid_claims_no_generator(self):
         g = time_grid(1.0, 8)
         assert g.seed is None and g.generator is None
-        with pytest.raises(ValueError, match="no noise"):
-            write_grid(tmp_path / "grid.bin", g)
 
 
 class TestEnsembleKeying:
@@ -153,34 +149,6 @@ class TestCoarsen:
             coarsen(g, 128)
 
 
-class TestIO:
-    def test_roundtrip_bitwise(self, tmp_path):
-        g = sample_grid(spec(channels=3, seed=99), 0.5, 128)
-        path = tmp_path / "grid.bin"
-        write_grid(path, g)
-        back = read_grid(path)
-        assert back.T == g.T
-        assert back.steps == g.steps
-        assert back.seed == g.seed
-        assert back.generator == g.generator
-        assert np.array_equal(back.dW, g.dW)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a grid" * 10)
-        with pytest.raises(ValueError, match="magic"):
-            read_grid(path)
-
-    def test_detects_truncation(self, tmp_path):
-        g = sample_grid(spec(), 1.0, 64)
-        path = tmp_path / "grid.bin"
-        write_grid(path, g)
-        data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(ValueError, match="truncated"):
-            read_grid(path)
-
-
 class TestSpecValidation:
     def test_xi_shape(self):
         with pytest.raises(ValueError, match="algebra vectors"):
@@ -196,3 +164,10 @@ class TestSpecValidation:
         assert NoiseSpec(channels=0, xi=np.zeros((0, 3))).xi.shape == (0, 3)
         assert NoiseSpec.make(np.zeros((0, 3)), seed=5).xi.shape == (0, 3)
         assert NoiseSpec.make([], seed=5).xi.shape == (0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_xi_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=rf"xi must be finite, got \[\[{bad}, 0.0, 1.0\]\]"):
+            NoiseSpec.make([[bad, 0.0, 1.0]], 0)
+        with pytest.raises(ValueError, match="xi must be finite"):
+            NoiseSpec(channels=2, xi=[[0.0, 0.0, 1.0], [0.0, bad, 0.0]])
