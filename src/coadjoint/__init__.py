@@ -9,18 +9,15 @@ conservation and convergence properties the equations promise.
 
 from .algebra import (
     LieAlgebraSpec,
-    abelian,
     ad_star,
     bracket,
     builtin,
     jacobi_residual,
-    load_algebra_json,
 )
 from .actions import (
     ActionChart,
     PhaseState,
     builtin_chart,
-    canonical_poisson,
     equivariance_residual,
     momentum_map,
 )

@@ -18,14 +18,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, abelian, builtin
-from .fields import CanonicalBracket, ScalarField, fd_jacobian
+from .algebra import LieAlgebraSpec, builtin
+from .fields import fd_jacobian
 
 __all__ = [
     "ActionChart",
     "PhaseState",
     "momentum_map",
-    "canonical_poisson",
     "equivariance_residual",
     "builtin_chart",
     "chart_names",
@@ -46,10 +45,6 @@ class PhaseState:
             raise ValueError(f"q and p must conform, got shapes {q.shape} and {p.shape}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[-1]
 
     def packed(self) -> np.ndarray:
         return np.concatenate([self.q, self.p], axis=-1)
@@ -113,11 +108,6 @@ def momentum_map(chart: ActionChart, state) -> np.ndarray:
     return np.einsum("...ai,...i->...a", chart.coefficients(q), p)
 
 
-def canonical_poisson(f: ScalarField, g: ScalarField, state: PhaseState) -> float:
-    """{f, g} = df/dq^k dg/dp_k - dg/dq^k df/dp_k at the given state."""
-    return CanonicalBracket(state.n)(f, g, state.packed())
-
-
 def equivariance_residual(chart: ActionChart, state: PhaseState) -> np.ndarray:
     """R_ab = {m_a, m_b}(s) + c_ab^g m_g(s), with analytic chart derivatives.
 
@@ -154,22 +144,21 @@ def _so3_chart() -> ActionChart:
     return ActionChart(alg=builtin("so3"), n=3, A=A, dA=dA, d2A=d2A, name="so3_on_r3")
 
 
-def _translation_chart(n: int) -> ActionChart:
-    eye = np.eye(n)
+def _translation_chart() -> ActionChart:
+    eye = np.eye(3)
 
     def A(q):
-        out = np.empty(q.shape[:-1] + (n, n))
+        out = np.empty(q.shape[:-1] + (3, 3))
         out[...] = eye
         return out
 
     def dA(q):
-        return np.zeros(q.shape[:-1] + (n, n, n))
+        return np.zeros(q.shape[:-1] + (3, 3, 3))
 
     def d2A(q):
-        return np.zeros(q.shape[:-1] + (n, n, n, n))
+        return np.zeros(q.shape[:-1] + (3, 3, 3, 3))
 
-    return ActionChart(alg=abelian(n), n=n, A=A, dA=dA, d2A=d2A,
-                       name="rn_translation")
+    return ActionChart(alg=builtin("r3"), n=3, A=A, dA=dA, d2A=d2A, name="rn_translation")
 
 
 def _h3_chart() -> ActionChart:
@@ -200,16 +189,14 @@ _CHART_REGISTRY: dict[str, Callable[[], ActionChart]] = {
 }
 
 
-def builtin_chart(name: str, n: int = 3) -> ActionChart:
-    """Built-in charts: "so3_on_r3", "rn_translation" (dimension n), "h3_on_r3"."""
+def builtin_chart(name: str) -> ActionChart:
+    """Built-in charts: "so3_on_r3", "rn_translation" (r3 translating R^3), "h3_on_r3"."""
     try:
         make = _CHART_REGISTRY[name]
     except KeyError:
         raise LookupError(
             f"unknown chart {name!r}; available: {sorted(_CHART_REGISTRY)}"
         ) from None
-    if name == "rn_translation":
-        return make(n)
     return make()
 
 

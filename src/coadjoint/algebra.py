@@ -29,7 +29,6 @@ the batch size either.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -42,8 +41,6 @@ __all__ = [
     "jacobi_residual",
     "antisymmetry_residual",
     "builtin",
-    "abelian",
-    "load_algebra_json",
     "BUILTIN_ALGEBRAS",
 ]
 
@@ -118,19 +115,19 @@ class LieAlgebraSpec:
         # + 0.0 maps -0.0 to 0.0, so equal constants hash alike
         return hash((self.dim, self.name, (self.c + 0.0).tobytes()))
 
-    def check_valid(self, tol: float = JACOBI_TOL) -> None:
-        """Raise ValueError unless antisymmetry and Jacobi hold to ``tol``."""
+    def check_valid(self) -> None:
+        """Raise ValueError unless antisymmetry and Jacobi hold to ``JACOBI_TOL``."""
         anti = antisymmetry_residual(self)
-        if not anti <= tol:
+        if not anti <= JACOBI_TOL:
             raise ValueError(
                 f"structure constants of {self.name!r} are not antisymmetric "
-                f"(residual {anti:.3e} > {tol:.1e})"
+                f"(residual {anti:.3e} > {JACOBI_TOL:.1e})"
             )
         jac = jacobi_residual(self)
-        if not jac <= tol:
+        if not jac <= JACOBI_TOL:
             raise ValueError(
                 f"structure constants of {self.name!r} violate the Jacobi "
-                f"identity (residual {jac:.3e} > {tol:.1e})"
+                f"identity (residual {jac:.3e} > {JACOBI_TOL:.1e})"
             )
 
 
@@ -248,11 +245,12 @@ BUILTIN_ALGEBRAS = {
     "so3": _so3_constants,
     "h3": _h3_constants,
     "se2": _se2_constants,
+    "r3": lambda: np.zeros((3, 3, 3)),
 }
 
 
 def builtin(name: str) -> LieAlgebraSpec:
-    """Built-in algebras: "so3" (Levi-Civita), "h3" (Heisenberg), "se2"."""
+    """Built-in algebras: "so3" (Levi-Civita), "h3" (Heisenberg), "se2", "r3" (abelian)."""
     try:
         make = BUILTIN_ALGEBRAS[name]
     except KeyError:
@@ -261,39 +259,5 @@ def builtin(name: str) -> LieAlgebraSpec:
             f"{sorted(BUILTIN_ALGEBRAS)}"
         ) from None
     alg = LieAlgebraSpec(dim=3, c=make(), name=name)
-    alg.check_valid()
-    return alg
-
-
-def abelian(dim: int, name: str = "") -> LieAlgebraSpec:
-    """Abelian algebra R^dim (all structure constants zero)."""
-    return LieAlgebraSpec(dim=dim, c=np.zeros((dim, dim, dim)), name=name or f"r{dim}")
-
-
-def load_algebra_json(source, name: str = "") -> LieAlgebraSpec:
-    """Load an algebra from JSON: {"dim": r, "c": [[a, b, g, value], ...]}.
-
-    Only nonzero entries are listed, with 0-based indices.  Antisymmetry is
-    checked after assembly and violations are rejected, not repaired.
-    """
-    if isinstance(source, (str, bytes)):
-        doc = json.loads(source)
-    else:
-        doc = json.load(source)
-    if not isinstance(doc, dict) or set(doc) - {"dim", "c", "name"}:
-        raise ValueError("algebra document must contain only 'dim', 'c', 'name'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim <= 0:
-        raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
-    c = np.zeros((dim, dim, dim))
-    for entry in doc["c"]:
-        if len(entry) != 4:
-            raise ValueError(f"structure-constant entry must be [a,b,g,value], got {entry!r}")
-        a, b, g, value = entry
-        for idx in (a, b, g):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
-                raise ValueError(f"index {idx!r} out of range for dim {dim}")
-        c[a, b, g] = float(value)
-    alg = LieAlgebraSpec(dim=dim, c=c, name=name or doc.get("name", ""))
     alg.check_valid()
     return alg

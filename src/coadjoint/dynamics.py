@@ -61,13 +61,11 @@ class Potential:
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-    name: str = "potential"
 
 
 _ZERO_POTENTIAL = Potential(
     value=lambda q: np.zeros(q.shape[:-1]),
     grad=lambda q: np.zeros_like(q),
-    name="zero",
 )
 
 
@@ -82,7 +80,6 @@ def linear_potential(g) -> Potential:
     return Potential(
         value=lambda q: np.einsum("...i,i->...", q, g),
         grad=lambda q: np.broadcast_to(g, q.shape).copy(),
-        name="linear",
     )
 
 
@@ -91,7 +88,6 @@ def quadratic_potential(k: float) -> Potential:
     return Potential(
         value=lambda q: 0.5 * k * np.einsum("...i,...i->...", q, q),
         grad=lambda q: k * q,
-        name="quadratic",
     )
 
 
@@ -255,9 +251,11 @@ def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
     the momentum map ``mu(s)``.  u is ``u_of(t, x)`` or K mu; ``force`` is
     None or ``(block, f)``, adding f(s) to the drift's ``[..., block]``.
     ``drift.stacked(ito)`` makes the integrators' evaluators (see
-    :class:`SdeSystem`); the other keywords go to SdeSystem.
+    :class:`SdeSystem`); the other keywords go to SdeSystem.  The three
+    callbacks refuse a state whose last axis is not ``state_dim`` wide.
     """
     r, C = K.shape[0], noise.channels
+    d, name = system_kw["state_dim"], system_kw["name"]
     if C and noise.xi.shape[1] != r:
         raise ValueError(f"noise directions have dimension {noise.xi.shape[1]}, algebra needs {r}")
     # (C, r); the reshape turns the (0, 0) directions of NoiseSpec.make([], seed) into (0, r)
@@ -281,18 +279,24 @@ def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
 
     block, f = force or (None, None)
 
+    def checked(x):
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (d,):
+            raise ValueError(f"state has shape {x.shape}; system {name!r} needs a last axis of {d}")
+        return x
+
     def drift(t, x):
-        s = stage(x)
+        s = stage(checked(x))
         out = field(velocity(t, x, s), s)
         if f is not None:
             out[..., block] += f(s)
         return out
 
     def diffusion(t, x):
-        return field(xi, stage(x[..., None, :]))
+        return field(xi, stage(checked(x)[..., None, :]))
 
     def correction(t, x):
-        x = np.asarray(x, dtype=float)
+        x = checked(x)
         # channels outermost, (C, ..., d): a batch is each term's inner axis
         w = xi.reshape((C,) + (1,) * (x.ndim - 1) + (r,))
         s = stage(x)
@@ -370,7 +374,6 @@ def phase_space_system(
     L: QuadraticLagrangian,
     noise: NoiseSpec,
     u_of: Optional[Callable] = None,
-    name: str = "",
 ) -> SdeSystem:
     """Stratonovich dynamics on T*Q driven through the momentum map.
 
@@ -392,7 +395,7 @@ def phase_space_system(
         force=None if L.potential is zero_potential() else (
             slice(n, None), lambda s: L.grad_q(s[0])),
         momentum=lambda x: momentum_map(chart, x),
-        state_dim=2 * n, labels=labels, name=name or f"phase_space[{chart.name}]",
+        state_dim=2 * n, labels=labels, name=f"phase_space[{chart.name}]",
     )
 
 
@@ -401,7 +404,6 @@ def lie_poisson_system(
     K,
     noise: NoiseSpec,
     u_of: Optional[Callable] = None,
-    name: str = "",
 ) -> SdeSystem:
     """Collective Stratonovich dynamics on the dual algebra.
 
@@ -414,7 +416,7 @@ def lie_poisson_system(
         None, lambda w, m: _ad_star(alg, w, m), lambda w, m, v: _ad_star(alg, w, v),
         lambda m: m, K, noise, u_of, momentum=lambda m: m,
         state_dim=alg.dim, labels=tuple(f"m{i+1}" for i in range(alg.dim)),
-        name=name or f"lie_poisson[{alg.name}]",
+        name=f"lie_poisson[{alg.name}]",
     )
 
 
@@ -422,7 +424,6 @@ def hamel_system(
     chart: ActionChart,
     h: ReducedHamiltonian,
     noise: NoiseSpec,
-    name: str = "",
 ) -> SdeSystem:
     """Stratonovich dynamics on the mixed (m, q) level.
 
@@ -461,7 +462,7 @@ def hamel_system(
         at, field, dfield, lambda s: s[0], h.kinetic_inverse, noise,
         force=None if h.potential is zero_potential() else (slice(0, r), force),
         momentum=lambda x: x[..., :r],
-        state_dim=r + n, labels=labels, name=name or f"hamel[{chart.name}]",
+        state_dim=r + n, labels=labels, name=f"hamel[{chart.name}]",
     )
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "rk4_step",
     "integrate",
     "write_trajectory_csv",
-    "read_trajectory_csv",
 ]
 
 class IntegrationDiverged(RuntimeError):
@@ -361,11 +360,3 @@ def write_trajectory_csv(traj: Trajectory, csv_path, meta_path=None) -> None:
     _write_rows(csv_path, ("t",) + tuple(labels), np.column_stack([traj.times, traj.states]))
     if meta_path is not None:
         _write_json(meta_path, traj.metadata)
-
-
-def read_trajectory_csv(csv_path) -> Trajectory:
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
-    return Trajectory(times=rows[:, 0], states=rows[:, 1:], labels=tuple(header[1:]))

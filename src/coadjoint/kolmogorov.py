@@ -388,15 +388,14 @@ class _GridOperator:
         return out.interior
 
 
-def admissible_dt(spec: GeneratorSpec, geometry: GridGeometry,
-                  mode: str = "backward") -> float:
-    """Largest outer step of the grid solves: the drift CFL bound min_i dx_i / max|b_i|.
+def admissible_dt(spec: GeneratorSpec, geometry: GridGeometry) -> float:
+    """Largest outer step of backward_solve: the drift CFL bound min_i dx_i / max|b_i|.
 
     Diffusion sets no step limit; each step takes as many Runge-Kutta-
     Chebyshev stages as the diffusion's spectral radius needs.  Computed
     without the stencil weights.
     """
-    return _transport(spec, geometry, mode)[2]
+    return _transport(spec, geometry, "backward")[2]
 
 
 # Damping of the RKC2 stages; it leaves a real stability interval of length
@@ -509,14 +508,13 @@ def backward_solve(spec: GeneratorSpec, f0: ScalarField, T: float,
 _DELTA_WIDTH_CELLS = 2.0
 
 
-def forward_solve(spec: GeneratorSpec, x0, T: float,
-                  geometry: GridGeometry, dt: Optional[float] = None) -> DensityGrid:
+def forward_solve(spec: GeneratorSpec, x0, T: float, geometry: GridGeometry) -> DensityGrid:
     """Damped RKC2 solve of the Fokker-Planck equation d rho/dt = L* rho.
 
     The delta initial datum at x0 is approximated by an isotropic Gaussian
     of width ``_DELTA_WIDTH_CELLS`` grid cells; refine the grid to sharpen it.
-    ``dt`` is the outer step, at most (and by default) the drift CFL bound
-    of the adjoint coefficients.  ``x0`` must lie in the box.
+    The outer step is the drift CFL bound of the adjoint coefficients.
+    ``x0`` must lie in the box.
     """
     x0 = np.asarray(x0, dtype=float)
     if not geometry.contains(x0):
@@ -525,7 +523,7 @@ def forward_solve(spec: GeneratorSpec, x0, T: float,
     sigma = _DELTA_WIDTH_CELLS * float(np.mean(geometry.dx))
     r2 = np.sum((nodes - x0) ** 2, axis=-1)
     values = np.exp(-0.5 * r2 / sigma ** 2) / ((2.0 * np.pi) ** 1.5 * sigma ** 3)
-    return _evolve(spec, values, T, geometry, dt, "forward")
+    return _evolve(spec, values, T, geometry, None, "forward")
 
 
 def interpolate(grid: DensityGrid, x) -> float:

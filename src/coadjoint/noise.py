@@ -154,14 +154,6 @@ def _increment_blocks(seed: int, channels: int, T: float, M: int):
     return draw
 
 
-def _increments(seed: int, channels: int, T: float, M: int, paths: int) -> np.ndarray:
-    """The whole increment table (M, paths, C) of the first ``paths`` paths:
-    one block of :func:`_increment_blocks`, so path j of channel k is draws
-    j*M ... j*M + M - 1 of the Philox stream keyed (seed, k).
-    """
-    return _increment_blocks(seed, channels, T, M)(paths)
-
-
 def sample_grid(spec: NoiseSpec, T: float, M: int) -> BrownianGrid:
     """Sample a grid of M Brownian increments for each of the spec's channels.
 
@@ -169,7 +161,7 @@ def sample_grid(spec: NoiseSpec, T: float, M: int) -> BrownianGrid:
     making the grid a deterministic function of (seed, T, M, channels); it
     is path 0 of every ensemble on that seed.
     """
-    dW = _increments(spec.seed, spec.channels, T, M, 1)[:, 0, :]
+    dW = _increment_blocks(spec.seed, spec.channels, T, M)(1)[:, 0, :]
     return BrownianGrid(T=T, steps=M, dW=dW, seed=spec.seed)
 
 

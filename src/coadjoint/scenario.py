@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .actions import builtin_chart, chart_names
-from .algebra import BUILTIN_ALGEBRAS, LieAlgebraSpec, abelian, builtin
+from .algebra import BUILTIN_ALGEBRAS, LieAlgebraSpec, builtin
 from .dynamics import (
     Potential,
     QuadraticLagrangian,
@@ -34,40 +34,16 @@ from .fields import ScalarField
 from .integrators import SdeSystem
 from .noise import NoiseSpec
 
-__all__ = ["ScenarioError", "Scenario", "load_scenario", "build_scenario", "scenario_schema"]
+__all__ = ["ScenarioError", "load_scenario", "build_scenario", "scenario_schema"]
 
 
 class ScenarioError(ValueError):
     """Invalid scenario document; the message names the field at fault."""
 
 
-def _algebra_by_name(name: str) -> LieAlgebraSpec:
-    """Scenario algebra names: the lie_core built-ins plus the abelian r3."""
-    if name == "r3":
-        return abelian(3)
-    return builtin(name)
-
-
-def _algebra_names() -> list:
-    return sorted(BUILTIN_ALGEBRAS) + ["r3"]
-
-
 def scenario_schema() -> dict:
     with resources.files("coadjoint.schema").joinpath("scenario.schema.json").open() as fh:
         return json.load(fh)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Validated scenario fields, still in document form."""
-
-    doc: dict
-
-    def __getitem__(self, key):
-        return self.doc[key]
-
-    def get(self, key, default=None):
-        return self.doc.get(key, default)
 
 
 @dataclass(frozen=True)
@@ -101,8 +77,8 @@ def _scenario_validator():
     return cls(schema)
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file against the published schema."""
+def load_scenario(path) -> dict:
+    """The scenario document at ``path``, validated against the published schema."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -116,7 +92,7 @@ def load_scenario(path) -> Scenario:
     if error is not None:
         raise ScenarioError(f"{error.json_path}: {error.message}")
     _semantic_checks(doc)
-    return Scenario(doc=doc)
+    return doc
 
 
 def _check_finite(node, path: str = "$") -> None:
@@ -132,10 +108,10 @@ def _check_finite(node, path: str = "$") -> None:
 
 def _semantic_checks(doc: dict) -> None:
     system = doc["system"]
-    if doc["algebra"] not in _algebra_names():
+    if doc["algebra"] not in BUILTIN_ALGEBRAS:
         raise ScenarioError(
             f"$.algebra: unknown algebra {doc['algebra']!r}; "
-            f"available: {_algebra_names()}"
+            f"available: {sorted(BUILTIN_ALGEBRAS)}"
         )
     if system in ("phase_space", "hamel"):
         if "chart" not in doc:
@@ -144,6 +120,12 @@ def _semantic_checks(doc: dict) -> None:
             raise ScenarioError(
                 f"$.chart: unknown chart {doc['chart']!r}; available: {chart_names()}"
             )
+    pot = doc.get("potential", {"id": "zero"})
+    takes = {"zero": (), "linear": ("g",), "quadratic": ("k",)}[pot["id"]]
+    for key in pot.get("params", {}):
+        if key not in takes:
+            raise ScenarioError(
+                f"$.potential.params.{key}: the {pot['id']} potential takes no {key!r}")
     M = doc["M"]
     if doc["scheme"] == "rk4" and doc.get("xi"):
         raise ScenarioError(
@@ -161,7 +143,7 @@ def _semantic_checks(doc: dict) -> None:
     if system == "lie_poisson":
         if "m0" not in doc:
             raise ScenarioError("$.m0: required for system 'lie_poisson'")
-        if doc.get("potential", {"id": "zero"})["id"] != "zero":
+        if pot["id"] != "zero":
             raise ScenarioError("$.potential: lie_poisson dynamics has no configuration potential")
     elif system == "phase_space":
         x0 = doc.get("x0", {})
@@ -210,19 +192,15 @@ def _u_policy(doc: dict, alg: LieAlgebraSpec):
     policy = doc.get("u_policy", {"id": "legendre"})
     if policy["id"] == "legendre":
         return None
-    if policy["id"] == "zero":
-        zero = np.zeros(alg.dim)
-        return lambda t, x: np.broadcast_to(zero, x.shape[:-1] + (alg.dim,))
-    value = np.asarray(policy["value"], dtype=float)
+    value = np.zeros(alg.dim) if policy["id"] == "zero" else np.asarray(policy["value"], dtype=float)
     if value.shape != (alg.dim,):
         raise ScenarioError(f"$.u_policy.value: need a {alg.dim}-vector")
     return lambda t, x: np.broadcast_to(value, x.shape[:-1] + (alg.dim,))
 
 
-def build_scenario(scn: Scenario) -> BuiltScenario:
-    """Instantiate the system, noise, and initial state a scenario describes."""
-    doc = scn.doc
-    alg = _algebra_by_name(doc["algebra"])
+def build_scenario(doc: dict) -> BuiltScenario:
+    """Instantiate the system, noise, and initial state a loaded document describes."""
+    alg = builtin(doc["algebra"])
     kin = doc["kinetic"]
     if "G" in kin:
         G = np.asarray(kin["G"], dtype=float)
@@ -235,10 +213,12 @@ def build_scenario(scn: Scenario) -> BuiltScenario:
             f"$.kinetic: matrix is {G.shape[0]}x{G.shape[0]}, algebra "
             f"{alg.name!r} has dimension {alg.dim}"
         )
-    xi = np.asarray(doc.get("xi", []), dtype=float)
-    if xi.size and xi.shape[1] != alg.dim:
-        raise ScenarioError(f"$.xi: directions must be {alg.dim}-vectors")
-    noise = NoiseSpec.make(xi if xi.size else np.zeros((0, alg.dim)), seed=doc["seed"])
+    xi = doc.get("xi", [])
+    for k, row in enumerate(xi):
+        if len(row) != alg.dim:
+            raise ScenarioError(f"$.xi[{k}]: directions must be {alg.dim}-vectors")
+    noise = NoiseSpec.make(np.reshape(np.asarray(xi, dtype=float), (len(xi), alg.dim)),
+                           seed=doc["seed"])
 
     system_kind = doc["system"]
     if system_kind in ("phase_space", "hamel"):

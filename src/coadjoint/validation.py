@@ -20,7 +20,6 @@ from . import algebra as lie
 from .actions import (
     PhaseState,
     builtin_chart,
-    canonical_poisson,
     equivariance_residual,
     momentum_map,
 )
@@ -69,6 +68,10 @@ L_RIGID = QuadraticLagrangian(alg=SO3, kinetic=G_RIGID, chart=SO3_CHART)
 X0_PHASE = np.concatenate([Q0, P0])
 M0_PHASE = momentum_map(SO3_CHART, PhaseState(Q0, P0))
 M_EXPONENTS = range(8, 14)
+COLLECTIVIZATION_EXPONENTS = range(8, 13)  # phase-space steps dominate its cost
+NESTED_SEED = 303
+SHORT_TIME_SEED = 7
+SHORT_TIME_PATHS = 200_000
 
 # Gate constant for the short-time generator consistency check,
 # |(E f(X_h) - f(x)) / h - Lf(x)| <= C (h + stderr / h), calibrated once at
@@ -151,7 +154,7 @@ def suite_equivariance(seeds: int = 8) -> list:
             u, v = rng.normal(size=(2, chart.alg.dim))
             fu = momentum_pairing_field(chart, u)
             fv = momentum_pairing_field(chart, v)
-            lhs = canonical_poisson(fu, fv, s)
+            lhs = CanonicalBracket(chart.n)(fu, fv, s.packed())
             rhs = momentum_map(chart, s) @ lie.bracket(chart.alg, u, v)
             pairing = max(pairing, abs(lhs + rhs))
         rows.append(_row_max(f"{chart_name} equivariance residual", resid, 1e-9))
@@ -159,9 +162,9 @@ def suite_equivariance(seeds: int = 8) -> list:
     return rows
 
 
-def _nested_correction_residual(seed: int = 303) -> dict:
+def _nested_correction_residual() -> dict:
     """Closed-form Ito correction vs nested double bracket, all three builders."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(NESTED_SEED)
     h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_RIGID)
     lp = lie_poisson_generator(SO3, K_RIGID, XI_PAIR)
     hamel = hamel_generator(SO3_CHART, h, XI_PAIR)
@@ -275,7 +278,7 @@ def collectivization_seeds(seeds: int) -> int:
     return max(2, seeds // 2)
 
 
-def collectivization_errors(seeds: int = 4, exponents=range(8, 13)):
+def collectivization_errors(seeds: int = 4):
     """Coupled phase-space-through-J vs direct collective errors per step size.
 
     The phase-space integration dominates the cost, so this study defaults
@@ -284,7 +287,7 @@ def collectivization_errors(seeds: int = 4, exponents=range(8, 13)):
     """
     ps = phase_space_system(L_RIGID, NOISE_PAIR)
     lp = lie_poisson_system(SO3, K_RIGID, NOISE_PAIR)
-    return _coupled_study(seeds, exponents,
+    return _coupled_study(seeds, COLLECTIVIZATION_EXPONENTS,
                           [(ps, "heun_strat", X0_PHASE), (lp, "heun_strat", M0_PHASE)],
                           lambda tp, tl: strong_error(reconstruct_momentum(tp, SO3_CHART), tl))
 
@@ -302,11 +305,11 @@ def suite_collectivize(seeds: int = 8) -> list:
     return rows
 
 
-def short_time_consistency(xi, h: float, seed: int = 7, ensemble: int = 200_000):
+def short_time_consistency(xi, h: float):
     """Worst |(E f(X_h) - f(x))/h - Lf(x)| / (h + stderr/h) over f in {m1, m2, m3}."""
     spec = lie_poisson_generator(SO3, K_RIGID, xi)
     x0 = MC_CROSSCHECK["m0"]
-    finals = ensemble_finals(spec.system, x0, T=h, M=2, ensemble=ensemble, seed=seed)
+    finals = ensemble_finals(spec.system, x0, h, 2, SHORT_TIME_PATHS, SHORT_TIME_SEED)
     worst = 0.0
     for i in range(3):
         f = ScalarField.coordinate(i, 3, name=f"m{i+1}")

@@ -7,7 +7,6 @@ from coadjoint.actions import (
     ActionChart,
     PhaseState,
     builtin_chart,
-    canonical_poisson,
     equivariance_residual,
     momentum_map,
 )
@@ -18,7 +17,13 @@ from coadjoint.dynamics import (
     linear_potential,
     momentum_pairing_field,
 )
-from coadjoint.fields import LiePoissonBracket, ScalarField, double_bracket, fd_jacobian
+from coadjoint.fields import (
+    CanonicalBracket,
+    LiePoissonBracket,
+    ScalarField,
+    double_bracket,
+    fd_jacobian,
+)
 from coadjoint.kolmogorov import hamel_generator, lie_poisson_generator
 from coadjoint.scenario import build_scenario, load_scenario
 
@@ -99,12 +104,12 @@ class TestCanonicalPoisson:
             for j in range(3):
                 qi = ScalarField.coordinate(i, 6)
                 pj = ScalarField.coordinate(3 + j, 6)
-                assert canonical_poisson(qi, pj, s) == pytest.approx(float(i == j), abs=1e-12)
+                assert CanonicalBracket(3)(qi, pj, s.packed()) == pytest.approx(float(i == j), abs=1e-12)
 
     def test_antisymmetry(self, rotation):
         f = momentum_pairing_field(rotation, [1.0, 0.5, -0.2])
         s = PhaseState(np.array([0.3, 0.1, -0.8]), np.array([1.0, 0.0, 0.4]))
-        assert canonical_poisson(f, f, s) == pytest.approx(0.0, abs=1e-14)
+        assert CanonicalBracket(3)(f, f, s.packed()) == pytest.approx(0.0, abs=1e-14)
 
     def test_momentum_components_close_on_constants(self, rotation):
         # {m_1, m_2} = -m_3 at random states
@@ -114,7 +119,7 @@ class TestCanonicalPoisson:
         for _ in range(20):
             s = PhaseState(rng.normal(size=3), rng.normal(size=3))
             m = momentum_map(rotation, s)
-            assert canonical_poisson(m1, m2, s) == pytest.approx(-m[2], abs=1e-9)
+            assert CanonicalBracket(3)(m1, m2, s.packed()) == pytest.approx(-m[2], abs=1e-9)
 
 
 class TestEquivariance:
@@ -187,10 +192,10 @@ class TestBuiltinCharts:
         with pytest.raises(LookupError, match="unknown chart"):
             builtin_chart("mystery")
 
-    def test_translation_dimension_parameter(self):
-        chart = builtin_chart("rn_translation", n=5)
-        assert chart.n == 5
-        assert chart.alg.dim == 5
+    def test_translation_acts_with_r3(self):
+        chart = builtin_chart("rn_translation")
+        assert chart.n == 3
+        assert chart.alg == builtin("r3")
 
 
 class TestUserCharts:

@@ -148,11 +148,14 @@ class TestScenarioValidation:
         assert len(calls) == 1
 
     def test_cli_import_leaves_jsonschema_unloaded(self):
-        code = "import sys, coadjoint, coadjoint.cli; print('jsonschema' in sys.modules)"
+        # nor logging or concurrent.futures, whose import alone slows the
+        # ensemble loop measurably
+        code = ("import sys, coadjoint, coadjoint.cli; print([m for m in "
+                "('jsonschema', 'logging', 'concurrent.futures') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=src_env(), timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_hamel_rejects_constant_policy(self, tmp_path):
         doc = {
@@ -226,6 +229,30 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"{where}: " in err and "not a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"potential": {"id": "linear", "params": {"g": ["0", "0", "1"]}}},
+         "$.potential.params.g[2]: '1' is not of type 'number'"),
+        ({"potential": {"id": "quadratic", "params": {"k": True}}},
+         "$.potential.params.k: True is not of type 'number'"),
+        ({"potential": {"id": "linear", "params": {"g": [0.0, 0.0, 1.0], "k": 2.0}}},
+         "$.potential.params.k: the linear potential takes no 'k'"),
+        ({"potential": {"id": "zero", "params": {"g": [0.0, 0.0, 1.0]}}},
+         "$.potential.params.g: the zero potential takes no 'g'"),
+        ({"xi": [[0.0, 0.0, 1.0], [1.0, 0.0]]}, "$.xi[1]: directions must be 3-vectors"),
+        ({"seed": 2 ** 70}, f"$.seed: {2 ** 70} is greater than the maximum of {2 ** 64 - 1}"),
+        ({"algebra": "so4"},
+         "$.algebra: unknown algebra 'so4'; available: ['h3', 'r3', 'se2', 'so3']"),
+    ], ids=["g_strings", "k_bool", "k_beside_g", "param_of_zero", "ragged_xi", "seed_2_70",
+            "algebra_so4"])
+    def test_coerced_or_unplaced_input_exits_1(self, tmp_path, capsys, edit, message):
+        # each refusal names its JSON path, before any output is written
+        doc = json.loads((SCENARIOS / "heavy_top.json").read_text())
+        doc.update(edit)
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from coadjoint import dynamics
 from coadjoint.actions import ActionChart, PhaseState, builtin_chart, momentum_map
-from coadjoint.algebra import _TRIPLE_MIN_ROWS, LieAlgebraSpec, _ad_star, abelian, ad_star, builtin
+from coadjoint.algebra import _TRIPLE_MIN_ROWS, LieAlgebraSpec, _ad_star, ad_star, builtin
 from coadjoint.diagnostics import observable_series, strong_error
 from coadjoint.dynamics import (
     Potential,
@@ -30,7 +30,7 @@ from coadjoint.fields import (
 from coadjoint.integrators import (_drive, _stacked, euler_ito_step, heun_stratonovich_step,
                                    integrate)
 from coadjoint.kolmogorov import ensemble_finals
-from coadjoint.noise import BrownianGrid, NoiseSpec, _increments, sample_grid, time_grid
+from coadjoint.noise import BrownianGrid, NoiseSpec, _increment_blocks, sample_grid, time_grid
 
 SO3 = builtin("so3")
 K_RIGID = np.diag([1.0, 0.5, 1.0 / 3.0])
@@ -107,7 +107,7 @@ class TestLegendre:
 class TestPhaseSpaceSystem:
     def test_translation_chart_linear_path(self):
         chart = builtin_chart("rn_translation")
-        alg = abelian(3)
+        alg = builtin("r3")
         L = QuadraticLagrangian(alg=alg, kinetic=np.eye(3), chart=chart)
         u_const = np.array([0.3, 0.0, -0.1])
         noise = NoiseSpec.make([[1.0, 0.0, 0.0]], seed=3)
@@ -314,7 +314,7 @@ class TestHamelSystem:
 
     def test_abelian_chart_gives_canonical_equations(self):
         chart = builtin_chart("rn_translation")
-        alg = abelian(3)
+        alg = builtin("r3")
         h = ReducedHamiltonian(alg=alg, kinetic_inverse=np.eye(3),
                                potential=linear_potential([1.0, 0.0, 0.0]))
         sys = hamel_system(chart, h, NoiseSpec(channels=0, xi=np.zeros((0, 3)), seed=0))
@@ -391,7 +391,7 @@ class TestOtherAlgebras:
 class TestReconstructMomentum:
     def test_translation_returns_p_block(self):
         chart = builtin_chart("rn_translation")
-        alg = abelian(3)
+        alg = builtin("r3")
         L = QuadraticLagrangian(alg=alg, kinetic=np.eye(3), chart=chart)
         noise = NoiseSpec.make([[1.0, 0.0, 0.0]], seed=9)
         sys = phase_space_system(L, noise)
@@ -471,6 +471,19 @@ def _three_levels(noise, potential=None, chart=None):
 
 
 class TestCoupling:
+    @pytest.mark.parametrize("width", ["short", "long"])
+    @pytest.mark.parametrize("callback", ["drift", "diffusion", "ito_correction"])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_state_width_refused(self, level, callback, width):
+        # each public callback names the system and the width it needs
+        sys = _three_levels(NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0))[level]
+        d = sys.state_dim
+        x = np.ones(d - 1 if width == "short" else d + 1)
+        want = f"state has shape ({x.size},); system {sys.name!r} needs a last axis of {d}"
+        with pytest.raises(ValueError) as err:
+            getattr(sys, callback)(0.0, x)
+        assert str(err.value) == want
+
     def test_constructors_keep_caller_arrays_writable(self):
         # each constructor freezes its own copy, never the caller's array
         G, K, c = np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 0.5, 0.25]), SO3.c.copy()
@@ -542,7 +555,7 @@ class TestCoupling:
         rng = np.random.default_rng(11)
         x0 = rng.normal(size=(7, sys.state_dim))
         seed, T, M = 23, 0.5, 32
-        dW = _increments(seed, 2, T, M, 7)
+        dW = _increment_blocks(seed, 2, T, M)(7)
         batch = _drive(sys, scheme, x0, T / M, dW)
         grid = BrownianGrid(T=T, steps=M, dW=dW[:, 3], seed=seed)
         alone = integrate(sys, scheme, grid, x0[3]).final()
@@ -561,7 +574,7 @@ class TestCoupling:
             sys = lie_poisson_system(builtin(name), K_RIGID, noise)
         E, T, M = _TRIPLE_MIN_ROWS + 7, 0.5, 16
         x0 = np.random.default_rng(13).normal(size=(E, sys.state_dim))
-        dW = _increments(29, 2, T, M, E)
+        dW = _increment_blocks(29, 2, T, M)(E)
         batch = _drive(sys, scheme, x0, T / M, dW)
         for j in range(E):
             assert np.array_equal(batch[j], _drive(sys, scheme, x0[j], T / M, dW[:, j])), j
@@ -643,7 +656,7 @@ class TestStackedFields:
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
         sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
         x0 = np.random.default_rng(3).normal(size=sys.state_dim)
-        dW = _increments(5, 2, 0.5, 16, 7)
+        dW = _increment_blocks(5, 2, 0.5, 16)(7)
         runs = []
         for s in (sys, _own_callbacks(sys)):
             states = np.empty((17, 7, sys.state_dim))
@@ -668,7 +681,7 @@ class TestStackedFields:
             assert np.array_equal(step(_own_callbacks(sys), 0.3, x, 0.01, dW), want), step
             assert np.array_equal(step(sys, 0.3, x[0], 0.01, np.tile(dW, (rows, 1))),
                                   loop(sys, 0.3, x[0], 0.01, np.tile(dW, (rows, 1)))), step
-        table = _increments(5, 2, 0.5, 16, 1)[:, 0]
+        table = _increment_blocks(5, 2, 0.5, 16)(1)[:, 0]
         shared = _drive(sys, "heun_strat", x, 0.5 / 16, table)
         per_row = _drive(sys, "heun_strat", x, 0.5 / 16, np.repeat(table[:, None], rows, axis=1))
         assert np.array_equal(shared, per_row)
@@ -902,7 +915,7 @@ class TestZeroPotential:
             calls.append(q.shape)
             return np.zeros_like(q)
 
-        counting = Potential(value=lambda q: np.zeros(q.shape[:-1]), grad=grad, name="zero")
+        counting = Potential(value=lambda q: np.zeros(q.shape[:-1]), grad=grad)
         monkeypatch.setattr(dynamics, "_ZERO_POTENTIAL", counting)
         assert zero_potential() is counting
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
@@ -914,7 +927,7 @@ class TestZeroPotential:
         for step in (heun_stratonovich_step, euler_ito_step):
             runs += [lambda s, step=step: step(s, 0.3, x[0], 0.01, dW[0]),
                      lambda s, step=step: step(s, 0.3, x, 0.01, dW)]
-        table = _increments(5, 2, 0.5, 16, 7)
+        table = _increment_blocks(5, 2, 0.5, 16)(7)
         runs += [lambda s: _drive(s, "heun_strat", x, 0.5 / 16, table),
                  lambda s: _drive(s, "euler_ito", x[3], 0.5 / 16, table[:, 3])]
         for run in runs:
@@ -975,5 +988,5 @@ class TestItoCorrectionShape:
 
 
 def _euler_ensemble(sys, x0, T, M, ensemble, seed):
-    dW = _increments(seed, sys.channels, T, M, ensemble)
+    dW = _increment_blocks(seed, sys.channels, T, M)(ensemble)
     return _drive(sys, "euler_ito", np.broadcast_to(x0, (ensemble, len(x0))), T / M, dW)

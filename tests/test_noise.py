@@ -11,7 +11,6 @@ from coadjoint.noise import (
     sample_grid,
     time_grid,
     _increment_blocks,
-    _increments,
 )
 
 
@@ -79,24 +78,24 @@ class TestEnsembleKeying:
             assert np.array_equal(g.dW[:, k], gen.standard_normal(64) * np.sqrt(0.5 / 64))
 
     def test_path_zero_is_sample_grid(self):
-        table = _increments(42, 2, 1.0, 256, 5)
+        table = _increment_blocks(42, 2, 1.0, 256)(5)
         assert table.shape == (256, 5, 2)
         assert np.array_equal(table[:, 0, :], sample_grid(spec(), 1.0, 256).dW)
 
     @pytest.mark.parametrize("seed", [0, 41, 2 ** 32 + 7])
     def test_neighbouring_seeds_share_no_increment(self, seed):
-        a = _increments(seed, 2, 1.0, 64, 16)
-        b = _increments(seed + 1, 2, 1.0, 64, 16)
+        a = _increment_blocks(seed, 2, 1.0, 64)(16)
+        b = _increment_blocks(seed + 1, 2, 1.0, 64)(16)
         assert np.intersect1d(a, b).size == 0
         assert np.unique(a).size == a.size
 
     @pytest.mark.parametrize("fill_rows", [1, 7, 1024])
     @pytest.mark.parametrize("j", [0, 1023, 1024, 9999])
     def test_path_independent_of_ensemble_size_and_fill(self, monkeypatch, j, fill_rows):
-        alone = _increments(5, 2, 1.0, 8, j + 1)[:, j, :]
+        alone = _increment_blocks(5, 2, 1.0, 8)(j + 1)[:, j, :]
         monkeypatch.setattr(noise, "_FILL_ROWS", fill_rows)
-        assert np.array_equal(_increments(5, 2, 1.0, 8, j + 1)[:, j, :], alone)
-        assert np.array_equal(_increments(5, 2, 1.0, 8, 10_000)[:, j, :], alone)
+        assert np.array_equal(_increment_blocks(5, 2, 1.0, 8)(j + 1)[:, j, :], alone)
+        assert np.array_equal(_increment_blocks(5, 2, 1.0, 8)(10_000)[:, j, :], alone)
 
     @pytest.mark.parametrize("fill_rows", [3, 1024])
     @pytest.mark.parametrize("blocks", [[1, 1, 1], [5, 2, 9], [17], [4, 0, 13]])
@@ -106,13 +105,14 @@ class TestEnsembleKeying:
         draw = _increment_blocks(7, 3, 0.5, 16)
         tables = [draw(n) for n in blocks]
         assert [t.shape for t in tables] == [(16, n, 3) for n in blocks]
-        assert np.array_equal(np.concatenate(tables, axis=1), _increments(7, 3, 0.5, 16, sum(blocks)))
+        whole = _increment_blocks(7, 3, 0.5, 16)(sum(blocks))
+        assert np.array_equal(np.concatenate(tables, axis=1), whole)
 
     def test_seed_range_checked(self):
         with pytest.raises(ValueError, match="64 bits"):
-            _increments(-1, 1, 1.0, 8, 4)
+            _increment_blocks(-1, 1, 1.0, 8)(4)
         with pytest.raises(ValueError, match="64 bits"):
-            _increments(2 ** 64, 1, 1.0, 8, 4)
+            _increment_blocks(2 ** 64, 1, 1.0, 8)(4)
 
 
 class TestCoarsen:
