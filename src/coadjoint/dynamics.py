@@ -206,7 +206,7 @@ class ReducedHamiltonian:
         """h as a scalar field over m alone (kinetic part)."""
         return ScalarField(value=self.value, grad=self.velocity, name="h")
 
-    def as_mq_field(self, n: int) -> ScalarField:
+    def as_mq_field(self) -> ScalarField:
         """h as a scalar field over the packed (m, q) state."""
         r = self.alg.dim
 

@@ -105,7 +105,7 @@ def hamel_generator(chart: ActionChart, h: ReducedHamiltonian, xi) -> GeneratorS
     noise = NoiseSpec.make(xi, 0)
     phi = tuple(ScalarField.linear(np.concatenate([w, np.zeros(chart.n)]), name=f"g{k+1}")
                 for k, w in enumerate(noise.xi))
-    return GeneratorSpec(bracket=HamelBracket(chart), phi=phi, psi=h.as_mq_field(chart.n),
+    return GeneratorSpec(bracket=HamelBracket(chart), phi=phi, psi=h.as_mq_field(),
                          system=hamel_system(chart, h, noise))
 
 
@@ -379,13 +379,6 @@ class _GridOperator:
                 tmp *= w
                 o += tmp
             yield c
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L rho (or L* rho) on every node of the grid-shaped ``rho``."""
-        out = _PaddedState(self)
-        for _ in self.sweep(_PaddedState(self, rho), out.chunks):
-            pass
-        return out.interior
 
 
 def admissible_dt(spec: GeneratorSpec, geometry: GridGeometry) -> float:

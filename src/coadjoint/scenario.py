@@ -2,7 +2,9 @@
 
 The schema (shipped as ``schema/scenario.schema.json``) rejects unknown
 fields, so a typo in a noise direction list fails loudly instead of being
-ignored.  Semantic checks beyond the schema (built-in names, SPD matrices,
+ignored.  A standard-library walker enforces it, with jsonschema's error
+choice and words, and refuses a schema keyword it does not implement.
+Semantic checks beyond the schema (built-in names, SPD matrices,
 dimension agreement, power-of-two step counts) raise
 :class:`ScenarioError` with the offending field named.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -65,16 +68,89 @@ class BuiltScenario:
     outputs: dict = field(default_factory=dict)
 
 
-@functools.cache
-def _scenario_validator():
-    """The schema's validator, built and checked against its metaschema once
-    per process; jsonschema is imported on the first scenario load."""
-    from jsonschema.validators import validator_for
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+# keyword: (the type of value it constrains, x breaks rule r, jsonschema's
+# message); $ref, items and properties descend instead
+_RULES = {
+    "type": (None, lambda x, r: not _is(x, r), lambda x, r: f"{x!r} is not of type {r!r}"),
+    "const": (None, lambda x, r: not _same(x, r), lambda x, r: f"{r!r} was expected"),
+    "enum": (None, lambda x, r: not any(_same(x, e) for e in r),
+             lambda x, r: f"{x!r} is not one of {r!r}"),
+    "minimum": ("number", operator.lt, lambda x, r: f"{x!r} is less than the minimum of {r!r}"),
+    "maximum": ("number", operator.gt, lambda x, r: f"{x!r} is greater than the maximum of {r!r}"),
+    "exclusiveMinimum": ("number", operator.le,
+                         lambda x, r: f"{x!r} is less than or equal to the minimum of {r!r}"),
+    "minItems": ("array", lambda x, r: len(x) < r,
+                 lambda x, r: f"{x!r} {'should be non-empty' if r == 1 else 'is too short'}"),
+    "minProperties": ("object", lambda x, r: len(x) < r, lambda x, r: f"{x!r} " + (
+        "should be non-empty" if r == 1 else "does not have enough properties")),
+    "maxProperties": ("object", lambda x, r: len(x) > r, lambda x, r: f"{x!r} " + (
+        "is expected to be empty" if r == 0 else "has too many properties")),
+    # of several missing properties, best_match reports the first
+    "required": ("object", lambda x, r: not set(r) <= x.keys(),
+                 lambda x, r: f"{next(n for n in r if n not in x)!r} is a required property"),
+}
 
+
+def _is(x, kind: str) -> bool:
+    """JSON's types: true is not a number, and 1.0 is an integer."""
+    if kind == "integer" and isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, _TYPES[kind]) and not isinstance(x, bool)
+
+
+def _same(a, b) -> bool:
+    """JSON's equality: 1 equals 1.0, and true is not 1."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+@functools.cache
+def _checked_schema() -> dict:
+    """The published schema, read once per process and refused if it has a
+    keyword, or a form of one, that ``_schema_errors`` does not enforce."""
     schema = scenario_schema()
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    refs, stack = [f"#/$defs/{name}" for name in schema["$defs"]], [schema]
+    while stack:
+        for key, r in stack.pop().items():
+            known = (key in ("title", "$defs", "properties")
+                     or key == "$schema" and r == "https://json-schema.org/draft/2020-12/schema"
+                     or key in _RULES and (key != "type" or r in tuple(_TYPES))
+                     or key == "$ref" and r in refs
+                     or key == "additionalProperties" and r is False
+                     or key == "items" and isinstance(r, dict))
+            if not known:
+                raise NotImplementedError(f"scenario schema: {key}: {r!r} is not enforced")
+            if key in ("$defs", "properties"):
+                stack += r.values()
+            elif key == "items":
+                stack.append(r)
+    return schema
+
+
+def _schema_errors(x, schema: dict, defs: dict, path: tuple = ()):
+    """Yields (path, x fails the schema's type, message) for each rule x breaks,
+    in jsonschema's order: keywords as the schema lists them, depth first."""
+    untyped = "type" not in schema or not _is(x, schema["type"])
+    for key, r in schema.items():
+        kind, broken, message = _RULES.get(key, ("", None, None))
+        if broken and (kind is None or _is(x, kind)) and broken(x, r):
+            yield path, untyped, message(x, r)
+        elif key == "$ref":
+            yield from _schema_errors(x, defs[r.removeprefix("#/$defs/")], defs, path)
+        elif key == "items" and _is(x, "array"):
+            for i, item in enumerate(x):
+                yield from _schema_errors(item, r, defs, path + (i,))
+        elif key == "properties" and _is(x, "object"):
+            for name in [name for name in r if name in x]:
+                yield from _schema_errors(x[name], r[name], defs, path + (name,))
+        elif key == "additionalProperties" and _is(x, "object") and (
+                extras := sorted(x.keys() - schema.get("properties", {}).keys())):
+            yield path, untyped, "Additional properties are not allowed ({} {} unexpected)".format(
+                ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
 
 
 def load_scenario(path) -> dict:
@@ -85,12 +161,14 @@ def load_scenario(path) -> dict:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     _check_finite(doc)
-    from jsonschema.exceptions import best_match
-
-    # the error jsonschema.validate would raise
-    error = best_match(_scenario_validator().iter_errors(doc))
-    if error is not None:
-        raise ScenarioError(f"{error.json_path}: {error.message}")
+    schema = _checked_schema()
+    # jsonschema's best_match: the shallowest path, then the greatest path,
+    # then a value of the wrong type, then the first found
+    errors = list(_schema_errors(doc, schema, schema["$defs"]))
+    if errors:
+        where, _, message = max(errors, key=lambda e: (-len(e[0]), e[0], e[1]))
+        steps = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
+        raise ScenarioError(f"${steps}: {message}")
     _semantic_checks(doc)
     return doc
 
@@ -126,7 +204,7 @@ def _semantic_checks(doc: dict) -> None:
         if key not in takes:
             raise ScenarioError(
                 f"$.potential.params.{key}: the {pot['id']} potential takes no {key!r}")
-    M = doc["M"]
+    M = int(doc["M"])  # JSON takes 64.0 for an integer
     if doc["scheme"] == "rk4" and doc.get("xi"):
         raise ScenarioError(
             f"$.scheme: rk4 steps the drift alone, but the scenario has "
@@ -218,7 +296,7 @@ def build_scenario(doc: dict) -> BuiltScenario:
         if len(row) != alg.dim:
             raise ScenarioError(f"$.xi[{k}]: directions must be {alg.dim}-vectors")
     noise = NoiseSpec.make(np.reshape(np.asarray(xi, dtype=float), (len(xi), alg.dim)),
-                           seed=doc["seed"])
+                           seed=int(doc["seed"]))
 
     system_kind = doc["system"]
     if system_kind in ("phase_space", "hamel"):
@@ -255,7 +333,7 @@ def build_scenario(doc: dict) -> BuiltScenario:
         potential = _build_potential(doc, 3)
         hamiltonian = ReducedHamiltonian(alg=alg, kinetic_inverse=K, potential=potential)
         system = hamel_system(chart, hamiltonian, noise)
-        energy = hamiltonian.as_mq_field(chart.n)
+        energy = hamiltonian.as_mq_field()
         m = np.asarray(doc["x0"]["m"], dtype=float)
         q = np.asarray(doc["x0"]["q"], dtype=float)
         if m.shape != (alg.dim,) or q.shape != (chart.n,):

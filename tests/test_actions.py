@@ -46,7 +46,7 @@ def builtin_fields():
         (ScalarField.linear([0.3, -1.2, 0.7, 0.5, -0.4, 1.1]), 6),
         (casimir(so3), 3),
         (h.as_field(), 3),
-        (h.as_mq_field(3), 6),
+        (h.as_mq_field(), 6),
         (momentum_pairing_field(chart, [0.3, -1.0, 0.7]), 6),
         (lp.psi, 3), (hamel.psi, 6),
         *((g, 3) for g in lp.phi), *((g, 6) for g in hamel.phi),

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,78 @@ def rigid_body_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def with_(**fields):
+    return lambda doc: {**doc, **fields}
+
+
+def without(*names):
+    return lambda doc: {k: v for k, v in doc.items() if k not in names}
+
+
+def kinetic(value):
+    """The kinetic matrix, under the key the scenario uses, replaced by value."""
+    return lambda doc: {**doc, "kinetic": {key: value for key in doc["kinetic"]}}
+
+
+def outputs(**fields):
+    return lambda doc: {**doc, "outputs": {**doc.get("outputs", {}), **fields}}
+
+
+# single-violation edits of a shipped scenario, each schema keyword in turn,
+# plus the places where JSON's types part from Python's (the valid_ edits
+# pass); a few edits break rules at several depths or on siblings, to pin
+# which error is reported
+ORACLE_EDITS = {
+    "type_root": lambda doc: [doc],
+    "type_string": with_(algebra=3),
+    "type_number_bool": with_(T=True),
+    "type_number_string": with_(T="0.2"),
+    "type_integer_bool": with_(M=True),
+    "type_integer_fraction": with_(M=2.5),
+    "valid_integer_float": lambda doc: {**doc, "M": float(doc["M"])},
+    "type_array": with_(xi={"0": [1.0, 0.0, 0.0]}),
+    "type_object": with_(kinetic=[[1.0]]),
+    "type_items_bool": kinetic([[True, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "type_items_string": with_(xi=[["1", 0.0, 0.0]]),
+    "additional_unknown": with_(xis=[[1.0, 0.0, 0.0]]),
+    "additional_two_unknown": with_(zeta=1, **{"a b": 2}),
+    "additional_nested": outputs(prefx="run"),
+    "additional_kinetic": with_(kinetic={"M": [[1.0]]}),
+    "required": without("seed"),
+    "required_two": without("T", "M"),
+    "required_potential_id": with_(potential={"params": {}}),
+    "const_2": with_(schema_version=2),
+    "const_true": with_(schema_version=True),
+    "valid_const_float": with_(schema_version=1.0),
+    "enum_system": with_(system="collective"),
+    "enum_scheme": with_(scheme="milstein"),
+    "enum_bool": with_(scheme=True),
+    "enum_policy": with_(u_policy={"id": "greedy"}),
+    "enum_diagnostic": outputs(diagnostics=["casimir", "entropy"]),
+    "min_properties": with_(kinetic={}),
+    "max_properties": with_(kinetic={"G": [[1.0]], "K": [[1.0]]}),
+    "min_items_vector": with_(xi=[[]]),
+    "min_items_matrix": kinetic([]),
+    "min_items_row": kinetic([[]]),
+    "minimum_M": with_(M=0),
+    "minimum_seed": with_(seed=-1),
+    "maximum_seed": with_(seed=2 ** 64),
+    "valid_seed_maximum": with_(seed=2 ** 64 - 1),
+    "seed_bool": with_(seed=False),
+    "valid_seed_float": with_(seed=3.0),
+    "exclusive_minimum_zero": with_(T=0),
+    "exclusive_minimum_negative": with_(T=-0.5),
+    "ref_policy_value": with_(u_policy={"id": "constant", "value": [True, 0.0, 0.0]}),
+    "ref_potential_g": with_(potential={"id": "linear", "params": {"g": []}}),
+    "ref_potential_k": with_(potential={"id": "quadratic", "params": {"k": "2"}}),
+    "string_prefix": outputs(prefix=3),
+    "depths": with_(T=0, xi=[[]], extra=1),
+    "siblings": with_(T=0, M=0),
+    "siblings_nested": with_(xi=[["x"], []]),
+    "same_object": with_(kinetic={"X": [[1.0]], "Y": [[1.0]]}),
+}
 
 
 class TestScenarioValidation:
@@ -127,35 +200,86 @@ class TestScenarioValidation:
         assert str(got.value) == f"{want.value.json_path}: {want.value.message}"
 
     def test_schema_checked_once_per_process(self, monkeypatch):
-        # the validator is built, and the schema checked against its
-        # metaschema, on the first load only
-        from jsonschema.validators import validator_for
-
+        # the schema is read, and its keywords checked, on the first load only
         from coadjoint import scenario
 
-        cls = validator_for(scenario.scenario_schema())
-        check, calls = cls.check_schema.__func__, []
-
-        def counting(c, schema, *args, **kwargs):
-            calls.append(schema)
-            return check(c, schema, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "check_schema", classmethod(counting))
-        scenario._scenario_validator.cache_clear()
+        read, calls = scenario.scenario_schema, []
+        monkeypatch.setattr(scenario, "scenario_schema", lambda: calls.append(1) or read())
+        scenario._checked_schema.cache_clear()
         for _ in range(2):
             load_scenario(SCENARIOS / "rigid_body.json")
-        scenario._scenario_validator.cache_clear()
+        scenario._checked_schema.cache_clear()
         assert len(calls) == 1
 
-    def test_cli_import_leaves_jsonschema_unloaded(self):
+    @pytest.mark.parametrize("name", SHIPPED)
+    @pytest.mark.parametrize("case", ORACLE_EDITS)
+    def test_schema_walker_matches_jsonschema_oracle(self, tmp_path, name, case):
+        # jsonschema is the test oracle: the same verdict, path and message
+        import jsonschema
+
+        from coadjoint.scenario import scenario_schema
+
+        doc = ORACLE_EDITS[case](json.loads((SCENARIOS / f"{name}.json").read_text()))
+        path = write_scenario(tmp_path, doc)
+        try:
+            jsonschema.validate(doc, scenario_schema())
+        except jsonschema.ValidationError as want:
+            assert not case.startswith("valid_")
+            with pytest.raises(ScenarioError) as got:
+                load_scenario(path)
+            assert str(got.value) == f"{want.json_path}: {want.message}"
+        else:
+            assert case.startswith("valid_")
+            assert load_scenario(path) == doc
+            build_scenario(doc)
+
+    @pytest.mark.parametrize("path, rule", [
+        (("properties", "algebra", "pattern"), "^so"),
+        (("properties", "algebra", "type"), ["string", "null"]),
+        (("properties", "x0", "additionalProperties"), {"type": "number"}),
+        (("properties", "m0", "$ref"), "#/definitions/vector"),
+        (("$defs", "vector", "items"), False),
+        (("$defs", "vector", "maxItems"), 3),
+        (("$schema",), "http://json-schema.org/draft-04/schema#"),
+    ], ids=["pattern", "type_list", "additional_schema", "ref_outside_defs", "items_false",
+            "maxItems", "draft_04"])
+    def test_unenforced_schema_rule_refused(self, monkeypatch, path, rule):
+        # a rule the walker does not implement fails the first load instead
+        # of passing every document
+        from coadjoint import scenario
+
+        schema = scenario.scenario_schema()
+        node = schema
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = rule
+        monkeypatch.setattr(scenario, "scenario_schema", lambda: schema)
+        scenario._checked_schema.cache_clear()
+        try:
+            with pytest.raises(NotImplementedError, match=re.escape(f"{path[-1]}: {rule!r}")):
+                load_scenario(SCENARIOS / "rigid_body.json")
+        finally:
+            scenario._checked_schema.cache_clear()
+
+    def test_cli_import_leaves_jsonschema_unloaded(self, tmp_path):
         # nor logging or concurrent.futures, whose import alone slows the
-        # ensemble loop measurably
-        code = ("import sys, coadjoint, coadjoint.cli; print([m for m in "
-                "('jsonschema', 'logging', 'concurrent.futures') if m in sys.modules])")
+        # ensemble loop measurably; loading, building and simulating the
+        # shipped scenarios imports no jsonschema either
+        code = (
+            "import sys, coadjoint, coadjoint.cli\n"
+            "print([m for m in ('jsonschema', 'logging', 'concurrent.futures') if m in sys.modules])\n"
+            "from coadjoint.scenario import build_scenario, load_scenario\n"
+            f"for name in {SHIPPED!r}:\n"
+            f"    build_scenario(load_scenario({str(SCENARIOS)!r} + '/' + name + '.json'))\n"
+            f"code = coadjoint.cli.main(['simulate', {str(SCENARIOS / 'heavy_top.json')!r}, "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "print(code, [m for m in ('jsonschema', 'referencing', 'attrs') if m in sys.modules])\n"
+        )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=src_env(), timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        lines = out.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "0 []")
 
     def test_hamel_rejects_constant_policy(self, tmp_path):
         doc = {

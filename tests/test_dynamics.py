@@ -289,7 +289,7 @@ class TestHamelSystem:
         sys = hamel_system(chart, h, no_noise())
         x0 = np.concatenate([np.array([0.3, 0.4, 0.8]), np.array([0.0, 0.0, 1.0])])
         traj = integrate(sys, "rk4", time_grid(10.0, 10_000), x0)
-        drift = observable_series(traj, h.as_mq_field(3)).sup()
+        drift = observable_series(traj, h.as_mq_field()).sup()
         assert drift <= 1e-8
 
     def test_matches_phase_space_dynamics_with_potential(self):
@@ -866,14 +866,14 @@ class TestVelocityKernel:
         want = np.einsum("ab,...b->...a", K, x[..., :3])
         assert np.array_equal(h.velocity(x[..., :3]), want)
         assert np.array_equal(h.as_field().gradient(x[..., :3]), want)
-        assert np.array_equal(h.as_mq_field(3).gradient(x)[..., :3], want)
+        assert np.array_equal(h.as_mq_field().gradient(x)[..., :3], want)
 
     def test_hamiltonian_dense_velocity_rows_equal_single_state(self):
         h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_DENSE)
         rows = np.random.default_rng(26).normal(size=(2000, 6))
         grads = {"velocity": lambda x: h.velocity(x[..., :3]),
                  "as_field": lambda x: h.as_field().gradient(x[..., :3]),
-                 "as_mq_field": lambda x: h.as_mq_field(3).gradient(x)[..., :3]}
+                 "as_mq_field": lambda x: h.as_mq_field().gradient(x)[..., :3]}
         for name, grad in grads.items():
             single = np.array([grad(row) for row in rows])
             for layout in ("row_major", "component_major"):
