@@ -21,7 +21,7 @@ from .actions import (
     equivariance_residual,
     momentum_map,
 )
-from .diagnostics import DriftSeries, empirical_order, observable_series, strong_error
+from .diagnostics import empirical_order, observable_series, strong_error
 from .dynamics import (
     Potential,
     QuadraticLagrangian,

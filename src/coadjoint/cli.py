@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import observable_series, write_series_csv
+from .diagnostics import observable_series
 from .dynamics import casimir
 from .fields import ScalarField
 from .integrators import (IntegrationDiverged, Trajectory, _write_json, integrate,
@@ -60,11 +60,11 @@ def _write_outputs(built: BuiltScenario, traj: Trajectory, out_dir: Path) -> Non
                        labels=tuple(f"m{i+1}" for i in range(built.alg.dim)))
     for diag in built.outputs.get("diagnostics", []):
         if diag == "casimir":
-            series = observable_series(mtraj, casimir(built.alg))
-            write_series_csv(series, out_dir / f"{prefix}.casimir.csv")
+            write_trajectory_csv(observable_series(mtraj, casimir(built.alg)),
+                                 out_dir / f"{prefix}.casimir.csv")
         elif diag == "energy":
-            series = observable_series(traj, built.energy)
-            write_series_csv(series, out_dir / f"{prefix}.energy.csv")
+            write_trajectory_csv(observable_series(traj, built.energy),
+                                 out_dir / f"{prefix}.energy.csv")
         elif diag == "momentum_map":
             write_trajectory_csv(mtraj, out_dir / f"{prefix}.momentum.csv")
 

@@ -1,4 +1,4 @@
-"""Quantitative test instruments: drift series, pathwise errors, convergence orders.
+"""Quantitative test instruments: observable drift, pathwise errors, convergence orders.
 
 All instruments are pure functions of their trajectory inputs, so re-running
 on identical inputs is bit-identical.
@@ -6,47 +6,19 @@ on identical inputs is bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import ScalarField
-from .integrators import Trajectory, _write_rows
+from .integrators import Trajectory
 
-__all__ = [
-    "DriftSeries",
-    "observable_series",
-    "strong_error",
-    "empirical_order",
-    "write_series_csv",
-]
+__all__ = ["observable_series", "strong_error", "empirical_order"]
 
 
-@dataclass(frozen=True)
-class DriftSeries:
-    """An observable along a trajectory, minus its initial value."""
-
-    times: np.ndarray
-    values: np.ndarray
-    observable: str = ""
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.shape != values.shape:
-            raise ValueError("times and values must have equal shapes")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def observable_series(traj: Trajectory, f: ScalarField) -> DriftSeries:
-    """Evaluate f along the trajectory, in one call, and subtract f(x0)."""
-    vals = f.evaluate(traj.states)
-    return DriftSeries(times=traj.times, values=vals - vals[0],
-                       observable=f.name or "observable")
+def observable_series(traj: Trajectory, f: ScalarField) -> Trajectory:
+    """f along the trajectory, evaluated in one call, minus f(x0): a one-column
+    trajectory labelled with f's name."""
+    v = f.evaluate(traj.states)
+    return Trajectory(traj.times, (v - v[0])[:, None], labels=(f.name or "observable",))
 
 
 def strong_error(a: Trajectory, b: Trajectory) -> float:
@@ -82,6 +54,3 @@ def empirical_order(hs, errs) -> float:
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     return float(slope)
 
-
-def write_series_csv(series: DriftSeries, path) -> None:
-    _write_rows(path, ("t", series.observable or "drift"), zip(series.times, series.values))

@@ -115,6 +115,10 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
+    def sup(self) -> float:
+        """The largest absolute entry over all states, e.g. an observable's drift."""
+        return float(np.max(np.abs(self.states)))
+
 
 def _stacked(sys: SdeSystem, ito: bool = False) -> Callable[[float, np.ndarray], np.ndarray]:
     """``F(t, x)``: the drift (plus the Ito correction when ``ito``) as row 0
@@ -310,10 +314,6 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
         raise ValueError(
             f"rk4 steps the drift alone; system {sys.name!r} has {sys.channels} "
             "noise channels (use heun_strat or euler_ito)"
-        )
-    if scheme != "rk4" and grid.channels != sys.channels:
-        raise ValueError(
-            f"grid has {grid.channels} channels, system expects {sys.channels}"
         )
     x = _checked_state(sys, x0)
     M = grid.steps

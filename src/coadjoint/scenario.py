@@ -4,9 +4,11 @@ The schema (shipped as ``schema/scenario.schema.json``) rejects unknown
 fields, so a typo in a noise direction list fails loudly instead of being
 ignored.  A standard-library walker enforces it, with jsonschema's error
 choice and words, and refuses a schema keyword it does not implement.
-Semantic checks beyond the schema (built-in names, SPD matrices,
-dimension agreement, power-of-two step counts) raise
-:class:`ScenarioError` with the offending field named.
+One reader then takes each field once, with its default, and checks what
+the schema cannot (built-in names, SPD matrices, dimension agreement,
+power-of-two step counts), raising :class:`ScenarioError` with the
+offending field named.  :func:`load_scenario` and :func:`build_scenario`
+both run it, so a document loads only if it builds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from .actions import builtin_chart, chart_names
 from .algebra import BUILTIN_ALGEBRAS, LieAlgebraSpec, builtin
 from .dynamics import (
-    Potential,
     QuadraticLagrangian,
     ReducedHamiltonian,
     _check_spd,
@@ -154,7 +155,8 @@ def _schema_errors(x, schema: dict, defs: dict, path: tuple = ()):
 
 
 def load_scenario(path) -> dict:
-    """The scenario document at ``path``, validated against the published schema."""
+    """The scenario document at ``path``, validated against the published
+    schema and refused unless :func:`build_scenario` would build it."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -169,7 +171,7 @@ def load_scenario(path) -> dict:
         where, _, message = max(errors, key=lambda e: (-len(e[0]), e[0], e[1]))
         steps = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
         raise ScenarioError(f"${steps}: {message}")
-    _semantic_checks(doc)
+    _read(doc)
     return doc
 
 
@@ -184,173 +186,133 @@ def _check_finite(node, path: str = "$") -> None:
             _check_finite(value, f"{path}.{key}" if keyed else f"{path}[{key}]")
 
 
-def _semantic_checks(doc: dict) -> None:
-    system = doc["system"]
-    if doc["algebra"] not in BUILTIN_ALGEBRAS:
+def _read(doc: dict):
+    """Every field of ``doc``, read once with its default and checked, as the
+    pieces a build takes: (system kind, chart, G, K, potential, u policy,
+    BuiltScenario fields).  Raises :class:`ScenarioError` naming the field;
+    the document-level rules come before the shape rules."""
+    system, name, scheme = doc["system"], doc["algebra"], doc["scheme"]
+    if name not in BUILTIN_ALGEBRAS:
         raise ScenarioError(
-            f"$.algebra: unknown algebra {doc['algebra']!r}; "
-            f"available: {sorted(BUILTIN_ALGEBRAS)}"
-        )
-    if system in ("phase_space", "hamel"):
+            f"$.algebra: unknown algebra {name!r}; available: {sorted(BUILTIN_ALGEBRAS)}")
+    if system != "lie_poisson":
         if "chart" not in doc:
             raise ScenarioError(f"$.chart: required for system {system!r}")
         if doc["chart"] not in chart_names():
             raise ScenarioError(
-                f"$.chart: unknown chart {doc['chart']!r}; available: {chart_names()}"
-            )
+                f"$.chart: unknown chart {doc['chart']!r}; available: {chart_names()}")
     pot = doc.get("potential", {"id": "zero"})
-    takes = {"zero": (), "linear": ("g",), "quadratic": ("k",)}[pot["id"]]
-    for key in pot.get("params", {}):
-        if key not in takes:
+    params = pot.get("params", {})
+    for key in params:
+        if key not in {"zero": (), "linear": ("g",), "quadratic": ("k",)}[pot["id"]]:
             raise ScenarioError(
                 f"$.potential.params.{key}: the {pot['id']} potential takes no {key!r}")
-    M = int(doc["M"])  # JSON takes 64.0 for an integer
-    if doc["scheme"] == "rk4" and doc.get("xi"):
+    M, xi = int(doc["M"]), doc.get("xi", [])  # JSON takes 64.0 for an integer
+    if scheme == "rk4" and xi:
         raise ScenarioError(
-            f"$.scheme: rk4 steps the drift alone, but the scenario has "
-            f"{len(doc['xi'])} noise direction(s); use heun_strat or euler_ito, "
-            "or set xi to []"
-        )
-    if doc["scheme"] != "rk4" and M & (M - 1):
+            f"$.scheme: rk4 steps the drift alone, but the scenario has {len(xi)} noise "
+            "direction(s); use heun_strat or euler_ito, or set xi to []")
+    if scheme != "rk4" and M & (M - 1):
         raise ScenarioError(f"$.M: {M} is not a power of two")
     kin_key = "G" if "G" in doc["kinetic"] else "K"
     try:
-        _check_spd(doc["kinetic"][kin_key], "matrix")
+        matrix = _check_spd(doc["kinetic"][kin_key], "matrix")
     except ValueError as exc:
         raise ScenarioError(f"$.kinetic.{kin_key}: {exc}") from None
+    x0, policy = doc.get("x0", {}), doc.get("u_policy", {"id": "legendre"})
     if system == "lie_poisson":
         if "m0" not in doc:
             raise ScenarioError("$.m0: required for system 'lie_poisson'")
         if pot["id"] != "zero":
             raise ScenarioError("$.potential: lie_poisson dynamics has no configuration potential")
     elif system == "phase_space":
-        x0 = doc.get("x0", {})
         if "q" not in x0 or "p" not in x0:
             raise ScenarioError("$.x0: phase_space needs both 'q' and 'p'")
     else:
-        x0 = doc.get("x0", {})
         if "m" not in x0 or "q" not in x0:
             raise ScenarioError("$.x0: hamel needs both 'm' and 'q'")
-        if doc.get("u_policy", {"id": "legendre"})["id"] != "legendre":
+        if policy["id"] != "legendre":
             raise ScenarioError(
-                "$.u_policy: the hamel system fixes u = dh/dm; only 'legendre' applies"
-            )
-    policy = doc.get("u_policy", {"id": "legendre"})
+                "$.u_policy: the hamel system fixes u = dh/dm; only 'legendre' applies")
     if policy["id"] == "constant" and "value" not in policy:
         raise ScenarioError("$.u_policy: constant policy needs a 'value' vector")
-    for diag in doc.get("outputs", {}).get("diagnostics", []):
+    outputs = doc.get("outputs", {})
+    for diag in outputs.get("diagnostics", []):
         if diag == "momentum_map" and system != "phase_space":
             raise ScenarioError(
-                "$.outputs.diagnostics: momentum_map applies to phase_space runs only"
-            )
-        if diag == "casimir" and doc["algebra"] != "so3":
-            raise ScenarioError(
-                "$.outputs.diagnostics: the quadratic Casimir needs algebra so3"
-            )
+                "$.outputs.diagnostics: momentum_map applies to phase_space runs only")
+        if diag == "casimir" and name != "so3":
+            raise ScenarioError("$.outputs.diagnostics: the quadratic Casimir needs algebra so3")
 
-
-def _build_potential(doc: dict, n: int) -> Potential:
-    pot = doc.get("potential", {"id": "zero"})
-    params = pot.get("params", {})
-    if pot["id"] == "zero":
-        return zero_potential()
-    if pot["id"] == "linear":
-        g = np.asarray(params.get("g", []), dtype=float)
-        if g.shape != (n,):
-            raise ScenarioError(f"$.potential.params.g: need a {n}-vector")
-        return linear_potential(g)
-    k = params.get("k")
-    if not isinstance(k, (int, float)):
-        raise ScenarioError("$.potential.params.k: need a number")
-    return quadratic_potential(float(k))
-
-
-def _u_policy(doc: dict, alg: LieAlgebraSpec):
-    """Translate the policy document into a u_of callable (None = Legendre)."""
-    policy = doc.get("u_policy", {"id": "legendre"})
-    if policy["id"] == "legendre":
-        return None
-    value = np.zeros(alg.dim) if policy["id"] == "zero" else np.asarray(policy["value"], dtype=float)
-    if value.shape != (alg.dim,):
-        raise ScenarioError(f"$.u_policy.value: need a {alg.dim}-vector")
-    return lambda t, x: np.broadcast_to(value, x.shape[:-1] + (alg.dim,))
-
-
-def build_scenario(doc: dict) -> BuiltScenario:
-    """Instantiate the system, noise, and initial state a loaded document describes."""
-    alg = builtin(doc["algebra"])
-    kin = doc["kinetic"]
-    if "G" in kin:
-        G = np.asarray(kin["G"], dtype=float)
-        K = np.linalg.inv(G)
-    else:
-        K = np.asarray(kin["K"], dtype=float)
-        G = np.linalg.inv(K)
-    if G.shape[0] != alg.dim:
-        raise ScenarioError(
-            f"$.kinetic: matrix is {G.shape[0]}x{G.shape[0]}, algebra "
-            f"{alg.name!r} has dimension {alg.dim}"
-        )
-    xi = doc.get("xi", [])
+    alg = builtin(name)
+    if matrix.shape[0] != alg.dim:
+        raise ScenarioError(f"$.kinetic: matrix is {matrix.shape[0]}x{matrix.shape[0]}, "
+                            f"algebra {name!r} has dimension {alg.dim}")
+    G, K = (matrix, np.linalg.inv(matrix)) if kin_key == "G" else (np.linalg.inv(matrix), matrix)
     for k, row in enumerate(xi):
         if len(row) != alg.dim:
             raise ScenarioError(f"$.xi[{k}]: directions must be {alg.dim}-vectors")
     noise = NoiseSpec.make(np.reshape(np.asarray(xi, dtype=float), (len(xi), alg.dim)),
                            seed=int(doc["seed"]))
-
-    system_kind = doc["system"]
-    if system_kind in ("phase_space", "hamel"):
-        chart = builtin_chart(doc["chart"])
-        if chart.alg.name != alg.name:
-            raise ScenarioError(
-                f"$.chart: chart {doc['chart']!r} acts with algebra "
-                f"{chart.alg.name!r}, scenario says {alg.name!r}"
-            )
-
-    if system_kind == "lie_poisson":
-        m0 = np.asarray(doc["m0"], dtype=float)
-        if m0.shape != (alg.dim,):
+    chart = None if system == "lie_poisson" else builtin_chart(doc["chart"])
+    if chart is not None and chart.alg.name != name:
+        raise ScenarioError(f"$.chart: chart {doc['chart']!r} acts with algebra "
+                            f"{chart.alg.name!r}, scenario says {name!r}")
+    potential = zero_potential()
+    if pot["id"] == "linear":
+        g = np.asarray(params.get("g", []), dtype=float)
+        if g.shape != (chart.n,):
+            raise ScenarioError(f"$.potential.params.g: need a {chart.n}-vector")
+        potential = linear_potential(g)
+    elif pot["id"] == "quadratic":
+        if not isinstance(params.get("k"), (int, float)):
+            raise ScenarioError("$.potential.params.k: need a number")
+        potential = quadratic_potential(float(params["k"]))
+    u_of = None
+    if policy["id"] != "legendre":
+        value = np.asarray(policy["value"] if policy["id"] == "constant" else np.zeros(alg.dim),
+                           dtype=float)
+        if value.shape != (alg.dim,):
+            raise ScenarioError(f"$.u_policy.value: need a {alg.dim}-vector")
+        u_of = lambda t, x: np.broadcast_to(value, x.shape[:-1] + (alg.dim,))
+    if system == "lie_poisson":
+        state = np.asarray(doc["m0"], dtype=float)
+        if state.shape != (alg.dim,):
             raise ScenarioError(f"$.m0: need a {alg.dim}-vector")
+    elif system == "phase_space":
+        q, p = np.asarray(x0["q"], dtype=float), np.asarray(x0["p"], dtype=float)
+        if q.shape != (chart.n,) or p.shape != (chart.n,):
+            raise ScenarioError(f"$.x0: q and p must be {chart.n}-vectors")
+        state = np.concatenate([q, p])
+    else:
+        m, q = np.asarray(x0["m"], dtype=float), np.asarray(x0["q"], dtype=float)
+        if m.shape != (alg.dim,) or q.shape != (chart.n,):
+            raise ScenarioError(f"$.x0: m must be a {alg.dim}-vector and q a {chart.n}-vector")
+        state = np.concatenate([m, q])
+    run = dict(x0=state, noise=noise, T=float(doc["T"]), M=M, scheme=scheme, alg=alg,
+               outputs=outputs)
+    return system, chart, G, K, potential, u_of, run
+
+
+def build_scenario(doc: dict) -> BuiltScenario:
+    """Instantiate the system, noise, and initial state ``doc`` describes,
+    refusing it with the messages :func:`load_scenario` gives."""
+    system_kind, chart, G, K, potential, u_of, run = _read(doc)
+    alg, noise = run["alg"], run["noise"]
+    if system_kind == "lie_poisson":
         hamiltonian = ReducedHamiltonian(alg=alg, kinetic_inverse=K)
-        system = lie_poisson_system(alg, K, noise, u_of=_u_policy(doc, alg))
+        system = lie_poisson_system(alg, K, noise, u_of=u_of)
         energy = hamiltonian.as_field()
-        x0 = m0
     elif system_kind == "phase_space":
-        potential = _build_potential(doc, 3)
         L = QuadraticLagrangian(alg=alg, kinetic=G, potential=potential, chart=chart)
         hamiltonian = ReducedHamiltonian.from_lagrangian(L)
-        system = phase_space_system(L, noise, u_of=_u_policy(doc, alg))
+        system = phase_space_system(L, noise, u_of=u_of)
         energy = ScalarField(
             value=lambda x: hamiltonian.value(system.momentum(x), x[..., :chart.n]),
             name="energy",
         )
-        q = np.asarray(doc["x0"]["q"], dtype=float)
-        p = np.asarray(doc["x0"]["p"], dtype=float)
-        if q.shape != (chart.n,) or p.shape != (chart.n,):
-            raise ScenarioError(f"$.x0: q and p must be {chart.n}-vectors")
-        x0 = np.concatenate([q, p])
     else:
-        potential = _build_potential(doc, 3)
         hamiltonian = ReducedHamiltonian(alg=alg, kinetic_inverse=K, potential=potential)
         system = hamel_system(chart, hamiltonian, noise)
         energy = hamiltonian.as_mq_field()
-        m = np.asarray(doc["x0"]["m"], dtype=float)
-        q = np.asarray(doc["x0"]["q"], dtype=float)
-        if m.shape != (alg.dim,) or q.shape != (chart.n,):
-            raise ScenarioError(
-                f"$.x0: m must be a {alg.dim}-vector and q a {chart.n}-vector"
-            )
-        x0 = np.concatenate([m, q])
-
-    return BuiltScenario(
-        system=system,
-        x0=x0,
-        noise=noise,
-        T=float(doc["T"]),
-        M=int(doc["M"]),
-        scheme=doc["scheme"],
-        alg=alg,
-        hamiltonian=hamiltonian,
-        energy=energy,
-        outputs=doc.get("outputs", {}),
-    )
+    return BuiltScenario(system=system, hamiltonian=hamiltonian, energy=energy, **run)

@@ -177,6 +177,43 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="m0"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("rigid_body", {"m0": [0.8, 0.45]}, "$.m0: need a 3-vector"),
+        ("rigid_body", {"kinetic": {"K": [[1.0, 0.0], [0.0, 0.5]]}},
+         "$.kinetic: matrix is 2x2, algebra 'so3' has dimension 3"),
+        ("rigid_body", {"xi": [[1.0, 0.0, 0.0], [0.0, 1.0]]},
+         "$.xi[1]: directions must be 3-vectors"),
+        ("heavy_top", {"chart": "h3_on_r3"},
+         "$.chart: chart 'h3_on_r3' acts with algebra 'h3', scenario says 'so3'"),
+        ("heavy_top", {"potential": {"id": "linear", "params": {"g": [0.0, 1.0]}}},
+         "$.potential.params.g: need a 3-vector"),
+        ("heavy_top", {"potential": {"id": "quadratic"}}, "$.potential.params.k: need a number"),
+        ("rigid_body", {"u_policy": {"id": "constant", "value": [1.0, 0.0]}},
+         "$.u_policy.value: need a 3-vector"),
+        ("rigid_body_phase", {"x0": {"q": [1.0, 0.2], "p": [0.1, 0.7, 0.4]}},
+         "$.x0: q and p must be 3-vectors"),
+    ], ids=["m0_2", "kinetic_2x2", "ragged_xi", "chart_of_h3", "g_2", "quadratic_without_k",
+            "policy_value_2", "x0_q_2"])
+    def test_load_refuses_what_build_refuses(self, tmp_path, name, edit, message):
+        # a document loads only if it builds, and both refuse it alike
+        doc = {**json.loads((SCENARIOS / f"{name}.json").read_text()), **edit}
+        for check in (lambda: load_scenario(write_scenario(tmp_path, doc)),
+                      lambda: build_scenario(doc)):
+            with pytest.raises(ScenarioError) as err:
+                check()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"M": 100}, "$.M: 100 is not a power of two"),
+        ({"kinetic": {"K": [[1.0, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 1.0]]}},
+         "$.kinetic.K: matrix must be positive definite (min eigenvalue -5.000e-01)"),
+    ], ids=["M_100", "K_not_spd"])
+    def test_build_checks_an_unloaded_document(self, edit, message):
+        # build_scenario applies load_scenario's checks to a dict it is given
+        with pytest.raises(ScenarioError) as err:
+            build_scenario(rigid_body_doc(**edit))
+        assert str(err.value) == message
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"schema_version": 1,,}')

@@ -4,16 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coadjoint.algebra import builtin
-from coadjoint.diagnostics import (
-    DriftSeries,
-    empirical_order,
-    observable_series,
-    strong_error,
-    write_series_csv,
-)
+from coadjoint.diagnostics import empirical_order, observable_series, strong_error
 from coadjoint.dynamics import casimir, lie_poisson_system
 from coadjoint.fields import ScalarField
-from coadjoint.integrators import Trajectory, integrate
+from coadjoint.integrators import Trajectory, integrate, write_trajectory_csv
 from coadjoint.noise import NoiseSpec, coarsen, sample_grid
 
 
@@ -29,8 +23,9 @@ class TestObservableSeries:
     def test_constant_observable_all_zero(self):
         traj = rigid_traj(64)
         series = observable_series(traj, ScalarField.constant(3.0, 3))
-        assert np.all(series.values == 0.0)
-        assert series.values[0] == 0.0
+        assert series.states.shape == (65, 1)
+        assert np.all(series.states == 0.0)
+        assert series.states[0, 0] == 0.0
 
     def test_casimir_drift_shrinks_with_refinement(self):
         so3 = builtin("so3")
@@ -42,14 +37,10 @@ class TestObservableSeries:
         traj = rigid_traj(16)
         series = observable_series(traj, casimir(builtin("so3")))
         path = tmp_path / "drift.csv"
-        write_series_csv(series, path)
+        write_trajectory_csv(series, path)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,casimir"
         assert len(rows) == 18
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal shapes"):
-            DriftSeries(times=np.zeros(3), values=np.zeros(4))
 
     def test_pointwise_field_rejected(self):
         pointwise = ScalarField(value=lambda m: float(m @ m), name="pointwise casimir")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from coadjoint.algebra import builtin
 from coadjoint.diagnostics import empirical_order
+from coadjoint.dynamics import lie_poisson_system
 from coadjoint.integrators import (
     IntegrationDiverged,
     SdeSystem,
@@ -171,6 +173,15 @@ class TestIntegrate:
         g = sample_grid(spec, 1.0, 8)
         with pytest.raises(ValueError, match="channels"):
             integrate(scalar_multiplicative(), "heun_strat", g, np.array([1.0]))
+
+    def test_grid_channels_must_match_system(self):
+        # one check, in the run set-up, names dW and the system
+        so3 = builtin("so3")
+        sys = lie_poisson_system(so3, np.eye(3), NoiseSpec.make(np.eye(3)[:2], seed=0))
+        g = sample_grid(NoiseSpec.make(np.eye(3)[:1], seed=0), 1.0, 8)
+        with pytest.raises(ValueError, match="^dW holds 1 increments per step, system "
+                                             r"'lie_poisson\[so3\]' has 2 noise channels$"):
+            integrate(sys, "heun_strat", g, np.array([0.8, 0.3, 0.5]))
 
     def test_rk4_rejects_noise(self):
         # rk4 steps the drift alone and would silently drop the noise
