@@ -23,8 +23,9 @@ depend on their order, so the kernels agree bit for bit (up to the sign of
 an exact zero) and a row's result does not depend on the batch it is in.
 Contracting -c rather than negating the contraction of c changes no
 nonzero bit, since rounding is symmetric in sign.
-A non-exact spec always takes ``einsum``, so its digits cannot depend on
-the batch size either.
+A non-exact spec always takes ``einsum``, whose sums follow the memory
+layout of the state; the integrators keep every state of a batch (E,)
+component-major, so its digits do not depend on the batch size either.
 """
 
 from __future__ import annotations
@@ -160,27 +161,32 @@ def ad_star(alg: LieAlgebraSpec, v, m) -> np.ndarray:
     return _ad_star(alg, _conform(alg, v, "v"), _conform(alg, m, "m"))
 
 
-def _ad_star(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _ad_star(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
     """:func:`ad_star` on float arrays whose last axes already conform to
-    ``alg``; the kernel rule is in the module docstring."""
+    ``alg``, written into ``out`` (a new array without one); the kernel rule
+    is in the module docstring."""
     if v.size >= alg._triples_from or m.size >= alg._triples_from:
-        return _ad_star_triples(alg, v, m)
+        return _ad_star_triples(alg, v, m, out)
     try:
-        return np.einsum("abg,...g,...b->...a", alg._minus_c, m, v)
+        return np.einsum("abg,...g,...b->...a", alg._minus_c, m, v, out=out)
     except ValueError:
         raise _lead_mismatch(v, m) from None
 
 
-def _ad_star_triples(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _ad_star_triples(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
     """ad* on an exact spec, written component by component from the nonzero
-    terms, whose coefficients are +-1, into a component-first (r, *lead)
-    buffer returned as a (*lead, r) view."""
+    terms, whose coefficients are +-1, into ``out`` or else a component-first
+    (r, *lead) buffer returned as a (*lead, r) view; a second term goes
+    through one scratch row."""
     try:
         lead = np.broadcast(v[..., 0], m[..., 0]).shape
     except ValueError:
         raise _lead_mismatch(v, m) from None
-    out = np.empty((alg.dim,) + lead)
-    for row, terms in zip(out, alg._terms):
+    if out is None:
+        out = np.empty((alg.dim,) + lead).transpose(*range(1, len(lead) + 1), 0)
+    scratch = np.empty(lead)
+    for a, terms in enumerate(alg._terms):
+        row = out[..., a]
         if not terms:
             row[...] = 0.0
             continue
@@ -189,11 +195,12 @@ def _ad_star_triples(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray) -> np.nd
         if s < 0:
             np.negative(row, out=row)
         for b, g, s in rest:
+            np.multiply(m[..., g], v[..., b], out=scratch)
             if s > 0:
-                row += m[..., g] * v[..., b]
+                row += scratch
             else:
-                row -= m[..., g] * v[..., b]
-    return out.transpose(*range(1, out.ndim), 0)
+                row -= scratch
+    return out
 
 
 def _lead_mismatch(v: np.ndarray, m: np.ndarray) -> ValueError:

@@ -33,7 +33,7 @@ import numpy as np
 from .actions import ActionChart, momentum_map
 from .algebra import LieAlgebraSpec, _ad_star
 from .fields import ScalarField, _dot
-from .integrators import SdeSystem, Trajectory
+from .integrators import SdeSystem, Trajectory, _stack_buffer
 from .noise import NoiseSpec
 
 __all__ = [
@@ -231,28 +231,20 @@ def _ito_sum(terms: np.ndarray) -> np.ndarray:
     return 0.5 * out
 
 
-def _stack_buffer(rows: int, lead: tuple, width: int) -> np.ndarray:
-    """An empty (rows, *lead, width) array with the stack axis outermost in
-    memory.  A batch (E,) gets component-major rows: the layout ensemble
-    states keep, in which the fields evaluate several times faster."""
-    if len(lead) == 1:
-        return np.empty((rows, width) + lead).transpose(0, 2, 1)
-    return np.empty((rows,) + lead + (width,))
-
-
 def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
                     u_of: Optional[Callable] = None, force=None, **system_kw) -> SdeSystem:
     """The SDE dx = X_u(x) dt + force(x) dt + X_{xi_k}(x) o dW^k of one level.
 
     A level evaluates once per stage what it needs at x: the stage s =
     ``at(x)``, arrays the stage owns (x itself if ``at`` is None).  From s
-    come the action field ``field(w, s)`` = X_w(x), a new array broadcasting
-    algebra elements w against states, ``dfield(w, s, v)`` = DX_w(x)[v] and
-    the momentum map ``mu(s)``.  u is ``u_of(t, x)`` or K mu; ``force`` is
-    None or ``(block, f)``, adding f(s) to the drift's ``[..., block]``.
-    ``drift.stacked(ito)`` makes the integrators' evaluators (see
-    :class:`SdeSystem`); the other keywords go to SdeSystem.  The three
-    callbacks refuse a state whose last axis is not ``state_dim`` wide.
+    come the action field ``field(w, s, out=None)`` = X_w(x), broadcasting
+    algebra elements w against states, written into ``out`` (a new array
+    without one), ``dfield(w, s, v)`` = DX_w(x)[v] and the momentum map
+    ``mu(s)``.  u is ``u_of(t, x)`` or K mu; ``force`` is None or ``(block,
+    f)``, adding f(s) to the drift's ``[..., block]``.  ``drift.stacked(lead,
+    ito)`` makes the integrators' evaluators (see :class:`SdeSystem`); the
+    other keywords go to SdeSystem.  The three callbacks refuse a state
+    whose last axis is not ``state_dim`` wide.
     """
     r, C = K.shape[0], noise.channels
     d, name = system_kw["state_dim"], system_kw["name"]
@@ -302,22 +294,19 @@ def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
         s = stage(x)
         return _ito_sum(dfield(w, s, field(w, s)))
 
-    def stacked(ito=False):
-        W = U = w = None
+    def stacked(lead, ito=False):
+        # the algebra elements (u, xi_1, ..., xi_C) of one run: the noise
+        # rows are set once, so each stage writes only the velocity row
+        w = xi.reshape((C,) + (1,) * len(lead) + (r,))
+        W = _stack_buffer(1 + C, lead, r)
+        W[1:] = w
 
-        def evaluate(t, x):
-            # one W per evaluator; its noise rows are set when the batch
-            # shape changes, so each stage writes only the velocity row U
-            nonlocal W, U, w
-            lead = x.shape[:-1]
-            if W is None or W.shape[1:-1] != lead:
-                W = _stack_buffer(1 + C, lead, r)
-                w = xi.reshape((C,) + (1,) * len(lead) + (r,))
-                W[1:] = w
-                U = W[0]
+        def evaluate(t, x, out):
+            # a shorter block of the run steps on the leading rows of W
+            Wx = W if x.shape[:-1] == lead else W[:, :len(x)]
             s = x if at is None else at(x)  # no added call on the collective level
-            velocity(t, x, s, U)
-            out = field(W, s)
+            velocity(t, x, s, Wx[0])
+            field(Wx, s, out)
             if f is not None:
                 out[0, ..., block] += f(s)
             if ito:
@@ -345,9 +334,10 @@ def _phase_fields(chart: ActionChart):
         q = x[..., :n]
         return q, x[..., n:], chart.coefficients(q), chart.d_coefficients(q)
 
-    def field(w, s):
+    def field(w, s, out=None):
         q, p, a, da = s
-        out = np.empty(np.broadcast(w[..., 0], q[..., 0]).shape + (2 * n,))
+        if out is None:
+            out = np.empty(np.broadcast(w[..., 0], q[..., 0]).shape + (2 * n,))
         dp = out[..., n:]
         np.einsum("...ai,...a->...i", a, w, out=out[..., :n])
         np.einsum("...aji,...j,...a->...i", da, p, w, out=dp)
@@ -413,7 +403,7 @@ def lie_poisson_system(
     """
     K = _check_spd(K, "kinetic inverse K")
     return _coupled_system(
-        None, lambda w, m: _ad_star(alg, w, m), lambda w, m, v: _ad_star(alg, w, v),
+        None, lambda w, m, out=None: _ad_star(alg, w, m, out), lambda w, m, v: _ad_star(alg, w, v),
         lambda m: m, K, noise, u_of, momentum=lambda m: m,
         state_dim=alg.dim, labels=tuple(f"m{i+1}" for i in range(alg.dim)),
         name=f"lie_poisson[{alg.name}]",
@@ -441,10 +431,11 @@ def hamel_system(
         q = x[..., r:]
         return x[..., :r], q, chart.coefficients(q)
 
-    def field(w, s):
+    def field(w, s, out=None):
         m, q, a = s
-        out = np.empty(np.broadcast(w[..., 0], m[..., 0]).shape + (r + n,))
-        out[..., :r] = _ad_star(alg, w, m)
+        if out is None:
+            out = np.empty(np.broadcast(w[..., 0], m[..., 0]).shape + (r + n,))
+        _ad_star(alg, w, m, out[..., :r])
         np.einsum("...bi,...b->...i", a, w, out=out[..., r:])
         return out
 

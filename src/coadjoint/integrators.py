@@ -40,7 +40,7 @@ class IntegrationDiverged(RuntimeError):
 
     def __init__(self, step: int, last_state: np.ndarray, path: Optional[int] = None):
         self.step = step
-        self.last_state = np.asarray(last_state)
+        self.last_state = np.array(last_state)
         self.partial = None
         self.path = path
         where = "integration" if path is None else f"ensemble path {path}"
@@ -62,12 +62,15 @@ class SdeSystem:
 
     A builder may give ``drift`` an attribute ``stacked``, with
     ``drift.stacked.fields = (drift, diffusion, ito_correction)``:
-    ``stacked()`` returns an evaluator ``F(t, x)`` of the drift and the C
-    noise fields as one new (1 + C, ..., d) array, one per run, which may
-    keep scratch between calls.  ``stacked(ito=True)``, the Ito mode, adds
-    the correction, taken from its own noise rows, to row 0.  It serves
-    only while those callbacks are the system's own; any other system, such
-    as one rebuilt by ``dataclasses.replace``, steps its own callbacks.
+    ``stacked(lead)`` returns one run's evaluator ``F(t, x, out)``, which
+    writes the drift into ``out[0]`` and the C noise fields into
+    ``out[1:]`` of a (1 + C, *lead, d) stack and returns out; x has the
+    leading axes ``lead``, or a leading slice of their first axis, which
+    out matches.  F may keep scratch between calls and must not keep out.
+    ``stacked(lead, ito=True)``, the Ito mode, adds the correction, taken
+    from its own noise rows, to row 0.  It serves only while those
+    callbacks are the system's own; any other system, such as one rebuilt
+    by ``dataclasses.replace``, steps its own callbacks.
     """
 
     state_dim: int
@@ -120,27 +123,33 @@ class Trajectory:
         return float(np.max(np.abs(self.states)))
 
 
-def _stacked(sys: SdeSystem, ito: bool = False) -> Callable[[float, np.ndarray], np.ndarray]:
-    """``F(t, x)``: the drift (plus the Ito correction when ``ito``) as row 0
-    and channel k's field as row k of one new (1 + C, ..., d) array; the
-    builder's evaluator while its ``fields`` are this system's callbacks
-    (see :class:`SdeSystem`), else a stack of the system's own callbacks."""
+def _stack_buffer(rows: int, lead: tuple, width: int) -> np.ndarray:
+    """An empty (rows, *lead, width) array with the stack axis outermost in
+    memory.  A batch (E,) gets component-major rows: the layout ensemble
+    states keep, in which the fields evaluate several times faster."""
+    if len(lead) == 1:
+        return np.empty((rows, width) + lead).transpose(0, 2, 1)
+    return np.empty((rows,) + lead + (width,))
+
+
+def _stacked(sys: SdeSystem, lead: tuple, ito: bool = False):
+    """``F(t, x, out)`` for states with leading axes ``lead``: the drift (plus
+    the Ito correction when ``ito``) into row 0 and channel k's field into
+    row k of ``out``, (1 + C, *lead, d); the builder's evaluator while its
+    ``fields`` are this system's callbacks (see :class:`SdeSystem`), else a
+    stack of the system's own callbacks."""
     own = getattr(sys.drift, "stacked", None)
     mine = (sys.drift, sys.diffusion, sys.ito_correction)[:2 + ito]
     if own is not None and all(a is b for a, b in zip(own.fields, mine)):
-        return own(ito=ito)
+        return own(lead, ito)
     drift, diffusion, correction, C = sys.drift, sys.diffusion, sys.ito_correction, sys.channels
 
-    def stacked(t, x):
-        f = drift(t, x)
+    def stacked(t, x, out):
+        out[0] = drift(t, x)
         if ito:
-            f = f + correction(t, x)
-        if not C:
-            return f[None].copy()
-        g = diffusion(t, x)
-        out = np.empty((1 + C,) + np.broadcast_shapes(f.shape, g.shape[:-2] + g.shape[-1:]))
-        out[0] = f
-        out[1:] = np.moveaxis(g, -2, 0)
+            out[0] += correction(t, x)
+        if C:
+            out[1:] = np.moveaxis(diffusion(t, x), -2, 0)
         return out
 
     return stacked
@@ -170,72 +179,100 @@ def _checked_state(sys: SdeSystem, x0) -> np.ndarray:
 
 
 # The kernels take one stage evaluator F (the stacked fields, or rk4's
-# drift) and the increments inc of one step.  Each sum over the leading
-# stack axis adds the drift first, then channels 1..C, as one reduction; the
-# stacked arrays keep that axis outermost in memory, so numpy adds the rows
-# in that order.  The corrector and the Euler-Ito step work in the array F
-# returned, which saves (1 + C)-row temporaries; x + y == y + x, so row 0
-# may take x last.  np.add.reduce(a, 0) is the reduction a.sum(axis=0)
-# runs, without its Python wrapper.
+# drift), the run's workspace views (see _run) and the increments row of
+# one step; each writes the new state into xn and returns it.  Each sum
+# over the leading stack axis adds the drift first, then channels 1..C, as
+# one reduction; the stacks keep that axis outermost in memory, so numpy
+# adds the rows in that order.  The predictor's products go into the second
+# stack before F overwrites it with the corrector's fields, and the
+# corrector and the Euler-Ito step work in place; x + y == y + x, so the
+# predictor and row 0 may take x last.  np.add.reduce(a, 0) is the
+# reduction a.sum(axis=0) runs, without its Python wrapper.
 
-def _heun(F, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
-    fx = F(t, x)
-    xp = x + np.add.reduce(fx * inc, 0)
-    out = F(t + dt, xp)
+def _heun(F, dt, inc, half, fx, out, xp, t, x, row, xn):
+    inc[1:] = row
+    np.multiply(inc, 0.5, out=half)
+    F(t, x, fx)
+    np.multiply(fx, inc, out=out)
+    np.add.reduce(out, 0, out=xp)
+    xp += x
+    F(t + dt, xp, out)
     out += fx
-    out *= 0.5 * inc
+    out *= half
     out[0] += x
-    return np.add.reduce(out, 0)
+    return np.add.reduce(out, 0, out=xn)
 
 
-def _euler_ito(F, t: float, x: np.ndarray, dt: float, inc: np.ndarray) -> np.ndarray:
-    out = F(t, x)
-    out *= inc
-    out[0] += x
-    return np.add.reduce(out, 0)
+def _euler_ito(F, dt, inc, half, fx, out, xp, t, x, row, xn):
+    inc[1:] = row
+    F(t, x, fx)
+    fx *= inc
+    fx[0] += x
+    return np.add.reduce(fx, 0, out=xn)
 
 
-_KERNELS = {"heun_strat": _heun, "euler_ito": _euler_ito,
-            "rk4": lambda drift, t, x, dt, inc: rk4_step(drift, t, x, dt)}
+def _rk4(drift, dt, inc, half, fx, out, xp, t, x, row, xn):
+    xn[...] = rk4_step(drift, t, x, dt)
+    return xn
+
+
+_KERNELS = {"heun_strat": _heun, "euler_ito": _euler_ito, "rk4": _rk4}
+
+
+def _lead(x0: np.ndarray, wlead: tuple) -> tuple:
+    """The leading axes of ``x0`` and of increments ``wlead``, aligned from
+    the right; np.broadcast_shapes (about 3 us) only when they differ."""
+    lead = x0.shape[:-1]
+    return lead if lead == wlead else np.broadcast_shapes(lead, wlead)
 
 
 def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
-    """One run's set-up for ``scheme`` over the rows of ``dW``, (M, ..., C).
-
-    Returns the step ``step(t, x, dt, inc)``; a copy of ``x0`` broadcast to
-    ``lead``, its leading axes and the rows' aligned from the right; the
-    increment buffer (dt, dW^1, ..., dW^C) as one (1 + C, *lead, 1) array,
-    row 0 filled; and the channel-first views ``rows[i]`` that fill rows 1..C.
-    The stochastic schemes step the stacked fields, euler_ito in Ito mode;
-    rk4 steps the drift alone and takes only the number of rows.
+    """One run of ``scheme`` on states like ``x0`` over the rows of ``dW``,
+    (M, ..., C), whose leading axes, aligned from the right, make ``lead``.
+    Its workspace, which every step reuses, holds the increments (dt, dW^1,
+    ..., dW^C) and their halves, two stage stacks, the predictor and two
+    component-major states.  Returns ``block(x0, dW)``: it copies x0 into
+    the first state and returns ``step(t, x, row, xn)``, the two states and
+    dW's channel-first rows, in leading slices of the buffers for a block
+    of fewer paths.  The stochastic schemes step the stacked fields,
+    euler_ito in Ito mode; rk4 steps the drift alone and takes only the
+    number of rows.
     """
     x0 = np.asarray(x0, dtype=float)
-    if scheme == "rk4":
-        F, dW = sys.drift, np.zeros((len(dW), sys.channels))
-    elif scheme == "euler_ito" and sys.ito_correction is None:
+    if scheme == "euler_ito" and sys.ito_correction is None:
         raise ValueError(
             f"system {sys.name!r} has no ito_correction; supply one "
             "(exactly zero is acceptable) before using the euler_ito scheme"
         )
-    else:
-        F, dW = _stacked(sys, ito=scheme == "euler_ito"), _checked_increments(sys, dW)
-    lead, wlead = x0.shape[:-1], dW.shape[1:-1]
-    if wlead != lead:
-        lead = np.broadcast_shapes(lead, wlead)
-        x0 = np.broadcast_to(x0, lead + x0.shape[-1:])
-    inc = np.empty((1 + sys.channels,) + lead + (1,))
-    inc[0] = dt
-    rows = dW.transpose(0, -1, *range(1, dW.ndim - 1)).reshape(
-        (len(dW), dW.shape[-1]) + (1,) * (len(lead) - len(wlead)) + wlead + (1,))
-    return functools.partial(_KERNELS[scheme], F), np.array(x0), inc, rows
+    wlead = () if scheme == "rk4" else _checked_increments(sys, dW).shape[1:-1]
+    lead, C, d = _lead(x0, wlead), sys.channels, x0.shape[-1]
+    F = sys.drift if scheme == "rk4" else _stacked(sys, lead, ito=scheme == "euler_ito")
+    incs = np.empty((2, 1 + C) + lead + (1,))
+    incs[0, 0] = dt
+    stacks = _stack_buffer(2 * (1 + C), lead, d)
+    views = (*incs, stacks[:1 + C], stacks[1 + C:], *_stack_buffer(3, lead, d))
+
+    def block(x0, dW):
+        x0 = np.asarray(x0, dtype=float)
+        dW = np.zeros((len(dW), 0)) if scheme == "rk4" else np.asarray(dW, dtype=float)
+        wlead = dW.shape[1:-1]
+        here = _lead(x0, wlead)
+        inc, half, fx, out, xp, x, y = views if here == lead else (
+            [v[:, :here[0]] for v in views[:4]] + [v[:here[0]] for v in views[4:]])
+        x[...] = x0
+        rows = dW.transpose(0, -1, *range(1, dW.ndim - 1)).reshape(
+            (len(dW), dW.shape[-1]) + (1,) * (len(here) - len(wlead)) + wlead + (1,))
+        return functools.partial(_KERNELS[scheme], F, dt, inc, half, fx, out, xp), x, y, rows
+
+    return block
 
 
 def _one_step(sys: SdeSystem, scheme: str, t: float, x, dt: float, dW) -> np.ndarray:
     """One step of a stochastic scheme; the leading axes of x and dW
     broadcast against each other, aligned from the right."""
-    step, x, inc, rows = _run(sys, scheme, x, dt, _checked_increments(sys, dW)[None])
-    inc[1:] = rows[0]
-    return step(t, x, dt, inc)
+    dW = _checked_increments(sys, dW)[None]
+    step, x, y, rows = _run(sys, scheme, x, dt, dW)(x, dW)
+    return step(t, x, rows[0], y)
 
 
 def heun_stratonovich_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.ndarray:
@@ -269,25 +306,29 @@ def rk4_step(drift: Callable[[float, np.ndarray], np.ndarray], t: float, x,
 
 
 def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
-           first_path: int = 0) -> np.ndarray:
+           first_path: int = 0, run=None) -> np.ndarray:
     """Step ``x0``, one state (d,) or a batch (E, d), over the rows of ``dW``,
     (M, C) or (M, E, C), and return the final state.  A step's increments
     line up with the state's leading axes from the right, so an (M, C) table
     drives every row of a batch alike; rk4 takes only the number of rows.
 
-    ``states[i]``, if given, receives the state after i steps.  The first
-    non-finite row raises :class:`IntegrationDiverged` with the step, its
-    last finite state and, for a batch, its path index ``first_path + row``.
+    ``run``, a ``_run`` of the same system, scheme and dt for at least as
+    many paths, lends its workspace, which the returned state lives in until
+    its next block; without one the call sets up its own.  ``states[i]``, if
+    given, receives the state after i steps.  The first non-finite row raises
+    :class:`IntegrationDiverged` with the step, its last finite state and,
+    for a batch, its path index ``first_path + row``.
     """
-    step, x, inc, rows = _run(sys, scheme, x0, dt, dW)
+    step, x, y, rows = (run or _run(sys, scheme, x0, dt, dW))(x0, dW)
+    # a single path steps straight into the states it records
+    single = states is not None and x.ndim == 1
     if states is not None:
         states[0] = x
     # blowup is detected and reported below; suppress the transient
     # overflow warnings the diverging step itself emits
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(rows)):
-            inc[1:] = rows[i]
-            x_new = step(i * dt, x, dt, inc)
+            x_new = step(i * dt, x, rows[i], states[i + 1] if single else y)
             # the sum of all entries is finite only if every entry is; a
             # finite state whose sum overflows takes the per-entry check
             if not math.isfinite(np.add.reduce(x_new, None)) and not np.isfinite(x_new).all():
@@ -296,9 +337,9 @@ def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
                 bad = int(np.argmin(np.isfinite(x_new).all(axis=-1)))
                 raise IntegrationDiverged(step=i + 1, last_state=x[bad],
                                           path=first_path + bad)
-            if states is not None:
+            if states is not None and not single:
                 states[i + 1] = x_new
-            x = x_new
+            x, y = x_new, x
     return x
 
 

@@ -46,6 +46,7 @@ from .integrators import (
     SdeSystem,
     _checked_state,
     _drive,
+    _run,
     _write_rows,
     integrate,
 )
@@ -507,8 +508,10 @@ def forward_solve(spec: GeneratorSpec, x0, T: float, geometry: GridGeometry) -> 
     The delta initial datum at x0 is approximated by an isotropic Gaussian
     of width ``_DELTA_WIDTH_CELLS`` grid cells; refine the grid to sharpen it.
     The outer step is the drift CFL bound of the adjoint coefficients.
-    ``x0`` must lie in the box.
+    ``x0`` must lie in the box, and the box must not cut the Gaussian: its
+    discrete mass sum(values) prod(dx) must be at least 1 - 1e-3.
     """
+    _check_horizon(T)
     x0 = np.asarray(x0, dtype=float)
     if not geometry.contains(x0):
         raise ValueError(f"x0 {x0} lies outside the grid box {geometry.bounds.tolist()}")
@@ -516,6 +519,12 @@ def forward_solve(spec: GeneratorSpec, x0, T: float, geometry: GridGeometry) -> 
     sigma = _DELTA_WIDTH_CELLS * float(np.mean(geometry.dx))
     r2 = np.sum((nodes - x0) ** 2, axis=-1)
     values = np.exp(-0.5 * r2 / sigma ** 2) / ((2.0 * np.pi) ** 1.5 * sigma ** 3)
+    mass = float(np.sum(values) * np.prod(geometry.dx))
+    if mass < 1.0 - 1e-3:
+        raise ValueError(
+            f"the grid box {geometry.bounds.tolist()} cuts the delta surrogate at x0 {x0}: "
+            f"its mass is {mass:.6f}, below 1 - 1e-3; move x0 inward, widen the box "
+            "or refine the grid")
     return _evolve(spec, values, T, geometry, None, "forward")
 
 
@@ -544,15 +553,16 @@ def interpolate(grid: DensityGrid, x) -> float:
 # Values per stacked stage array of an ensemble block: a block holds
 # _BLOCK_VALUES // ((1 + C) d) consecutive paths, so each (1 + C, paths, d)
 # stack of a Heun stage (512 KiB at 2^16) stays in L2 from the field call
-# to its reduction.  Median CPU ms of ensemble_finals on so(3), budgets
-# shuffled within each round, one pinned CPU of a 2-CPU Xeon (2 MiB L2 per
-# core), numpy 2.4.6; 40 rounds of the short-time check (5e4 paths x 2
-# steps, 2 channels) and 12 of the MC cross-check (1e4 x 256, 1 channel),
-# where 2^16 and up are all one 1e4-path block and differ only by noise:
+# to its reduction.  Median CPU ms of ensemble_finals on so(3), stepping
+# every block in one workspace, budgets shuffled within each round, one
+# pinned CPU of a 2-CPU Xeon (2 MiB L2 per core), numpy 2.4.6; 40 rounds of
+# the short-time check (5e4 paths x 2 steps, 2 channels) and 12 of the MC
+# cross-check (1e4 x 256, 1 channel), where 2^16 and up are all one
+# 1e4-path block and differ only by noise:
 #
 #     values per stack    2^14   2^15   2^16   2^17   2^18   whole ensemble
-#     5e4 x 2, C = 2      21.6   16.6   15.4   16.0   19.1   22.0
-#     1e4 x 256, C = 1     243    213    222    212    223    224
+#     5e4 x 2, C = 2      21.5   17.4   15.5   15.9   18.6   22.3
+#     1e4 x 256, C = 1     265    206    187    176    203    190
 _BLOCK_VALUES = 2 ** 16
 
 
@@ -575,21 +585,23 @@ def ensemble_finals(sys: SdeSystem, x0, T: float, M: int, ensemble: int,
     Paths are drawn and stepped in blocks of ``_BLOCK_VALUES // ((1 + C) d)``
     consecutive paths, one block at a time in stream order, so an ensemble
     holds one block's increments and stage stacks, not the whole table.
-    Every block runs; a divergence reports the earliest (step, path) of all
-    blocks, so the outcome does not depend on the block size.
+    One run, set up on the first and largest block, steps every block in its
+    workspace.  Every block runs; a divergence reports the earliest (step,
+    path) of all blocks, so the outcome does not depend on the block size.
     """
     ensemble = _ensemble_size(ensemble)
     x0 = _checked_state(sys, x0)
     draw = _increment_blocks(seed, sys.channels, T, M)
     size = max(1, _BLOCK_VALUES // ((1 + sys.channels) * sys.state_dim))
     finals = np.empty((ensemble, sys.state_dim))
-    diverged = []
+    diverged, run = [], None
     for start in range(0, ensemble, size):
         dW = draw(min(size, ensemble - start))
         rows = finals[start:start + dW.shape[1]]
+        x0s = np.broadcast_to(x0, rows.shape)
+        run = run or _run(sys, "heun_strat", x0s, T / M, dW)
         try:
-            rows[...] = _drive(sys, "heun_strat", np.broadcast_to(x0, rows.shape), T / M,
-                               dW, first_path=start)
+            rows[...] = _drive(sys, "heun_strat", x0s, T / M, dW, first_path=start, run=run)
         except IntegrationDiverged as err:
             diverged.append(err)
     if diverged:

@@ -130,10 +130,14 @@ def _increment_blocks(seed: int, channels: int, T: float, M: int):
     """A drawer ``draw(paths)`` of consecutive path blocks: each call returns
     the next ``paths`` paths' Brownian increments (M, paths, C), each N(0, T/M).
 
-    Channel k keeps one Philox stream keyed (seed, k) across calls, so the
-    j-th path drawn, counting over all calls, takes draws j*M ... j*M + M - 1
-    of each stream whatever the block sizes.  The ziggurat normals take a
-    variable number of counter words, so blocks must be drawn in order.
+    The drawer refills one table, allocated by the first call (and again by
+    any call for more paths), and returns its leading ``paths`` columns, so
+    a call overwrites what the call before it returned; copy a block to keep
+    it.  Channel k keeps one Philox stream keyed (seed, k) across calls, so
+    the j-th path drawn, counting over all calls, takes draws j*M ...
+    j*M + M - 1 of each stream whatever the block sizes.  The ziggurat
+    normals take a variable number of counter words, so blocks must be
+    drawn in order.
     """
     _check_horizon(T)
     if not _is_power_of_two(M):
@@ -142,13 +146,18 @@ def _increment_blocks(seed: int, channels: int, T: float, M: int):
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     scale = np.sqrt(T / M)
     gens = [np.random.Generator(np.random.Philox(key=[seed, k])) for k in range(channels)]
+    table = np.empty((M, 0, channels))
 
     def draw(paths: int) -> np.ndarray:
-        dW = np.empty((M, paths, channels))
+        nonlocal table
+        if table.shape[1] < paths:
+            table = np.empty((M, paths, channels))
+        dW = table[:, :paths]
         for k, gen in enumerate(gens):
             for j in range(0, paths, _FILL_ROWS):
-                rows = min(_FILL_ROWS, paths - j)
-                dW[:, j:j + rows, k] = (gen.standard_normal((rows, M)) * scale).T
+                z = gen.standard_normal((min(_FILL_ROWS, paths - j), M))
+                z *= scale
+                dW[:, j:j + len(z), k] = z.T
         return dW
 
     return draw

@@ -195,12 +195,19 @@ def _read(doc: dict):
     if name not in BUILTIN_ALGEBRAS:
         raise ScenarioError(
             f"$.algebra: unknown algebra {name!r}; available: {sorted(BUILTIN_ALGEBRAS)}")
-    if system != "lie_poisson":
+    # each system reads one initial state and refuses the fields of the others
+    if system == "lie_poisson":
+        for key in ("chart", "x0"):
+            if key in doc:
+                raise ScenarioError(f"$.{key}: system 'lie_poisson' reads no {key}")
+    else:
         if "chart" not in doc:
             raise ScenarioError(f"$.chart: required for system {system!r}")
         if doc["chart"] not in chart_names():
             raise ScenarioError(
                 f"$.chart: unknown chart {doc['chart']!r}; available: {chart_names()}")
+        if "m0" in doc:
+            raise ScenarioError(f"$.m0: system {system!r} reads its state from x0, not m0")
     pot = doc.get("potential", {"id": "zero"})
     params = pot.get("params", {})
     for key in params:
@@ -228,14 +235,21 @@ def _read(doc: dict):
     elif system == "phase_space":
         if "q" not in x0 or "p" not in x0:
             raise ScenarioError("$.x0: phase_space needs both 'q' and 'p'")
+        if "m" in x0:
+            raise ScenarioError("$.x0.m: phase_space reads q and p; m is their momentum map")
     else:
         if "m" not in x0 or "q" not in x0:
             raise ScenarioError("$.x0: hamel needs both 'm' and 'q'")
+        if "p" in x0:
+            raise ScenarioError("$.x0.p: hamel reads m and q, not p")
         if policy["id"] != "legendre":
             raise ScenarioError(
                 "$.u_policy: the hamel system fixes u = dh/dm; only 'legendre' applies")
     if policy["id"] == "constant" and "value" not in policy:
         raise ScenarioError("$.u_policy: constant policy needs a 'value' vector")
+    if policy["id"] != "constant" and "value" in policy:
+        raise ScenarioError(
+            f"$.u_policy.value: only the constant policy takes a value, not {policy['id']!r}")
     outputs = doc.get("outputs", {})
     for diag in outputs.get("diagnostics", []):
         if diag == "momentum_map" and system != "phase_space":

@@ -203,6 +203,33 @@ class TestScenarioValidation:
                 check()
             assert str(err.value) == message
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("rigid_body_phase", {"m0": [0.8, 0.45, 0.3]},
+         "$.m0: system 'phase_space' reads its state from x0, not m0"),
+        ("heavy_top", {"m0": [0.8, 0.45, 0.3]},
+         "$.m0: system 'hamel' reads its state from x0, not m0"),
+        ("rigid_body", {"chart": "so3_on_r3"}, "$.chart: system 'lie_poisson' reads no chart"),
+        ("rigid_body", {"x0": {"m": [0.8, 0.45, 0.3]}}, "$.x0: system 'lie_poisson' reads no x0"),
+        ("rigid_body_phase", {"x0": {"q": [1.0, 0.2, -0.3], "p": [0.1, 0.7, 0.4],
+                                     "m": [0.1, 0.2, 0.3]}},
+         "$.x0.m: phase_space reads q and p; m is their momentum map"),
+        ("heavy_top", {"x0": {"m": [0.3, 0.4, 0.8], "q": [0.0, 0.0, 1.0], "p": [0.1, 0.2, 0.3]}},
+         "$.x0.p: hamel reads m and q, not p"),
+        ("rigid_body", {"u_policy": {"id": "legendre", "value": [1.0, 0.0, 0.0]}},
+         "$.u_policy.value: only the constant policy takes a value, not 'legendre'"),
+        ("rigid_body_phase", {"u_policy": {"id": "zero", "value": [1.0, 0.0, 0.0]}},
+         "$.u_policy.value: only the constant policy takes a value, not 'zero'"),
+    ], ids=["m0_on_phase_space", "m0_on_hamel", "chart_on_lie_poisson", "x0_on_lie_poisson",
+            "x0_m_on_phase_space", "x0_p_on_hamel", "value_on_legendre", "value_on_zero"])
+    def test_field_its_system_does_not_read_refused(self, tmp_path, name, edit, message):
+        # every document here builds without the field, which nothing would read
+        doc = {**json.loads((SCENARIOS / f"{name}.json").read_text()), **edit}
+        for check in (lambda: load_scenario(write_scenario(tmp_path, doc)),
+                      lambda: build_scenario(doc)):
+            with pytest.raises(ScenarioError) as err:
+                check()
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("edit, message", [
         ({"M": 100}, "$.M: 100 is not a power of two"),
         ({"kinetic": {"K": [[1.0, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 1.0]]}},

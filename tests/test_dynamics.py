@@ -27,8 +27,8 @@ from coadjoint.fields import (
     ScalarField,
     double_bracket,
 )
-from coadjoint.integrators import (_drive, _stacked, euler_ito_step, heun_stratonovich_step,
-                                   integrate)
+from coadjoint.integrators import (_drive, _stack_buffer, _stacked, euler_ito_step,
+                                   heun_stratonovich_step, integrate)
 from coadjoint.kolmogorov import ensemble_finals
 from coadjoint.noise import BrownianGrid, NoiseSpec, _increment_blocks, sample_grid, time_grid
 
@@ -579,6 +579,23 @@ class TestCoupling:
         for j in range(E):
             assert np.array_equal(batch[j], _drive(sys, scheme, x0[j], T / M, dW[:, j])), j
 
+    @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito"])
+    @pytest.mark.parametrize("rows", [7, _TRIPLE_MIN_ROWS + 7])
+    def test_rows_independent_of_batch_on_a_non_exact_spec(self, rows, scheme):
+        # such a spec always takes einsum, whose sums follow the memory
+        # layout of the state; every state of a batch, the first included,
+        # is component-major, so every row ends where it ends alone
+        c = np.random.default_rng(14).normal(size=(3, 3, 3))
+        alg = LieAlgebraSpec(dim=3, c=c - c.transpose(1, 0, 2), name="generic")
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = lie_poisson_system(alg, K_RIGID, noise)
+        x0 = np.random.default_rng(15).normal(size=(rows, 3))
+        T, M = 0.5, 16
+        dW = _increment_blocks(31, 2, T, M)(rows)
+        batch = _drive(sys, scheme, x0, T / M, dW)
+        for j in range(rows):
+            assert np.array_equal(batch[j], _drive(sys, scheme, x0[j], T / M, dW[:, j])), j
+
     @pytest.mark.parametrize("level", ["phase_space", "hamel"])
     def test_fd_chart_coefficients_independent_of_batch(self, level):
         # each row's finite-difference step depends on that row alone
@@ -612,6 +629,14 @@ def _loop_euler_ito(sys, t, x, dt, dW):
     for k in range(sys.channels):
         out = out + gx[..., k, :] * dW[..., k, None]
     return out
+
+
+def _evaluate(sys, t, x, ito=False, stacked=None):
+    """One run's stacked evaluator, the builder's or ``stacked``'s, set up
+    for x's batch shape, on x, into a new stack."""
+    lead = x.shape[:-1]
+    F = (stacked or sys.drift.stacked)(lead, ito)
+    return F(t, x, _stack_buffer(1 + sys.channels, lead, sys.state_dim))
 
 
 def _own_callbacks(sys):
@@ -688,16 +713,19 @@ class TestStackedFields:
 
     @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
     def test_evaluator_reuse_across_batch_shapes(self, level):
-        # one evaluator keeps its stacked elements between calls: outputs it
-        # returned stay intact, and a new batch shape refills the noise rows
+        # one run's evaluator serves its batch and the leading slices a
+        # shorter block steps on: each call writes only the out it is given,
+        # and every slice matches an evaluator set up for its own shape
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
         sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
         x = np.random.default_rng(4).normal(size=(5, sys.state_dim))
-        F = sys.drift.stacked()
-        first = F(0.1, x)
+        F = sys.drift.stacked((5,))
+        first = F(0.1, x, _stack_buffer(3, (5,), sys.state_dim))
         kept = first.copy()
-        for arg in (x[0], x[:3], x, x[2]):
-            assert np.array_equal(F(0.1, arg), sys.drift.stacked()(0.1, arg))
+        for arg in (x[:3], x, x[:1]):
+            out = _stack_buffer(3, arg.shape[:-1], sys.state_dim)
+            assert F(0.1, arg, out) is out
+            assert np.array_equal(out, _evaluate(sys, 0.1, arg))
         assert np.array_equal(first, kept)
         assert np.array_equal(first[0], sys.drift(0.1, x))
         assert np.array_equal(np.moveaxis(first[1:], 0, -2), sys.diffusion(0.1, x))
@@ -736,10 +764,11 @@ class TestStackedFields:
         want = np.concatenate([(sys.drift(0.3, x) + sys.ito_correction(0.3, x))[None],
                                np.moveaxis(sys.diffusion(0.3, x), -2, 0)])
         for s in (sys, _own_callbacks(sys)):
-            got = _stacked(s, ito=True)(0.3, x)
+            got = _evaluate(s, 0.3, x, ito=True,
+                            stacked=lambda lead, ito, s=s: _stacked(s, lead, ito))
             assert got.shape == want.shape
             assert np.array_equal(got, want)
-        assert np.array_equal(sys.drift.stacked(ito=True)(0.3, x), want)
+        assert np.array_equal(_evaluate(sys, 0.3, x, ito=True), want)
 
     def test_replaced_correction_is_the_one_stepped(self):
         # the builder's Ito mode serves only its own correction
@@ -776,11 +805,12 @@ class TestOneEvaluationPerStage:
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
         sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]),
                             _counting_chart(calls))[level]
-        F = sys.drift.stacked(ito=ito)
         x = np.random.default_rng(41).normal(size=(7, sys.state_dim))
         for arg in (x, x[0]):
+            F = sys.drift.stacked(arg.shape[:-1], ito)
+            out = _stack_buffer(3, arg.shape[:-1], sys.state_dim)
             calls.clear()
-            F(0.3, arg)
+            F(0.3, arg, out)
             want = ["A", "dA"] if level == "phase_space" or ito else ["A"]
             assert sorted(calls) == want, calls
 
@@ -789,9 +819,9 @@ class TestOneEvaluationPerStage:
         # the evaluator's own noise rows
         calls = []
 
-        def counting(alg, v, m):
+        def counting(alg, v, m, out=None):
             calls.append(v.shape)
-            return _ad_star(alg, v, m)
+            return _ad_star(alg, v, m, out)
 
         monkeypatch.setattr(dynamics, "_ad_star", counting)
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
@@ -839,7 +869,7 @@ class TestVelocityKernel:
         x = _layouts(rows)[layout]
         want = _einsum_velocity_drift(level, K, x)
         assert np.array_equal(sys.drift(0.3, x), want)
-        assert np.array_equal(sys.drift.stacked()(0.3, x)[0], want)
+        assert np.array_equal(_evaluate(sys, 0.3, x)[0], want)
 
     @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
     def test_dense_kernel_rows_equal_single_state(self, level):
@@ -850,10 +880,10 @@ class TestVelocityKernel:
         x = np.random.default_rng(22).normal(size=(_TRIPLE_MIN_ROWS + 7, sys.state_dim))
         for layout in ("row_major", "component_major"):
             batch = _layouts(x)[layout]
-            drift, stack = sys.drift(0.3, batch), sys.drift.stacked()(0.3, batch)
+            drift, stack = sys.drift(0.3, batch), _evaluate(sys, 0.3, batch)
             for j, row in enumerate(x):
                 assert np.array_equal(drift[j], sys.drift(0.3, row)), (layout, j)
-                assert np.array_equal(stack[:, j], sys.drift.stacked()(0.3, row)), (layout, j)
+                assert np.array_equal(stack[:, j], _evaluate(sys, 0.3, row)), (layout, j)
 
     @pytest.mark.parametrize("layout", ["single", "row_major", "component_major"])
     def test_hamiltonian_diagonal_velocity_equals_einsum(self, layout):
@@ -923,7 +953,7 @@ class TestZeroPotential:
         forced = _three_levels(noise, dataclasses.replace(counting))[level]
         rng = np.random.default_rng(24)
         x, dW = rng.normal(size=(7, free.state_dim)), rng.normal(scale=0.1, size=(7, 2))
-        runs = [lambda s: s.drift(0.3, x), lambda s: s.drift.stacked()(0.3, x[0])]
+        runs = [lambda s: s.drift(0.3, x), lambda s: _evaluate(s, 0.3, x[0])]
         for step in (heun_stratonovich_step, euler_ito_step):
             runs += [lambda s, step=step: step(s, 0.3, x[0], 0.01, dW[0]),
                      lambda s, step=step: step(s, 0.3, x, 0.01, dW)]

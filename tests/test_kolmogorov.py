@@ -561,7 +561,9 @@ class TestStageKernel:
         sigma = kolmogorov._DELTA_WIDTH_CELLS * float(np.mean(geo.dx))
         r2 = np.sum((nodes - x0) ** 2, axis=-1)
         delta = np.exp(-0.5 * r2 / sigma ** 2) / ((2.0 * np.pi) ** 1.5 * sigma ** 3)
-        fwd = forward_solve(spec, x0, 0.05, geo)
+        # the box cuts this surrogate, which forward_solve refuses, so the
+        # stages evolve it directly
+        fwd = kolmogorov._evolve(spec, delta, 0.05, geo, None, "forward")
         assert np.array_equal(fwd.values, reference_evolve(spec, delta, 0.05, geo, "forward"))
 
     @pytest.mark.parametrize("chunk", [100, 1 << 20])
@@ -601,6 +603,29 @@ class TestForwardSolve:
         # refinement (reported at both resolutions, no rate asserted)
         assert abs(masses[0] - 1.0) <= 0.05
         assert abs(masses[1] - 1.0) <= abs(masses[0] - 1.0)
+
+    @pytest.mark.parametrize("x0, nodes, mass", [
+        ([0.6, 0.0, 0.3], 32, 0.99998), ([0.6, 0.0, 0.3], 24, 0.9992),
+        ([0.6, 0.0, 0.3], 16, 0.983), ([1.2, 0.0, 0.0], 16, 0.600),
+        ([1.2, 1.2, 0.0], 16, 0.360), ([1.2, 1.2, 1.2], 16, 0.216),
+    ], ids=["inside_32", "inside_24", "inside_16", "face_16", "edge_16", "corner_16"])
+    def test_delta_cut_by_box_rejected(self, monkeypatch, x0, nodes, mass):
+        # the Gaussian's discrete mass at t = 0 on [-1.2, 1.2]^3 must reach
+        # 1 - 1e-3; a refused datum is never evolved
+        evolved = []
+        monkeypatch.setattr(kolmogorov, "_evolve", lambda *args: evolved.append(args))
+        geo = GridGeometry.cube(-1.2, 1.2, nodes)
+        if mass >= 1.0 - 1e-3:
+            forward_solve(rigid_spec(), x0, 0.05, geo)
+            assert len(evolved) == 1
+            return
+        box = re.escape(str(geo.bounds.tolist()))
+        with pytest.raises(ValueError, match=rf"box {box} cuts the delta surrogate at x0 "
+                                             r".*: its mass is [\d.]+, below 1 - 1e-3") as err:
+            forward_solve(rigid_spec(), x0, 0.05, geo)
+        found = re.search(r"mass is ([\d.]+)", str(err.value)).group(1)
+        assert float(found) == pytest.approx(mass, abs=5e-4)
+        assert not evolved
 
     @pytest.mark.parametrize("x0", [[5.0, 0.0, 0.0], [0.0, -1.3, 0.2], [0.0, 0.0, np.nan]])
     def test_delta_outside_box_rejected(self, x0):
@@ -713,13 +738,14 @@ class TestMcExpectation:
         # cover the ensemble in order, and no block is drawn before the
         # one before it is stepped; a path takes 9 values, so budgets of
         # 1 and 10 make 1-path blocks, 297 three 33-path blocks and one
-        # path, 450 two 50-path blocks and 900 one block of all 100 paths
+        # path, 450 two 50-path blocks and 900 one block of all 100 paths.
+        # The drawer refills one table, so each block is recorded as a copy
         _run_blocks(monkeypatch, budget)
         xi = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
         sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=2, xi=xi, seed=0))
         x0, seed, T, M, paths = np.array([0.8, 0.3, 0.5]), 4, 0.5, 16, 100
         block = max(1, kolmogorov._BLOCK_VALUES // ((1 + 2) * 3))
-        tables, firsts, done, held, idents = [], [], [0], [0], set()
+        tables, drawn, firsts, done, held, idents = [], [], [], [0], [0], set()
         blocks, drive = kolmogorov._increment_blocks, kolmogorov._drive
 
         def recording_blocks(*args):
@@ -727,16 +753,17 @@ class TestMcExpectation:
 
             def recording_draw(n):
                 held[0] = max(held[0], len(tables) - done[0] + 1)
-                tables.append(draw(n))
-                return tables[-1]
+                drawn.append(draw(n))
+                tables.append(drawn[-1].copy())
+                return drawn[-1]
 
             return recording_draw
 
-        def counting_drive(*args, first_path):
+        def counting_drive(*args, first_path, run):
             firsts.append(first_path)
             idents.add(threading.get_ident())
             try:
-                return drive(*args, first_path=first_path)
+                return drive(*args, first_path=first_path, run=run)
             finally:
                 done[0] += 1
 
@@ -746,12 +773,28 @@ class TestMcExpectation:
         assert [t.shape[1] for t in tables] == [min(block, paths - a) for a in range(0, paths, block)]
         assert firsts == list(range(0, paths, block))
         assert held[0] == 1
+        assert all(np.shares_memory(t, drawn[0]) for t in drawn)
         # every block is stepped in the calling thread
         assert idents == {threading.get_ident()}
         table = _increment_blocks(seed, 2, T, M)(paths)
         assert np.array_equal(np.concatenate(tables, axis=1), table)
         assert np.array_equal(finals, _drive(sys, "heun_strat", np.broadcast_to(x0, (paths, 3)),
                                              T / M, table))
+
+    @pytest.mark.parametrize("budget", [None, 36])
+    def test_run_after_another_system_repeats_bit_for_bit(self, monkeypatch, budget):
+        # each call sets up its own run: a 1-channel ensemble between two
+        # calls on a 2-channel system leaves nothing the second call reads;
+        # a budget of 36 makes 4-path blocks and a 1-path last block
+        _run_blocks(monkeypatch, budget)
+        xi = np.array([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
+        pair = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=2, xi=xi, seed=0))
+        single = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=1, xi=xi[:1], seed=0))
+        x0 = np.array([0.8, 0.3, 0.5])
+        first = ensemble_finals(pair, x0, 0.5, 16, ensemble=13, seed=6)
+        ensemble_finals(single, x0 + 0.1, 0.5, 16, ensemble=29, seed=7)
+        again = ensemble_finals(pair, x0, 0.5, 16, ensemble=13, seed=6)
+        assert first.tobytes() == again.tobytes()
 
     def test_neighbouring_seeds_share_no_path(self):
         # dX = dW, so each final state is the sum of its path's increments

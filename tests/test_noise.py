@@ -100,10 +100,11 @@ class TestEnsembleKeying:
     @pytest.mark.parametrize("fill_rows", [3, 1024])
     @pytest.mark.parametrize("blocks", [[1, 1, 1], [5, 2, 9], [17], [4, 0, 13]])
     def test_blocks_continue_the_streams(self, monkeypatch, blocks, fill_rows):
-        # consecutive blocks are the whole table cut along its path axis
+        # consecutive blocks are the whole table cut along its path axis;
+        # the drawer refills one table, so each block is kept as a copy
         monkeypatch.setattr(noise, "_FILL_ROWS", fill_rows)
         draw = _increment_blocks(7, 3, 0.5, 16)
-        tables = [draw(n) for n in blocks]
+        tables = [draw(n).copy() for n in blocks]
         assert [t.shape for t in tables] == [(16, n, 3) for n in blocks]
         whole = _increment_blocks(7, 3, 0.5, 16)(sum(blocks))
         assert np.array_equal(np.concatenate(tables, axis=1), whole)
