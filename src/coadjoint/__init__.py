@@ -23,7 +23,6 @@ from .actions import (
 )
 from .diagnostics import empirical_order, observable_series, strong_error
 from .dynamics import (
-    Potential,
     QuadraticLagrangian,
     ReducedHamiltonian,
     casimir,

@@ -107,7 +107,7 @@ def _parse_f0(spec: str, alg) -> ScalarField:
     if spec == "casimir":
         return casimir(alg)
     if spec == "const":
-        return ScalarField.constant(1.0, alg.dim)
+        return ScalarField.constant(1.0)
     if spec in ("m1", "m2", "m3"):
         return ScalarField.coordinate(int(spec[1]) - 1, alg.dim, name=spec)
     raise ScenarioError(

@@ -1,5 +1,9 @@
 """Builders turning (chart, Lagrangian/Hamiltonian, noise directions) into SDE systems.
 
+The action enters only through its Legendre data: the kinetic matrix G (or
+K = G^(-1)) and the potential V(q), a :class:`ScalarField` over q like every
+other scalar function of the package.
+
 Three state spaces, one set of sign conventions (all routed through
 :mod:`coadjoint.algebra`):
 
@@ -37,7 +41,6 @@ from .integrators import SdeSystem, Trajectory, _stack_buffer
 from .noise import NoiseSpec
 
 __all__ = [
-    "Potential",
     "zero_potential",
     "linear_potential",
     "quadratic_potential",
@@ -52,50 +55,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Configuration potential V(q) with an analytic gradient.
-
-    Both callbacks broadcast over leading axes of q.
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-
-
-_ZERO_POTENTIAL = Potential(
+_ZERO_POTENTIAL = ScalarField(
     value=lambda q: np.zeros(q.shape[:-1]),
     grad=lambda q: np.zeros_like(q),
 )
 
 
-def zero_potential() -> Potential:
+def zero_potential() -> ScalarField:
     """V = 0, one shared instance: the builders add no force for it."""
     return _ZERO_POTENTIAL
 
 
-def linear_potential(g) -> Potential:
+def linear_potential(g) -> ScalarField:
     """V(q) = g . q (heavy-top style gravity term)."""
     g = np.asarray(g, dtype=float)
-    return Potential(
+    return ScalarField(
         value=lambda q: np.einsum("...i,i->...", q, g),
         grad=lambda q: np.broadcast_to(g, q.shape).copy(),
     )
 
 
-def quadratic_potential(k: float) -> Potential:
+def quadratic_potential(k: float) -> ScalarField:
     """V(q) = (k/2) |q|^2."""
-    return Potential(
+    return ScalarField(
         value=lambda q: 0.5 * k * np.einsum("...i,...i->...", q, q),
         grad=lambda q: k * q,
     )
 
 
-def _check_spd(mat: np.ndarray, what: str) -> np.ndarray:
-    """A read-only copy of ``mat`` after checking it is symmetric positive definite."""
+def _check_spd(mat: np.ndarray, what: str, dim: int) -> np.ndarray:
+    """A read-only copy of ``mat`` after checking it is a symmetric positive
+    definite dim x dim matrix."""
     mat = np.array(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {mat.shape}")
+    if mat.shape[0] != dim:
+        raise ValueError(f"{what} is {mat.shape[0]}x{mat.shape[0]}, algebra dimension is {dim}")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{what} must be finite, got {mat.tolist()}")
     if np.max(np.abs(mat - mat.T)) > 1e-12 * (1.0 + np.max(np.abs(mat))):
@@ -109,7 +104,8 @@ def _check_spd(mat: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticLagrangian:
-    """l(u, q) = (1/2) u . G u - V(q) with G symmetric positive definite.
+    """The Legendre data of l(u, q) = (1/2) u . G u - V(q): G symmetric
+    positive definite, V and the chart the algebra acts by.
 
     Positive definiteness is the hyperregularity needed for an exact
     Legendre transform.
@@ -117,31 +113,16 @@ class QuadraticLagrangian:
 
     alg: LieAlgebraSpec
     kinetic: np.ndarray
-    potential: Potential = field(default_factory=zero_potential)
+    potential: ScalarField = field(default_factory=zero_potential)
     chart: Optional[ActionChart] = None
 
     def __post_init__(self):
-        G = _check_spd(self.kinetic, "kinetic matrix G")
-        if G.shape[0] != self.alg.dim:
-            raise ValueError(
-                f"kinetic matrix is {G.shape[0]}x{G.shape[0]}, algebra dimension is {self.alg.dim}"
-            )
+        G = _check_spd(self.kinetic, "kinetic matrix G", self.alg.dim)
         object.__setattr__(self, "kinetic", G)
 
     @property
     def kinetic_inverse(self) -> np.ndarray:
         return np.linalg.inv(self.kinetic)
-
-    def value(self, u, q=None) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        kin = 0.5 * np.einsum("...a,ab,...b->...", u, self.kinetic, u)
-        if q is None:
-            return kin
-        return kin - self.potential.value(np.asarray(q, dtype=float))
-
-    def grad_q(self, q) -> np.ndarray:
-        """dl/dq = -dV/dq."""
-        return -self.potential.grad(np.asarray(q, dtype=float))
 
 
 def _legendre_velocity(K: np.ndarray) -> Callable:
@@ -174,14 +155,10 @@ class ReducedHamiltonian:
 
     alg: LieAlgebraSpec
     kinetic_inverse: np.ndarray
-    potential: Potential = field(default_factory=zero_potential)
+    potential: ScalarField = field(default_factory=zero_potential)
 
     def __post_init__(self):
-        K = _check_spd(self.kinetic_inverse, "kinetic inverse K")
-        if K.shape[0] != self.alg.dim:
-            raise ValueError(
-                f"K is {K.shape[0]}x{K.shape[0]}, algebra dimension is {self.alg.dim}"
-            )
+        K = _check_spd(self.kinetic_inverse, "kinetic inverse K", self.alg.dim)
         object.__setattr__(self, "kinetic_inverse", K)
         object.__setattr__(self, "_velocity", _legendre_velocity(K))
 
@@ -383,7 +360,7 @@ def phase_space_system(
     return _coupled_system(
         *_phase_fields(chart), L.kinetic_inverse, noise, u_of,
         force=None if L.potential is zero_potential() else (
-            slice(n, None), lambda s: L.grad_q(s[0])),
+            slice(n, None), lambda s: -L.potential.grad(s[0])),
         momentum=lambda x: momentum_map(chart, x),
         state_dim=2 * n, labels=labels, name=f"phase_space[{chart.name}]",
     )
@@ -401,7 +378,7 @@ def lie_poisson_system(
     drift ad*(u, m) with u = K m (or a supplied policy), diffusion channel k
     ad*(xi_k, m), and the Ito correction (1/2) sum_k ad*(xi_k, ad*(xi_k, m)).
     """
-    K = _check_spd(K, "kinetic inverse K")
+    K = _check_spd(K, "kinetic inverse K", alg.dim)
     return _coupled_system(
         None, lambda w, m, out=None: _ad_star(alg, w, m, out), lambda w, m, v: _ad_star(alg, w, v),
         lambda m: m, K, noise, u_of, momentum=lambda m: m,

@@ -122,7 +122,7 @@ class ScalarField:
         )
 
     @staticmethod
-    def constant(c: float, dim: int, name: str = "const") -> "ScalarField":
+    def constant(c: float, name: str = "const") -> "ScalarField":
         return ScalarField(value=lambda x, _c=float(c): np.full(np.shape(x)[:-1], _c),
                            grad=lambda x: np.zeros(np.shape(x)), name=name)
 

@@ -15,6 +15,7 @@ so that coarsening twice by 2 is bitwise identical to coarsening once by 4.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,6 +43,13 @@ def _check_horizon(T: float) -> None:
         raise ValueError(f"horizon T must be positive and finite, got {T}")
 
 
+def _check_seed(seed) -> None:
+    """Refuses a seed that is not an integer 0 <= seed < 2**64: a float or a
+    bool would silently reuse an integer seed's streams."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer that fits in 64 bits, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Diffusion directions xi_k in the Lie algebra plus an RNG seed.
@@ -64,8 +72,7 @@ class NoiseSpec:
             )
         if not np.all(np.isfinite(xi)):
             raise ValueError(f"xi must be finite, got {xi.tolist()}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
         xi.setflags(write=False)
         object.__setattr__(self, "xi", xi)
 
@@ -95,6 +102,8 @@ class BrownianGrid:
         dW = np.array(self.dW, dtype=float)
         if dW.shape[0] != self.steps:
             raise ValueError(f"dW has {dW.shape[0]} rows, expected {self.steps}")
+        if self.seed is not None:
+            _check_seed(self.seed)
         dW.setflags(write=False)
         object.__setattr__(self, "dW", dW)
 
@@ -142,10 +151,11 @@ def _increment_blocks(seed: int, channels: int, T: float, M: int):
     _check_horizon(T)
     if not _is_power_of_two(M):
         raise ValueError(f"step count must be a power of two, got {M}")
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    _check_seed(seed)
     scale = np.sqrt(T / M)
-    gens = [np.random.Generator(np.random.Philox(key=[seed, k])) for k in range(channels)]
+    # a uint64 key: numpy makes a list holding a seed >= 2**63 a float64 array
+    gens = [np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+            for k in range(channels)]
     table = np.empty((M, 0, channels))
 
     def draw(paths: int) -> np.ndarray:

@@ -4,11 +4,12 @@ The schema (shipped as ``schema/scenario.schema.json``) rejects unknown
 fields, so a typo in a noise direction list fails loudly instead of being
 ignored.  A standard-library walker enforces it, with jsonschema's error
 choice and words, and refuses a schema keyword it does not implement.
-One reader then takes each field once, with its default, and checks what
-the schema cannot (built-in names, SPD matrices, dimension agreement,
-power-of-two step counts), raising :class:`ScenarioError` with the
-offending field named.  :func:`load_scenario` and :func:`build_scenario`
-both run it, so a document loads only if it builds.
+:func:`build_scenario` is the one reader: it takes each field once, with
+its default, checks what the schema cannot (built-in names, SPD matrices,
+dimension agreement, power-of-two step counts), raising
+:class:`ScenarioError` with the offending field named, and builds the run.
+:func:`load_scenario` runs it after the schema, so a document loads only if
+it builds.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def load_scenario(path) -> dict:
         where, _, message = max(errors, key=lambda e: (-len(e[0]), e[0], e[1]))
         steps = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
         raise ScenarioError(f"${steps}: {message}")
-    _read(doc)
+    build_scenario(doc)
     return doc
 
 
@@ -186,11 +187,13 @@ def _check_finite(node, path: str = "$") -> None:
             _check_finite(value, f"{path}.{key}" if keyed else f"{path}[{key}]")
 
 
-def _read(doc: dict):
-    """Every field of ``doc``, read once with its default and checked, as the
-    pieces a build takes: (system kind, chart, G, K, potential, u policy,
-    BuiltScenario fields).  Raises :class:`ScenarioError` naming the field;
-    the document-level rules come before the shape rules."""
+def build_scenario(doc: dict) -> BuiltScenario:
+    """The system, noise, and initial state ``doc`` describes.
+
+    Every field is read once, with its default, and checked; a field at
+    fault raises :class:`ScenarioError` naming it, the document-level rules
+    before the shape rules.  The schema is :func:`load_scenario`'s, which
+    runs this too."""
     system, name, scheme = doc["system"], doc["algebra"], doc["scheme"]
     if name not in BUILTIN_ALGEBRAS:
         raise ScenarioError(
@@ -222,8 +225,10 @@ def _read(doc: dict):
     if scheme != "rk4" and M & (M - 1):
         raise ScenarioError(f"$.M: {M} is not a power of two")
     kin_key = "G" if "G" in doc["kinetic"] else "K"
+    kin = doc["kinetic"][kin_key]
     try:
-        matrix = _check_spd(doc["kinetic"][kin_key], "matrix")
+        # its size is checked against the algebra below, with the other shapes
+        matrix = _check_spd(kin, "matrix", len(kin))
     except ValueError as exc:
         raise ScenarioError(f"$.kinetic.{kin_key}: {exc}") from None
     x0, policy = doc.get("x0", {}), doc.get("u_policy", {"id": "legendre"})
@@ -293,40 +298,27 @@ def _read(doc: dict):
         state = np.asarray(doc["m0"], dtype=float)
         if state.shape != (alg.dim,):
             raise ScenarioError(f"$.m0: need a {alg.dim}-vector")
+        hamiltonian = ReducedHamiltonian(alg=alg, kinetic_inverse=K)
+        sde, energy = lie_poisson_system(alg, K, noise, u_of=u_of), hamiltonian.as_field()
     elif system == "phase_space":
         q, p = np.asarray(x0["q"], dtype=float), np.asarray(x0["p"], dtype=float)
         if q.shape != (chart.n,) or p.shape != (chart.n,):
             raise ScenarioError(f"$.x0: q and p must be {chart.n}-vectors")
         state = np.concatenate([q, p])
+        L = QuadraticLagrangian(alg=alg, kinetic=G, potential=potential, chart=chart)
+        hamiltonian = ReducedHamiltonian.from_lagrangian(L)
+        sde = phase_space_system(L, noise, u_of=u_of)
+        energy = ScalarField(
+            value=lambda x: hamiltonian.value(sde.momentum(x), x[..., :chart.n]),
+            name="energy",
+        )
     else:
         m, q = np.asarray(x0["m"], dtype=float), np.asarray(x0["q"], dtype=float)
         if m.shape != (alg.dim,) or q.shape != (chart.n,):
             raise ScenarioError(f"$.x0: m must be a {alg.dim}-vector and q a {chart.n}-vector")
         state = np.concatenate([m, q])
-    run = dict(x0=state, noise=noise, T=float(doc["T"]), M=M, scheme=scheme, alg=alg,
-               outputs=outputs)
-    return system, chart, G, K, potential, u_of, run
-
-
-def build_scenario(doc: dict) -> BuiltScenario:
-    """Instantiate the system, noise, and initial state ``doc`` describes,
-    refusing it with the messages :func:`load_scenario` gives."""
-    system_kind, chart, G, K, potential, u_of, run = _read(doc)
-    alg, noise = run["alg"], run["noise"]
-    if system_kind == "lie_poisson":
-        hamiltonian = ReducedHamiltonian(alg=alg, kinetic_inverse=K)
-        system = lie_poisson_system(alg, K, noise, u_of=u_of)
-        energy = hamiltonian.as_field()
-    elif system_kind == "phase_space":
-        L = QuadraticLagrangian(alg=alg, kinetic=G, potential=potential, chart=chart)
-        hamiltonian = ReducedHamiltonian.from_lagrangian(L)
-        system = phase_space_system(L, noise, u_of=u_of)
-        energy = ScalarField(
-            value=lambda x: hamiltonian.value(system.momentum(x), x[..., :chart.n]),
-            name="energy",
-        )
-    else:
         hamiltonian = ReducedHamiltonian(alg=alg, kinetic_inverse=K, potential=potential)
-        system = hamel_system(chart, hamiltonian, noise)
-        energy = hamiltonian.as_mq_field()
-    return BuiltScenario(system=system, hamiltonian=hamiltonian, energy=energy, **run)
+        sde, energy = hamel_system(chart, hamiltonian, noise), hamiltonian.as_mq_field()
+    return BuiltScenario(system=sde, x0=state, noise=noise, T=float(doc["T"]), M=M,
+                         scheme=scheme, alg=alg, hamiltonian=hamiltonian, energy=energy,
+                         outputs=outputs)

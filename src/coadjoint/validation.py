@@ -322,7 +322,7 @@ def short_time_consistency(xi, h: float):
 
 def suite_kolmogorov(seeds: int = 8) -> list:
     C = casimir(SO3)
-    one = ScalarField.constant(1.0, 3)
+    one = ScalarField.constant(1.0)
     spec = lie_poisson_generator(SO3, K_RIGID, XI_SINGLE)
     ms = np.random.default_rng(505).normal(size=(50, 3))
     kill = float(np.max(np.abs(generator_apply(spec, C, ms))))

@@ -41,7 +41,7 @@ def builtin_fields():
     hamel = hamel_generator(chart, h, xi)
     fields = [
         (ScalarField.coordinate(1, 3), 3),
-        (ScalarField.constant(2.5, 3), 3),
+        (ScalarField.constant(2.5), 3),
         (ScalarField.linear([0.3, -1.2, 0.7]), 3),
         (ScalarField.linear([0.3, -1.2, 0.7, 0.5, -0.4, 1.1]), 6),
         (casimir(so3), 3),

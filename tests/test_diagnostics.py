@@ -22,7 +22,7 @@ def rigid_traj(M=256, seed=0):
 class TestObservableSeries:
     def test_constant_observable_all_zero(self):
         traj = rigid_traj(64)
-        series = observable_series(traj, ScalarField.constant(3.0, 3))
+        series = observable_series(traj, ScalarField.constant(3.0))
         assert series.states.shape == (65, 1)
         assert np.all(series.states == 0.0)
         assert series.states[0, 0] == 0.0

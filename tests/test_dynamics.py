@@ -8,7 +8,6 @@ from coadjoint.actions import ActionChart, PhaseState, builtin_chart, momentum_m
 from coadjoint.algebra import _TRIPLE_MIN_ROWS, LieAlgebraSpec, _ad_star, ad_star, builtin
 from coadjoint.diagnostics import observable_series, strong_error
 from coadjoint.dynamics import (
-    Potential,
     QuadraticLagrangian,
     ReducedHamiltonian,
     casimir,
@@ -17,6 +16,7 @@ from coadjoint.dynamics import (
     linear_potential,
     momentum_pairing_field,
     phase_space_system,
+    quadratic_potential,
     reconstruct_momentum,
     zero_potential,
 )
@@ -102,6 +102,35 @@ class TestLegendre:
         }[what]
         with pytest.raises(ValueError, match=rf"{what.split()[-1]} must be finite, got .*{bad}"):
             build()
+
+    @pytest.mark.parametrize("what", ["kinetic matrix G", "kinetic inverse K", "lie_poisson K"])
+    def test_rejects_matrix_of_wrong_size(self, what):
+        # refused when built, not at the first step with a broadcast error
+        build = {
+            "kinetic matrix G": lambda: QuadraticLagrangian(alg=SO3, kinetic=np.eye(2)),
+            "kinetic inverse K": lambda: ReducedHamiltonian(alg=SO3, kinetic_inverse=np.eye(2)),
+            "lie_poisson K": lambda: lie_poisson_system(SO3, np.eye(2), no_noise()),
+        }[what]
+        with pytest.raises(ValueError, match=rf"{what.split()[-1]} is 2x2, algebra dimension is 3"):
+            build()
+
+    @pytest.mark.parametrize("potential", [zero_potential(), linear_potential([0.0, 0.0, 2.0]),
+                                           quadratic_potential(2.0)])
+    def test_potential_is_a_scalar_field(self, potential):
+        # V(q) is a ScalarField like h and the observables: a float on one
+        # state, shape-checked values and gradients on a batch
+        q = np.random.default_rng(3).normal(size=(5, 3))
+        assert isinstance(potential, ScalarField)
+        assert isinstance(potential(q[0]), float)
+        assert potential.evaluate(q).shape == (5,)
+        assert potential.gradient(q).shape == (5, 3)
+
+    def test_quadratic_potential_values(self):
+        V = quadratic_potential(2.0)
+        q = np.array([[1.0, 2.0, 2.0], [0.0, 0.0, 0.5]])
+        assert V(q[0]) == 9.0
+        assert np.array_equal(V.evaluate(q), [9.0, 0.25])
+        assert np.array_equal(V.gradient(q), 2.0 * q)
 
 
 class TestPhaseSpaceSystem:
@@ -945,7 +974,7 @@ class TestZeroPotential:
             calls.append(q.shape)
             return np.zeros_like(q)
 
-        counting = Potential(value=lambda q: np.zeros(q.shape[:-1]), grad=grad)
+        counting = ScalarField(value=lambda q: np.zeros(q.shape[:-1]), grad=grad)
         monkeypatch.setattr(dynamics, "_ZERO_POTENTIAL", counting)
         assert zero_potential() is counting
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)

@@ -202,7 +202,7 @@ class TestGenerator:
 
     def test_kills_constants_exactly(self):
         spec = rigid_spec()
-        one = ScalarField.constant(1.0, 3)
+        one = ScalarField.constant(1.0)
         assert generator_apply(spec, one, np.array([0.4, 0.1, -0.2])) == 0.0
 
     def test_noise_free_is_liouville(self):
@@ -368,7 +368,7 @@ class TestBackwardSolve:
 
     def test_constant_initial_data_stays_constant(self):
         spec = rigid_spec()
-        one = ScalarField.constant(1.0, 3)
+        one = ScalarField.constant(1.0)
         geo = GridGeometry.cube(-1.0, 1.0, 16)
         rho = backward_solve(spec, one, T=0.05, geometry=geo)
         assert np.max(np.abs(rho.values - 1.0)) <= 1e-13
@@ -670,6 +670,15 @@ class TestMcExpectation:
             mc_expectation(sys, f, np.ones(3), 1.0, 8, ensemble, 0)
         with pytest.raises(ValueError, match="ensemble must be a positive integer"):
             ensemble_finals(sys, np.ones(3), 1.0, 8, ensemble, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True])
+    def test_seed_must_be_an_integer(self, seed):
+        # seed 1.5 and True would draw seed 1's paths
+        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make([[0.0, 0.0, 1.0]], seed=0))
+        with pytest.raises(ValueError, match=rf"seed must be an integer .*got {seed!r}"):
+            ensemble_finals(sys, np.ones(3), 0.5, 8, 4, seed)
+        with pytest.raises(ValueError, match=rf"seed must be an integer .*got {seed!r}"):
+            mc_expectation(sys, ScalarField.coordinate(0, 3), np.ones(3), 0.5, 8, 4, seed)
 
     def test_numpy_integer_ensemble(self):
         sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make([[0.0, 0.0, 1.0]], seed=0))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from coadjoint import noise
 from coadjoint.noise import (
     GENERATOR_ID,
+    BrownianGrid,
     NoiseSpec,
     coarsen,
     sample_grid,
@@ -114,6 +117,27 @@ class TestEnsembleKeying:
             _increment_blocks(-1, 1, 1.0, 8)(4)
         with pytest.raises(ValueError, match="64 bits"):
             _increment_blocks(2 ** 64, 1, 1.0, 8)(4)
+
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True, False, np.float64(7.0), np.bool_(True)])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float or bool seed would silently draw, or record, an integer seed's streams
+        for make in (lambda: spec(seed=seed), lambda: _increment_blocks(seed, 1, 1.0, 8),
+                     lambda: BrownianGrid(T=1.0, steps=2, dW=np.zeros((2, 1)), seed=seed)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"seed must be an integer that fits in 64 bits, got {seed!r}")):
+                make()
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.uint64(2 ** 64 - 1)])
+    def test_numpy_integer_seed_is_that_integer(self, seed):
+        assert np.array_equal(sample_grid(spec(seed=seed), 1.0, 16).dW,
+                              sample_grid(spec(seed=int(seed)), 1.0, 16).dW)
+
+    def test_seeds_above_2_63_keep_their_own_streams(self):
+        # as a float64 key, 2**63 + 1 would round to 2**63 and draw its grid,
+        # and 2**64 - 1 would overflow the cast to uint64
+        grids = [sample_grid(spec(seed=s), 1.0, 16).dW for s in (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)]
+        assert not np.array_equal(grids[0], grids[1])
+        assert not np.array_equal(grids[1], grids[2])
 
 
 class TestCoarsen:
