@@ -1,9 +1,9 @@
 """Scenario-driven command line: simulate, validate, kolmogorov.
 
 Exit codes: 0 success, 1 input error, 2 integration divergence (partial
-trajectory still written), 3 validation failure.  Every artifact embeds the
-seed, step count, scheme, and generator id needed to reproduce it byte for
-byte.
+trajectory, or the density without its cross-check, still written), 3
+validation failure.  Every artifact embeds the seed, step count, scheme,
+and generator id needed to reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .kolmogorov import (
     write_density_slice_csv,
 )
 from .noise import sample_grid, time_grid
-from .scenario import BuiltScenario, ScenarioError, build_scenario, load_scenario
+from .scenario import BuiltScenario, ScenarioError, _load
 from .validation import SUITES, format_rows, run_suite
 
 EXIT_OK = 0
@@ -71,7 +71,7 @@ def _write_outputs(built: BuiltScenario, traj: Trajectory, out_dir: Path) -> Non
 
 def cmd_simulate(args) -> int:
     try:
-        built = build_scenario(load_scenario(args.scenario))
+        built = _load(args.scenario)[1]
         grid = _scenario_grid(built)
     except (ScenarioError, OSError, ValueError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -128,7 +128,7 @@ def _flag_values(flag: str, text: str, kind, count: int) -> tuple:
 
 def cmd_kolmogorov(args) -> int:
     try:
-        scn = load_scenario(args.scenario)
+        scn, built = _load(args.scenario)
         for key, need in (("system", "lie_poisson"), ("algebra", "so3")):
             if scn[key] != need:
                 raise ScenarioError(
@@ -139,7 +139,6 @@ def cmd_kolmogorov(args) -> int:
                 "$.u_policy: the kolmogorov generator has psi = h, so u = K m; "
                 "only 'legendre' applies"
             )
-        built = build_scenario(scn)
         f0 = _parse_f0(args.f0, built.alg)
         shape = _flag_values("--grid", args.grid, int, 3)
         lo, hi = _flag_values("--box", args.box, float, 2)
@@ -188,10 +187,15 @@ def cmd_kolmogorov(args) -> int:
         )
 
     pde_val = interpolate(rho, built.x0)
-    mean, stderr = mc_expectation(
-        spec.system, f0, built.x0, built.T, built.M, args.paths, built.noise.seed
-    )
-    gate = pde_mc_gate(stderr, geometry)
+    try:
+        mean, stderr = mc_expectation(
+            spec.system, f0, built.x0, built.T, built.M, args.paths, built.noise.seed
+        )
+        gate = pde_mc_gate(stderr, geometry)
+    except (IntegrationDiverged, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"density written to {out_dir}; no cross-check", file=sys.stderr)
+        return EXIT_DIVERGED
     agree = abs(mean - pde_val) <= gate
     verdict = "agree" if agree else "disagree"
     if args.f0 == "casimir" and agree:

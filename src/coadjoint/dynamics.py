@@ -353,8 +353,9 @@ def phase_space_system(
     chart = L.chart
     if chart is None:
         raise ValueError("Lagrangian carries no chart; phase-space dynamics needs one")
-    if chart.alg.dim != L.alg.dim:
-        raise ValueError("chart and Lagrangian algebras must conform")
+    if chart.alg != L.alg:
+        raise ValueError(f"chart {chart.name!r} acts with algebra {chart.alg.name!r}, "
+                         f"the Lagrangian is on {L.alg.name!r}")
     n = chart.n
     labels = tuple(f"q{i+1}" for i in range(n)) + tuple(f"p{i+1}" for i in range(n))
     return _coupled_system(
@@ -400,8 +401,9 @@ def hamel_system(
     which enters only through the bounded-variation part of the stochastic
     Hamiltonian.  The Ito correction is (1/2) sum_k DX_{xi_k} X_{xi_k}.
     """
-    if chart.alg.dim != h.alg.dim:
-        raise ValueError("chart and Hamiltonian algebras must conform")
+    if chart.alg != h.alg:
+        raise ValueError(f"chart {chart.name!r} acts with algebra {chart.alg.name!r}, "
+                         f"the Hamiltonian is on {h.alg.name!r}")
     alg, r, n = h.alg, h.alg.dim, chart.n
 
     def at(x):

@@ -12,10 +12,11 @@ stepped by damped second-order Runge-Kutta-Chebyshev (RKC2) steps at the
 drift CFL bound, with as many stages as the diffusion needs; the forward
 (Fokker-Planck) equation reuses the same stepper with the adjoint
 coefficients and a narrow-Gaussian surrogate for the delta initial datum.
-States and stencil weights share one padded, C-order flat layout whose
-pad is the ghost layer; each stage refills it (axis 0, 1, 2 faces in
-turn) and makes one pass over the grid in chunks of ``_CHUNK`` contiguous
-nodes, each taking the fused stencil and then its RKC2 combination.
+States and stencil weights are plain padded arrays, flat and in C order,
+whose one-node pad is the ghost layer; each stage refills it (axis 0, 1, 2
+faces in turn) and makes one pass over the grid in chunks of ``_CHUNK``
+contiguous nodes, each taking the fused stencil, every operand a slice at a
+constant flat offset, and then its RKC2 combination.
 The grid coefficients are the drift, Ito correction and noise fields of the
 collective SdeSystem that ``lie_poisson_generator`` builds, and Monte-Carlo
 expectations over Heun ensembles of that same system cross-validate both
@@ -135,6 +136,13 @@ def adjoint_apply(spec: GeneratorSpec, f: ScalarField, x):
     return _apply(spec, f, x, -1.0)
 
 
+def _integer(value, least: int, rule: str) -> int:
+    """``value`` as an int >= ``least``; refuses a bool or a non-integer, stating ``rule``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{rule}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """A box in R^3 with per-axis resolution."""
@@ -147,9 +155,10 @@ class GridGeometry:
         if bounds.shape != (3, 2) or not (np.isfinite(bounds).all()
                                           and np.all(bounds[:, 0] < bounds[:, 1])):
             raise ValueError("bounds must be a (3, 2) array of finite increasing pairs")
-        shape = tuple(int(s) for s in self.shape)
-        if len(shape) != 3 or any(s < 4 for s in shape):
-            raise ValueError("grid needs at least 4 nodes per axis")
+        shape = tuple(_integer(s, 4, "shape: need integer node counts of at least 4")
+                      for s in self.shape)
+        if len(shape) != 3:
+            raise ValueError(f"shape: need 3 node counts, got {self.shape!r}")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "shape", shape)
 
@@ -213,8 +222,6 @@ def _transport(spec: GeneratorSpec, geometry: GridGeometry, mode: str):
     if sys.state_dim != 3:
         raise ValueError("grid solvers support generators on a 3-dimensional dual, "
                          "built by lie_poisson_generator")
-    if mode not in ("backward", "forward"):
-        raise ValueError(f"mode must be 'backward' or 'forward', not {mode!r}")
     nodes = geometry.nodes()
     sign = 1.0 if mode == "backward" else -1.0
     transport = sign * sys.drift(0.0, nodes) + sys.ito_correction(0.0, nodes)
@@ -245,33 +252,6 @@ def _padded(shape: tuple):
     return flat, flat.reshape(shape)[1:-1, 1:-1, 1:-1]
 
 
-class _PaddedState:
-    """One solve state in a _GridOperator's padded, C-order flat layout.
-
-    ``flat`` holds the (n0 + 2, n1 + 2, n2 + 2) array whose one-node pad is
-    the ghost layer, ``interior`` views the grid nodes.  Built once per
-    state: the ghost faces in refill order and, for each chunk of the
-    interior span, its own slice and the slices at the six neighbour and
-    the cross-corner flat offsets.
-    """
-
-    def __init__(self, op: "_GridOperator", values=None):
-        self.flat, self.interior = _padded(op.padded)
-        if values is not None:
-            self.interior[...] = values
-        g = self.flat.reshape(op.padded)
-        self.faces = [tuple(g[(slice(None),) * axis + (k,)] for k in ks)
-                      for axis in range(3) for ks in ((0, 1, 2), (-1, -2, -3))]
-
-        def at(c, offset):
-            return self.flat[c.start + offset:c.stop + offset]
-
-        self.chunks = [at(c, 0) for c in op.chunks]
-        self.neighbours = [[at(c, o) for o in op.neighbour_offsets] for c in op.chunks]
-        self.cross = [[tuple(at(c, o) for o in corners) for corners in op.cross_offsets]
-                      for c in op.chunks]
-
-
 class _GridOperator:
     """Fused finite-difference form of L (or L*) on a box in so(3)*.
 
@@ -290,16 +270,16 @@ class _GridOperator:
 
     Cross weights that vanish on every node are dropped.
 
-    Weights and solve states (:class:`_PaddedState`) share one padded,
-    C-order flat layout: the grid plus a one-node pad, which is the ghost
+    Weights and solve states are plain padded arrays (:func:`_padded`): the
+    grid plus a one-node pad, in C order and flat, the pad being the ghost
     layer of a state and zero in every weight.  A neighbour or cross corner
-    is then a constant flat offset, so each operand of a stretch of
-    contiguous nodes is one contiguous slice.  :meth:`sweep` refills the
-    ghost layer, faces of axis 0, 1 and 2 in turn over whole planes (so
-    edges and corners take the last axis's extrapolation), then walks the
-    interior span, from the first interior node to the last, in chunks of
-    ``_CHUNK`` nodes; pad nodes inside the span get zero-weight values that
-    the next refill overwrites.
+    is then a constant flat offset k, so each operand of a stretch c of
+    contiguous nodes is the slice ``src[c.start + k:c.stop + k]``.
+    :meth:`sweep` refills the ghost layer, faces of axis 0, 1 and 2 in turn
+    over whole planes (so edges and corners take the last axis's
+    extrapolation), then walks the interior span, from the first interior
+    node to the last, in chunks of ``_CHUNK`` nodes; pad nodes inside the
+    span get zero-weight values that the next refill overwrites.
     """
 
     def __init__(self, spec: GeneratorSpec, geometry: GridGeometry,
@@ -322,7 +302,9 @@ class _GridOperator:
         start = sum(strides)
         stop = sum(s * n for s, n in zip(strides, geometry.shape)) + 1
         self.chunks = [slice(a, min(a + _CHUNK, stop)) for a in range(start, stop, _CHUNK)]
-        self.neighbour_offsets = [s * strides[i] for i in range(3) for s in (1, -1)]
+        # ghost, first and second inner plane of each face, in refill order
+        self._faces = [tuple((slice(None),) * axis + (k,) for k in ks)
+                       for axis in range(3) for ks in ((0, 1, 2), (-1, -2, -3))]
 
         def weight(ufunc, *operands):
             flat, interior = _padded(self.padded)
@@ -330,56 +312,56 @@ class _GridOperator:
             return flat
 
         # each 3-D temporary is dropped as soon as its weights are built
-        self._cross, self.cross_offsets = [], []
+        self._cross = []
         for i, j in ((0, 1), (0, 2), (1, 2)):
             w = np.einsum("...k,...k->...", sigma[..., i], sigma[..., j])
             if np.any(w):
-                self._cross.append(weight(np.multiply, w, 0.5 / (2.0 * dx[i] * dx[j])))
-                self.cross_offsets.append([si * strides[i] + sj * strides[j] for si, sj
-                                           in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+                self._cross.append((weight(np.multiply, w, 0.5 / (2.0 * dx[i] * dx[j])),
+                                    [si * strides[i] + sj * strides[j] for si, sj
+                                     in ((1, 1), (1, -1), (-1, 1), (-1, -1))]))
         del sigma, w
         second = a_diag / dx ** 2
         del a_diag
         first = transport / (2.0 * dx)
         del transport
-        self._centre = weight(np.multiply, np.sum(second, axis=-1), -2.0)
+        # (weight, flat offset): the centre, then the neighbours +-i;
         # a - b rounds exactly as a + (-1) b
-        self._neighbours = [weight(np.add if s > 0 else np.subtract, second[..., i], first[..., i])
-                            for i in range(3) for s in (1, -1)]
+        self._terms = [(weight(np.multiply, np.sum(second, axis=-1), -2.0), 0)] + [
+            (weight(np.add if s > 0 else np.subtract, second[..., i], first[..., i]),
+             s * strides[i]) for i in range(3) for s in (1, -1)]
         del second, first
-        self._chunk_weights = [(self._centre[c], [w[c] for w in self._neighbours],
-                                [w[c] for w in self._cross]) for c in self.chunks]
-        self._tmp = self.scratch()
+        self._out, self._tmp = (np.empty(self.chunks[0].stop - self.chunks[0].start)
+                                for _ in range(2))
 
-    def scratch(self) -> list:
-        """Per-chunk views of one new array of the longest chunk's length."""
-        buf = np.empty(self.chunks[0].stop - self.chunks[0].start)
-        return [buf[:c.stop - c.start] for c in self.chunks]
+    def sweep(self, src: np.ndarray):
+        """Apply L (or L*) to the padded state ``src`` chunk by chunk.
 
-    def sweep(self, src: _PaddedState, out: list):
-        """Apply L (or L*) to ``src`` chunk by chunk, yielding each chunk's index.
-
-        Refills ``src``'s ghost layer, then for each chunk c writes the
-        operator on that chunk into ``out[c]`` and yields c, so the caller
-        can use the chunk while it is in cache.  Each node takes the centre
-        term, the six neighbour terms and the cross terms in that order.
+        Refills ``src``'s ghost layer, then for each chunk slice c yields c
+        and the operator on ``src[c]``, held in one chunk-length buffer
+        that the next chunk overwrites, so the caller uses each chunk while
+        it is in cache.  Each node takes the centre term, the six neighbour
+        terms and the cross terms in that order.
         """
-        for ghost, in1, in2 in src.faces:
-            np.multiply(in1, 2.0, out=ghost)
-            ghost -= in2
-        for c, (centre, neighbours, cross) in enumerate(self._chunk_weights):
-            o, tmp = out[c], self._tmp[c]
-            np.multiply(centre, src.chunks[c], out=o)
-            for w, view in zip(neighbours, src.neighbours[c]):
-                np.multiply(w, view, out=tmp)
+        g = src.reshape(self.padded)
+        for face, in1, in2 in self._faces:
+            ghost = g[face]
+            np.multiply(g[in1], 2.0, out=ghost)
+            ghost -= g[in2]
+        (centre, _), *neighbours = self._terms
+        for c in self.chunks:
+            o, tmp = self._out[:c.stop - c.start], self._tmp[:c.stop - c.start]
+            np.multiply(centre[c], src[c], out=o)
+            for w, k in neighbours:
+                np.multiply(w[c], src[c.start + k:c.stop + k], out=tmp)
                 o += tmp
-            for w, (pp, pm, mp, mm) in zip(cross, src.cross[c]):
+            for w, corners in self._cross:
+                pp, pm, mp, mm = (src[c.start + k:c.stop + k] for k in corners)
                 np.subtract(pp, pm, out=tmp)
                 tmp -= mp
                 tmp += mm
-                tmp *= w
+                tmp *= w[c]
                 o += tmp
-            yield c
+            yield c, o
 
 
 def admissible_dt(spec: GeneratorSpec, geometry: GridGeometry) -> float:
@@ -459,32 +441,35 @@ def _evolve(spec, f0_values: np.ndarray, T: float, geometry: GridGeometry,
     nsteps = max(1, int(np.ceil(T / dt)))
     tau = T / nsteps
     mt1, coeffs, _ = _rkc_coefficients(_rkc_stages(tau * op.spectral_radius))
-    y0 = _PaddedState(op, f0_values)
-    f0, prev, older = (_PaddedState(op) for _ in range(3))
-    f = op.scratch()
+    y0, interior = _padded(op.padded)
+    interior[...] = f0_values
+    f0, prev, older = (_padded(op.padded)[0] for _ in range(3))
     for _ in range(nsteps):
-        for c in op.sweep(y0, f0.chunks):
-            np.copyto(older.chunks[c], y0.chunks[c])
-            np.multiply(f0.chunks[c], mt1 * tau, out=prev.chunks[c])
-            prev.chunks[c] += y0.chunks[c]
+        for c, fc in op.sweep(y0):
+            np.copyto(f0[c], fc)
+            np.copyto(older[c], y0[c])
+            p = prev[c]
+            np.multiply(fc, mt1 * tau, out=p)
+            p += y0[c]
         for mu, nu, mt, gt in coeffs:
-            # Y_j overwrites Y_{j-2}, chunk by chunk; f is the scratch for each term
-            for c in op.sweep(prev, f):
-                fc, o = f[c], older.chunks[c]
+            # Y_j overwrites Y_{j-2} chunk by chunk; the sweep's buffer fc is each term's scratch
+            for c, fc in op.sweep(prev):
+                o = older[c]
                 o *= nu
                 fc *= mt * tau
                 o += fc
-                np.multiply(prev.chunks[c], mu, out=fc)
+                np.multiply(prev[c], mu, out=fc)
                 o += fc
-                np.multiply(y0.chunks[c], 1.0 - mu - nu, out=fc)
+                np.multiply(y0[c], 1.0 - mu - nu, out=fc)
                 o += fc
-                np.multiply(f0.chunks[c], gt * tau, out=fc)
+                np.multiply(f0[c], gt * tau, out=fc)
                 o += fc
             prev, older = older, prev
         y0, prev = prev, y0
-        if not np.all(np.isfinite(y0.interior)):
+        interior = y0.reshape(op.padded)[1:-1, 1:-1, 1:-1]
+        if not np.all(np.isfinite(interior)):
             raise ArithmeticError("grid solve diverged; reduce dt or enlarge the box")
-    return DensityGrid(geometry=geometry, values=y0.interior.copy(), time=T)
+    return DensityGrid(geometry=geometry, values=interior.copy(), time=T)
 
 
 def backward_solve(spec: GeneratorSpec, f0: ScalarField, T: float,
@@ -566,13 +551,6 @@ def interpolate(grid: DensityGrid, x) -> float:
 _BLOCK_VALUES = 2 ** 16
 
 
-def _ensemble_size(ensemble) -> int:
-    """``ensemble`` as an int; refuses anything but an integer >= 1."""
-    if isinstance(ensemble, bool) or not isinstance(ensemble, numbers.Integral) or ensemble < 1:
-        raise ValueError(f"ensemble must be a positive integer, got {ensemble!r}")
-    return int(ensemble)
-
-
 def ensemble_finals(sys: SdeSystem, x0, T: float, M: int, ensemble: int,
                     seed: int) -> np.ndarray:
     """Final states (ensemble, state_dim) of independent Heun paths from ``x0``.
@@ -589,7 +567,7 @@ def ensemble_finals(sys: SdeSystem, x0, T: float, M: int, ensemble: int,
     workspace.  Every block runs; a divergence reports the earliest (step,
     path) of all blocks, so the outcome does not depend on the block size.
     """
-    ensemble = _ensemble_size(ensemble)
+    ensemble = _integer(ensemble, 1, "ensemble must be a positive integer")
     x0 = _checked_state(sys, x0)
     draw = _increment_blocks(seed, sys.channels, T, M)
     size = max(1, _BLOCK_VALUES // ((1 + sys.channels) * sys.state_dim))
@@ -623,7 +601,7 @@ def mc_expectation(sys: SdeSystem, f: ScalarField, x0, T: float, M: int,
     With zero channels the dynamics is deterministic and a single RK4 path
     is used (stderr 0).
     """
-    _ensemble_size(ensemble)
+    _integer(ensemble, 1, "ensemble must be a positive integer")
     if sys.channels == 0:
         traj = integrate(sys, "rk4", time_grid(T, M), x0)
         return float(f(traj.final())), 0.0
@@ -631,7 +609,11 @@ def mc_expectation(sys: SdeSystem, f: ScalarField, x0, T: float, M: int,
 
 
 def pde_mc_gate(stderr: float, geometry: GridGeometry) -> float:
-    """Bound on |MC mean - PDE value|: 3 MC standard errors plus 2 max(dx)^2."""
+    """Bound on |MC mean - PDE value|: 3 MC standard errors plus 2 max(dx)^2.
+    Raises ArithmeticError for a non-finite ``stderr``: the ensemble overflowed."""
+    if not np.isfinite(stderr):
+        raise ArithmeticError(f"Monte-Carlo standard error is {stderr}: the ensemble's "
+                              "spread overflows, so no gate can judge it")
     return 3.0 * stderr + 2.0 * float(np.max(geometry.dx)) ** 2
 
 

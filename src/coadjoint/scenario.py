@@ -158,6 +158,11 @@ def _schema_errors(x, schema: dict, defs: dict, path: tuple = ()):
 def load_scenario(path) -> dict:
     """The scenario document at ``path``, validated against the published
     schema and refused unless :func:`build_scenario` would build it."""
+    return _load(path)[0]
+
+
+def _load(path):
+    """:func:`load_scenario`'s document and the run it builds, built once."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -172,8 +177,7 @@ def load_scenario(path) -> dict:
         where, _, message = max(errors, key=lambda e: (-len(e[0]), e[0], e[1]))
         steps = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
         raise ScenarioError(f"${steps}: {message}")
-    build_scenario(doc)
-    return doc
+    return doc, build_scenario(doc)
 
 
 def _check_finite(node, path: str = "$") -> None:

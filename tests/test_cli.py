@@ -366,6 +366,26 @@ class TestScenarioValidation:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["kolmogorov", "--f0", "m3", "--grid", "8,8,8", "--box=-1.2,1.2", "--paths", "10"],
+    ])
+    def test_each_command_builds_its_scenario_once(self, tmp_path, monkeypatch, command):
+        import coadjoint.cli
+        import coadjoint.scenario
+
+        builds = []
+
+        def counted(doc, build=coadjoint.scenario.build_scenario):
+            builds.append(1)
+            return build(doc)
+
+        monkeypatch.setattr(coadjoint.scenario, "build_scenario", counted)
+        monkeypatch.setattr(coadjoint.cli, "build_scenario", counted, raising=False)
+        path = write_scenario(tmp_path, rigid_body_doc(M=8))
+        code = main([command[0], str(path), *command[1:], "--out", str(tmp_path / "out")])
+        assert code == 0 and len(builds) == 1
+
     def test_writes_rows_and_metadata(self, tmp_path):
         path = write_scenario(tmp_path, rigid_body_doc())
         out = tmp_path / "out"
@@ -597,6 +617,23 @@ class TestKolmogorovCommand:
         assert code == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        # the paths stay finite near 1e173, but np.std overflows
+        ({"T": 50, "M": 4, "xi": [[3, 0, 0]]}, "standard error is inf"),
+        ({"T": 20, "M": 16, "xi": [[30, 0, 0]]}, "ensemble path 1 diverged at step 5"),
+    ])
+    def test_blown_up_ensemble_exits_2(self, tmp_path, capsys, edit, message):
+        path = write_scenario(tmp_path, rigid_body_doc(**edit))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            code = main(["kolmogorov", str(path), "--f0", "m3", "--grid", "4,4,4",
+                         "--box=-2,2", "--paths", "50", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err and "no cross-check" in err
+        assert (out / "rb.density.bin").exists()
+        assert not (out / "rb.crosscheck.json").exists()
 
     def test_requires_so3_algebra(self, tmp_path, capsys):
         doc = rigid_body_doc(algebra="r3", outputs={"prefix": "rb"})

@@ -175,6 +175,13 @@ class TestPhaseSpaceSystem:
         with pytest.raises(ValueError, match="chart"):
             phase_space_system(L, no_noise())
 
+    def test_chart_algebra_must_equal_lagrangian_algebra(self):
+        # se(2) has so(3)'s dimension, so only algebra equality tells them apart
+        L = QuadraticLagrangian(alg=builtin("se2"), kinetic=G_RIGID, chart=rotation_chart())
+        with pytest.raises(ValueError, match="chart 'so3_on_r3' acts with algebra 'so3', "
+                                             "the Lagrangian is on 'se2'"):
+            phase_space_system(L, no_noise())
+
 
 class TestItoCorrectionPhase:
     def test_constant_coefficients_vanish(self):
@@ -285,6 +292,16 @@ class TestLiePoissonSystem:
 
 
 class TestHamelSystem:
+    def test_chart_algebra_must_equal_hamiltonian_algebra(self):
+        from coadjoint.kolmogorov import hamel_generator
+
+        h = ReducedHamiltonian(alg=builtin("se2"), kinetic_inverse=K_RIGID)
+        message = "chart 'so3_on_r3' acts with algebra 'so3', the Hamiltonian is on 'se2'"
+        with pytest.raises(ValueError, match=message):
+            hamel_system(rotation_chart(), h, no_noise())
+        with pytest.raises(ValueError, match=message):
+            hamel_generator(rotation_chart(), h, [[0.0, 0.0, 1.0]])
+
     def test_decouples_without_potential(self):
         chart = rotation_chart()
         h = ReducedHamiltonian(alg=SO3, kinetic_inverse=K_RIGID)

@@ -156,10 +156,11 @@ class ReferenceOperator:
 def grid_apply(spec, geometry, mode, rho):
     """L rho (or L* rho) on every node: one whole sweep of the chunked operator."""
     op = _GridOperator(spec, geometry, mode)
-    out = kolmogorov._PaddedState(op)
-    for _ in op.sweep(kolmogorov._PaddedState(op, rho), out.chunks):
-        pass
-    return out.interior
+    (src, interior), (out, applied) = (kolmogorov._padded(op.padded) for _ in range(2))
+    interior[...] = rho
+    for c, o in op.sweep(src):
+        out[c] = o
+    return applied
 
 
 def reference_evolve(spec, values, T, geometry, mode):
@@ -524,13 +525,15 @@ class TestNodeLayout:
         op = _GridOperator(spec, geo, mode)
         monkeypatch.setattr(GridGeometry, "nodes", lambda self: rows)
         ref = _GridOperator(spec, geo, mode)
-        assert np.array_equal(op._centre, ref._centre)
-        assert len(op._neighbours) == len(ref._neighbours) == 6
-        for w, w_ref in zip(op._neighbours, ref._neighbours):
-            assert np.array_equal(w, w_ref)
+        (centre, _), *neighbours = op._terms
+        (ref_centre, _), *ref_neighbours = ref._terms
+        assert np.array_equal(centre, ref_centre)
+        assert len(neighbours) == len(ref_neighbours) == 6
+        for (w, k), (w_ref, k_ref) in zip(neighbours, ref_neighbours):
+            assert np.array_equal(w, w_ref) and k == k_ref
         assert len(op._cross) == len(ref._cross)
-        for w, w_ref in zip(op._cross, ref._cross):
-            assert np.array_equal(w, w_ref)
+        for (w, ks), (w_ref, ks_ref) in zip(op._cross, ref._cross):
+            assert np.array_equal(w, w_ref) and ks == ks_ref
         assert (op.drift_bound, op.spectral_radius) == (ref.drift_bound, ref.spectral_radius)
 
 
@@ -655,6 +658,14 @@ class TestMcExpectation:
         x0 = np.concatenate([[q01, 0.0, 0.0], np.zeros(3)])
         mean, stderr = mc_expectation(sys, f, x0, T=1.0, M=64, ensemble=2000, seed=13)
         assert abs(mean - q01) <= 3.0 * stderr
+
+    @pytest.mark.parametrize("stderr", [np.inf, np.nan])
+    def test_gate_refuses_a_non_finite_stderr(self, stderr):
+        # an overflowing ensemble spread would give an infinite gate, which any value meets
+        geo = GridGeometry.cube(-1.0, 1.0, 8)
+        with pytest.raises(ArithmeticError, match=f"standard error is {stderr}"):
+            kolmogorov.pde_mc_gate(stderr, geo)
+        assert kolmogorov.pde_mc_gate(0.1, geo) == 3.0 * 0.1 + 2.0 * float(geo.dx[0]) ** 2
 
     def test_ensemble_must_be_positive(self):
         sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec(channels=0, xi=np.zeros((0, 3)), seed=0))
@@ -919,6 +930,27 @@ class TestGridGeometry:
     def test_bounds_must_be_finite_increasing_pairs(self, lo, hi):
         with pytest.raises(ValueError, match="finite increasing pairs"):
             GridGeometry.cube(lo, hi, 8)
+
+    @pytest.mark.parametrize("shape", [(48.9, 48, 48), (8, 8.0, 8), (8, 8, np.float64(8)),
+                                       (True, 8, 8), (8, "8", 8), (8, 8, 3)])
+    def test_shape_must_be_integers_of_at_least_4(self, shape):
+        # a float node count must not be truncated (48.9 to 48 nodes)
+        with pytest.raises(ValueError, match="shape: need integer node counts of at least 4"):
+            GridGeometry(bounds=np.array([[-1.0, 1.0]] * 3), shape=shape)
+
+    def test_cube_refuses_a_fractional_node_count(self):
+        with pytest.raises(ValueError, match=re.escape("shape: need integer node counts "
+                                                       "of at least 4, got 4.99")):
+            GridGeometry.cube(-1.0, 1.0, 4.99)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 8, 8)])
+    def test_shape_needs_three_axes(self, shape):
+        with pytest.raises(ValueError, match="shape: need 3 node counts"):
+            GridGeometry(bounds=np.array([[-1.0, 1.0]] * 3), shape=shape)
+
+    def test_numpy_integer_shape_accepted(self):
+        geo = GridGeometry(bounds=np.array([[-1.0, 1.0]] * 3), shape=np.array([4, 5, 6]))
+        assert geo.shape == (4, 5, 6) and all(type(n) is int for n in geo.shape)
 
     def test_contains_is_the_closed_box(self):
         geo = GridGeometry(bounds=np.array([[-1.0, 1.0], [0.0, 2.0], [-3.0, -2.0]]), shape=(4, 4, 4))
