@@ -49,7 +49,6 @@ from .integrators import (
     euler_ito_step,
     heun_stratonovich_step,
     integrate,
-    rk4_step,
     write_trajectory_csv,
 )
 from .kolmogorov import (

@@ -25,7 +25,6 @@ __all__ = [
     "IntegrationDiverged",
     "heun_stratonovich_step",
     "euler_ito_step",
-    "rk4_step",
     "integrate",
     "write_trajectory_csv",
 ]
@@ -212,7 +211,11 @@ def _euler_ito(F, dt, inc, half, fx, out, xp, t, x, row, xn):
 
 
 def _rk4(drift, dt, inc, half, fx, out, xp, t, x, row, xn):
-    xn[...] = rk4_step(drift, t, x, dt)
+    k1 = drift(t, x)
+    k2 = drift(t + 0.5 * dt, x + 0.5 * dt * k1)
+    k3 = drift(t + 0.5 * dt, x + 0.5 * dt * k2)
+    k4 = drift(t + dt, x + dt * k3)
+    xn[...] = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return xn
 
 
@@ -292,17 +295,6 @@ def euler_ito_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.ndarray:
     Stratonovich fields in Ito form would solve a different equation.
     """
     return _one_step(sys, "euler_ito", t, x, dt, dW)
-
-
-def rk4_step(drift: Callable[[float, np.ndarray], np.ndarray], t: float, x,
-             dt: float) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta step for the drift alone."""
-    x = np.asarray(x, dtype=float)
-    k1 = drift(t, x)
-    k2 = drift(t + 0.5 * dt, x + 0.5 * dt * k1)
-    k3 = drift(t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = drift(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,

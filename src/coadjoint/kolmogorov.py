@@ -7,16 +7,17 @@ g_k and drift Hamiltonian psi is
 
 and its formal adjoint (boundaryless, Hamiltonian volume) flips the sign of
 the first-order part only.  The backward equation d rho/dt = L rho is
-discretized with central differences on a box in the dual of so(3) and
-stepped by damped second-order Runge-Kutta-Chebyshev (RKC2) steps at the
-drift CFL bound, with as many stages as the diffusion needs; the forward
-(Fokker-Planck) equation reuses the same stepper with the adjoint
-coefficients and a narrow-Gaussian surrogate for the delta initial datum.
+discretized with central differences on a box in the dual of so(3), as one
+operator A, and stepped by damped second-order Runge-Kutta-Chebyshev (RKC2)
+steps at the drift CFL bound, with as many stages as the diffusion needs;
+the forward (Fokker-Planck) equation steps the exact transpose A^T at the
+same step and stages from a narrow-Gaussian surrogate for the delta datum,
+so the two solves are discretely dual and the forward keeps its mass.
 States and stencil weights are plain padded arrays, flat and in C order,
-whose one-node pad is the ghost layer; each stage refills it (axis 0, 1, 2
-faces in turn) and makes one pass over the grid in chunks of ``_CHUNK``
-contiguous nodes, each taking the fused stencil, every operand a slice at a
-constant flat offset, and then its RKC2 combination.
+whose one-node pad is A's ghost layer; a stage of A refills it (axis 0, 1,
+2 faces in turn), and every stage makes one pass over the grid in chunks of
+``_CHUNK`` contiguous nodes, each taking the fused stencil, every operand a
+slice at a constant flat offset, and then its RKC2 combination.
 The grid coefficients are the drift, Ito correction and noise fields of the
 collective SdeSystem that ``lie_poisson_generator`` builds, and Monte-Carlo
 expectations over Heun ensembles of that same system cross-validate both
@@ -25,6 +26,7 @@ solves; the bracket form of L is kept as the independent oracle.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import struct
 from dataclasses import dataclass
@@ -211,20 +213,18 @@ class DensityGrid:
         object.__setattr__(self, "values", values)
 
 
-def _transport(spec: GeneratorSpec, geometry: GridGeometry, mode: str):
+def _transport(spec: GeneratorSpec, geometry: GridGeometry):
     """The grid nodes, the transport b on them and its drift CFL bound.
 
-    b is the Ito drift of the generator's SdeSystem, with the Stratonovich
-    drift's sign flipped for the adjoint (``mode`` "forward"); the bound
-    is min_i dx_i / max|b_i|.
+    b is the Ito drift of the generator's SdeSystem; the bound is
+    min_i dx_i / max|b_i|.
     """
     sys = spec.system
     if sys.state_dim != 3:
         raise ValueError("grid solvers support generators on a 3-dimensional dual, "
                          "built by lie_poisson_generator")
     nodes = geometry.nodes()
-    sign = 1.0 if mode == "backward" else -1.0
-    transport = sign * sys.drift(0.0, nodes) + sys.ito_correction(0.0, nodes)
+    transport = sys.drift(0.0, nodes) + sys.ito_correction(0.0, nodes)
     b_max = np.max(np.abs(transport), axis=(0, 1, 2))
     bound = float(min((d / b for d, b in zip(geometry.dx, b_max) if b > 0), default=np.inf))
     return nodes, transport, bound
@@ -253,16 +253,15 @@ def _padded(shape: tuple):
 
 
 class _GridOperator:
-    """Fused finite-difference form of L (or L*) on a box in so(3)*.
+    """Fused finite-difference form A of L on a box in so(3)*, or A^T (:meth:`transposed`).
 
     First and second derivatives use central differences; one ghost layer of
     linear extrapolation supplies one-sided behaviour at the faces.  The
     coefficients are the generator's own SdeSystem on the node array: the
-    transport b is the Ito drift (Stratonovich drift, sign flipped for the
-    adjoint, plus the double-bracket correction) and the diffusion matrix a
-    is (1/2) sum_k sigma_k sigma_k^T over the stacked channel fields
-    sigma_k.  Construction folds them into per-node stencil weights, which
-    are all the operator keeps:
+    transport b is the Ito drift (Stratonovich drift plus the double-bracket
+    correction) and the diffusion matrix a is (1/2) sum_k sigma_k sigma_k^T
+    over the stacked channel fields sigma_k.  Construction folds them into
+    per-node stencil weights, which are all the operator keeps:
 
         centre         -2 sum_i a_ii / dx_i^2
         neighbour +-i  a_ii / dx_i^2 +- b_i / (2 dx_i)
@@ -274,7 +273,8 @@ class _GridOperator:
     grid plus a one-node pad, in C order and flat, the pad being the ghost
     layer of a state and zero in every weight.  A neighbour or cross corner
     is then a constant flat offset k, so each operand of a stretch c of
-    contiguous nodes is the slice ``src[c.start + k:c.stop + k]``.
+    contiguous nodes is the slice ``src[c.start + k:c.stop + k]``, and each
+    weight ``w[c.start + j:c.stop + j]`` for a weight offset j (0 in A).
     :meth:`sweep` refills the ghost layer, faces of axis 0, 1 and 2 in turn
     over whole planes (so edges and corners take the last axis's
     extrapolation), then walks the interior span, from the first interior
@@ -282,10 +282,9 @@ class _GridOperator:
     span get zero-weight values that the next refill overwrites.
     """
 
-    def __init__(self, spec: GeneratorSpec, geometry: GridGeometry,
-                 mode: str = "backward"):
+    def __init__(self, spec: GeneratorSpec, geometry: GridGeometry):
         dx = geometry.dx
-        nodes, transport, self.drift_bound = _transport(spec, geometry, mode)
+        nodes, transport, self.drift_bound = _transport(spec, geometry)
         sigma = spec.system.diffusion(0.0, nodes)
         del nodes
         a_diag = 0.5 * np.einsum("...ki,...ki->...i", sigma, sigma)
@@ -298,7 +297,7 @@ class _GridOperator:
         self.spectral_radius = 2.0 / min(diff_bound, self.drift_bound)
 
         self.padded = tuple(n + 2 for n in geometry.shape)
-        strides = (self.padded[1] * self.padded[2], self.padded[2], 1)
+        self._strides = strides = (self.padded[1] * self.padded[2], self.padded[2], 1)
         start = sum(strides)
         stop = sum(s * n for s, n in zip(strides, geometry.shape)) + 1
         self.chunks = [slice(a, min(a + _CHUNK, stop)) for a in range(start, stop, _CHUNK)]
@@ -324,35 +323,64 @@ class _GridOperator:
         del a_diag
         first = transport / (2.0 * dx)
         del transport
-        # (weight, flat offset): the centre, then the neighbours +-i;
-        # a - b rounds exactly as a + (-1) b
-        self._terms = [(weight(np.multiply, np.sum(second, axis=-1), -2.0), 0)] + [
+        # (weight, weight offset, operand offset): the centre, then the
+        # neighbours +-i; a - b rounds exactly as a + (-1) b
+        self._terms = [(weight(np.multiply, np.sum(second, axis=-1), -2.0), 0, 0)] + [
             (weight(np.add if s > 0 else np.subtract, second[..., i], first[..., i]),
-             s * strides[i]) for i in range(3) for s in (1, -1)]
+             0, s * strides[i]) for i in range(3) for s in (1, -1)]
         del second, first
         self._out, self._tmp = (np.empty(self.chunks[0].stop - self.chunks[0].start)
                                 for _ in range(2))
 
-    def sweep(self, src: np.ndarray):
-        """Apply L (or L*) to the padded state ``src`` chunk by chunk.
+    def transposed(self) -> "_GridOperator":
+        """A^T, built in this operator A's own weight arrays, so A is spent.
 
-        Refills ``src``'s ghost layer, then for each chunk slice c yields c
-        and the operator on ``src[c]``, held in one chunk-length buffer
-        that the next chunk overwrites, so the caller uses each chunk while
-        it is in cache.  Each node takes the centre term, the six neighbour
-        terms and the cross terms in that order.
+        Folding the six ghost refills (ghost = 2 first inner plane - second)
+        into the weights, the last refill first, makes A a stencil on the
+        grid nodes alone, each cross term as its four signed corner terms,
+        all inside the 3x3x3 stencil.  A^T's term at offset -k then takes
+        A's folded weight at node j - k and needs no ghost layer.
+        """
+        terms = {k: w for w, _, k in self._terms}
+        for w, (pp, pm, mp, mm) in self._cross:
+            terms.update({pm: -w, mp: -w, mm: w.copy(), pp: w})
+        for axis in (2, 1, 0):
+            for side in (1, -1):
+                # a weight reading the ghost moves onto the two inner nodes
+                plane = (slice(None),) * axis + (-2 if side > 0 else 1,)
+                outward = side * self._strides[axis]
+                for c in itertools.product((-1, 0, 1), repeat=3):
+                    k = int(np.dot(c, self._strides))
+                    if c[axis] == side and k in terms:
+                        w, in1, in2 = (terms[k - n * outward].reshape(self.padded)[plane]
+                                       for n in range(3))
+                        in1 += 2.0 * w
+                        in2 -= w
+                        w[...] = 0.0
+        self._terms = [(w, -k, -k) for k, w in terms.items()]
+        self._faces, self._cross = [], []
+        return self
+
+    def sweep(self, src: np.ndarray):
+        """Apply the operator to the padded state ``src`` chunk by chunk.
+
+        Refills ``src``'s ghost layer (A only), then for each chunk slice c
+        yields c and the operator on ``src[c]``, held in one chunk-length
+        buffer that the next chunk overwrites, so the caller uses each chunk
+        while it is in cache.  Each node takes the terms in order, the
+        centre first, then A's cross terms.
         """
         g = src.reshape(self.padded)
         for face, in1, in2 in self._faces:
             ghost = g[face]
             np.multiply(g[in1], 2.0, out=ghost)
             ghost -= g[in2]
-        (centre, _), *neighbours = self._terms
+        (centre, _, _), *terms = self._terms
         for c in self.chunks:
             o, tmp = self._out[:c.stop - c.start], self._tmp[:c.stop - c.start]
             np.multiply(centre[c], src[c], out=o)
-            for w, k in neighbours:
-                np.multiply(w[c], src[c.start + k:c.stop + k], out=tmp)
+            for w, j, k in terms:
+                np.multiply(w[c.start + j:c.stop + j], src[c.start + k:c.stop + k], out=tmp)
                 o += tmp
             for w, corners in self._cross:
                 pp, pm, mp, mm = (src[c.start + k:c.stop + k] for k in corners)
@@ -368,10 +396,10 @@ def admissible_dt(spec: GeneratorSpec, geometry: GridGeometry) -> float:
     """Largest outer step of backward_solve: the drift CFL bound min_i dx_i / max|b_i|.
 
     Diffusion sets no step limit; each step takes as many Runge-Kutta-
-    Chebyshev stages as the diffusion's spectral radius needs.  Computed
-    without the stencil weights.
+    Chebyshev stages as the diffusion's spectral radius needs.  forward_solve
+    steps A^T at this step too.  Computed without the stencil weights.
     """
-    return _transport(spec, geometry, "backward")[2]
+    return _transport(spec, geometry)[2]
 
 
 # Damping of the RKC2 stages; it leaves a real stability interval of length
@@ -417,9 +445,9 @@ def _rkc_stages(tau_rho: float) -> int:
     return s
 
 
-def _evolve(spec, f0_values: np.ndarray, T: float, geometry: GridGeometry,
-            dt: Optional[float], mode: str) -> DensityGrid:
-    """Damped RKC2 steps of d rho/dt = L rho (or L* rho) up to time T.
+def _evolve(op: _GridOperator, f0_values: np.ndarray, T: float, geometry: GridGeometry,
+            dt: Optional[float]) -> DensityGrid:
+    """Damped RKC2 steps of d rho/dt = op rho up to time T.
 
     The outer step is ``dt``, by default the drift CFL bound, shortened to
     divide T.  Each step takes the fewest stages s >= 2 with tau r <= beta(s)
@@ -428,8 +456,6 @@ def _evolve(spec, f0_values: np.ndarray, T: float, geometry: GridGeometry,
     whose chunks take their RKC2 combination as they come, in place on
     rotating padded states.
     """
-    _check_horizon(T)
-    op = _GridOperator(spec, geometry, mode)
     bound = op.drift_bound
     if dt is None:
         dt = min(bound, T)
@@ -480,37 +506,42 @@ def backward_solve(spec: GeneratorSpec, f0: ScalarField, T: float,
     step, at most (and by default) :func:`admissible_dt`.
     """
     values = f0.evaluate(geometry.nodes())
-    return _evolve(spec, values, T, geometry, dt, "backward")
+    _check_horizon(T)
+    return _evolve(_GridOperator(spec, geometry), values, T, geometry, dt)
 
 
 # Width, in grid cells, of the Gaussian standing in for forward_solve's delta datum
 _DELTA_WIDTH_CELLS = 2.0
 
 
+def _delta_surrogate(geometry: GridGeometry, x0) -> np.ndarray:
+    """The isotropic Gaussian at x0, ``_DELTA_WIDTH_CELLS`` cells wide, on the nodes."""
+    sigma = _DELTA_WIDTH_CELLS * float(np.mean(geometry.dx))
+    r2 = np.sum((geometry.nodes() - x0) ** 2, axis=-1)
+    return np.exp(-0.5 * r2 / sigma ** 2) / ((2.0 * np.pi) ** 1.5 * sigma ** 3)
+
+
 def forward_solve(spec: GeneratorSpec, x0, T: float, geometry: GridGeometry) -> DensityGrid:
     """Damped RKC2 solve of the Fokker-Planck equation d rho/dt = L* rho.
 
-    The delta initial datum at x0 is approximated by an isotropic Gaussian
-    of width ``_DELTA_WIDTH_CELLS`` grid cells; refine the grid to sharpen it.
-    The outer step is the drift CFL bound of the adjoint coefficients.
-    ``x0`` must lie in the box, and the box must not cut the Gaussian: its
-    discrete mass sum(values) prod(dx) must be at least 1 - 1e-3.
+    L* is A^T, the transpose of backward_solve's operator A, at A's default
+    step and stages, so <rho_T, f> = <rho_0, u_T> and the mass sum(values)
+    prod(dx) hold to round-off.  The delta datum at x0 is the Gaussian
+    :func:`_delta_surrogate`, which must lie in the box uncut: mass at least
+    1 - 1e-3.
     """
     _check_horizon(T)
     x0 = np.asarray(x0, dtype=float)
     if not geometry.contains(x0):
         raise ValueError(f"x0 {x0} lies outside the grid box {geometry.bounds.tolist()}")
-    nodes = geometry.nodes()
-    sigma = _DELTA_WIDTH_CELLS * float(np.mean(geometry.dx))
-    r2 = np.sum((nodes - x0) ** 2, axis=-1)
-    values = np.exp(-0.5 * r2 / sigma ** 2) / ((2.0 * np.pi) ** 1.5 * sigma ** 3)
+    values = _delta_surrogate(geometry, x0)
     mass = float(np.sum(values) * np.prod(geometry.dx))
     if mass < 1.0 - 1e-3:
         raise ValueError(
             f"the grid box {geometry.bounds.tolist()} cuts the delta surrogate at x0 {x0}: "
             f"its mass is {mass:.6f}, below 1 - 1e-3; move x0 inward, widen the box "
             "or refine the grid")
-    return _evolve(spec, values, T, geometry, None, "forward")
+    return _evolve(_GridOperator(spec, geometry).transposed(), values, T, geometry, None)
 
 
 def interpolate(grid: DensityGrid, x) -> float:
@@ -588,10 +619,11 @@ def ensemble_finals(sys: SdeSystem, x0, T: float, M: int, ensemble: int,
 
 
 def _mean_stderr(values: np.ndarray):
-    """Mean of ``values`` and its standard error (0 for a single value)."""
+    """Mean of ``values`` and its standard error (0 for one value, inf on overflow)."""
     n = len(values)
-    stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(values)), stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return float(np.mean(values)), stderr
 
 
 def mc_expectation(sys: SdeSystem, f: ScalarField, x0, T: float, M: int,

@@ -37,8 +37,10 @@ from .fields import CanonicalBracket, ScalarField, _dot, double_bracket
 from .integrators import Trajectory, _drive, integrate
 from .kolmogorov import (
     GridGeometry,
+    _delta_surrogate,
     backward_solve,
     ensemble_finals,
+    forward_solve,
     generator_apply,
     adjoint_apply,
     hamel_generator,
@@ -346,6 +348,10 @@ def suite_kolmogorov(seeds: int = 8) -> list:
     )
     gate = pde_mc_gate(stderr, geo)
     rows.append(_row_max("PDE vs MC expectation (rigid body)", abs(mean - pde_val), gate))
+    rho_T = forward_solve(spec, cfg["m0"], cfg["T"], geo)
+    paired = float(np.sum(_delta_surrogate(geo, cfg["m0"]) * rho.values))
+    dual = abs(float(np.sum(rho_T.values * f.evaluate(geo.nodes()))) - paired) / abs(paired)
+    rows.append(_row_max("forward/backward duality (rigid body)", dual, 1e-12))
     return rows
 
 

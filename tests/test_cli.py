@@ -626,13 +626,27 @@ class TestKolmogorovCommand:
     def test_blown_up_ensemble_exits_2(self, tmp_path, capsys, edit, message):
         path = write_scenario(tmp_path, rigid_body_doc(**edit))
         out = tmp_path / "out"
-        with np.errstate(over="ignore"):
-            code = main(["kolmogorov", str(path), "--f0", "m3", "--grid", "4,4,4",
-                         "--box=-2,2", "--paths", "50", "--out", str(out)])
+        code = main(["kolmogorov", str(path), "--f0", "m3", "--grid", "4,4,4",
+                     "--box=-2,2", "--paths", "50", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert "error: " in err and message in err and "no cross-check" in err
         assert (out / "rb.density.bin").exists()
+        assert not (out / "rb.crosscheck.json").exists()
+
+    def test_blown_up_ensemble_stderr_is_the_commands_own(self, tmp_path):
+        # run as a user would, with Python's default warning filters: the
+        # overflowing spread reaches stderr only through the command's error
+        path = write_scenario(tmp_path, rigid_body_doc(T=50, M=4, xi=[[3, 0, 0]]))
+        out = tmp_path / "out"
+        run = subprocess.run(
+            [sys.executable, "-m", "coadjoint.cli", "kolmogorov", str(path), "--f0", "m3",
+             "--grid", "4,4,4", "--box=-2,2", "--paths", "50", "--out", str(out)],
+            capture_output=True, text=True, env=src_env(), timeout=120)
+        assert run.returncode == 2
+        assert run.stderr == (
+            "error: Monte-Carlo standard error is inf: the ensemble's spread overflows, "
+            f"so no gate can judge it\ndensity written to {out}; no cross-check\n")
         assert not (out / "rb.crosscheck.json").exists()
 
     def test_requires_so3_algebra(self, tmp_path, capsys):

@@ -15,7 +15,6 @@ from coadjoint.integrators import (
     euler_ito_step,
     heun_stratonovich_step,
     integrate,
-    rk4_step,
     write_trajectory_csv,
 )
 from coadjoint.noise import BrownianGrid, NoiseSpec, _increment_blocks, coarsen, sample_grid, time_grid
@@ -125,8 +124,9 @@ class TestEulerItoStep:
 
 class TestRk4:
     def test_constant_drift_exact(self):
-        out = rk4_step(lambda t, x: np.array([3.0, -1.0]), 0.0,
-                       np.array([0.0, 0.0]), 0.5)
+        sys = SdeSystem(2, 0, drift=lambda t, x: np.array([3.0, -1.0]),
+                        diffusion=lambda t, x: x[..., None, :])
+        out = integrate(sys, "rk4", time_grid(0.5, 1), np.array([0.0, 0.0])).final()
         assert np.allclose(out, [1.5, -0.5], atol=0.0)
 
     def test_linear_drift_matches_expm(self):

@@ -45,6 +45,7 @@ from coadjoint.actions import builtin_chart
 
 SO3 = builtin("so3")
 K_RIGID = np.diag([1.0, 0.5, 1.0 / 3.0])
+XI_PAIR = [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]
 
 
 def rigid_spec(xi=((0.0, 0.0, 1.0),)):
@@ -70,10 +71,10 @@ def bump(center, radius):
     return ScalarField(value=value, grad=grad, name="bump")
 
 
-def reference_apply(spec, geo, rho, sign):
+def reference_apply(spec, geo, rho):
     """Unfused central differences with linearly extrapolated ghost layers."""
     nodes = geo.nodes()
-    b = sign * spec.system.drift(0.0, nodes) + spec.system.ito_correction(0.0, nodes)
+    b = spec.system.drift(0.0, nodes) + spec.system.ito_correction(0.0, nodes)
     sigma = spec.system.diffusion(0.0, nodes)
     a = 0.5 * np.einsum("...ki,...kj->...ij", sigma, sigma)
     p = np.pad(rho, 1)
@@ -108,9 +109,9 @@ class ReferenceOperator:
     array: the per-node operations, in their order, that the chunked stage
     kernel must reproduce bit for bit."""
 
-    def __init__(self, spec, geometry, mode):
+    def __init__(self, spec, geometry):
         dx = geometry.dx
-        nodes, transport, self.drift_bound = _transport(spec, geometry, mode)
+        nodes, transport, self.drift_bound = _transport(spec, geometry)
         sigma = spec.system.diffusion(0.0, nodes)
         a_diag = 0.5 * np.einsum("...ki,...ki->...i", sigma, sigma)
         a_max = float(np.max(a_diag))
@@ -153,9 +154,8 @@ class ReferenceOperator:
         return out
 
 
-def grid_apply(spec, geometry, mode, rho):
-    """L rho (or L* rho) on every node: one whole sweep of the chunked operator."""
-    op = _GridOperator(spec, geometry, mode)
+def grid_apply(op, rho):
+    """The operator ``op`` on rho at every node: one whole sweep of it."""
     (src, interior), (out, applied) = (kolmogorov._padded(op.padded) for _ in range(2))
     interior[...] = rho
     for c, o in op.sweep(src):
@@ -163,10 +163,10 @@ def grid_apply(spec, geometry, mode, rho):
     return applied
 
 
-def reference_evolve(spec, values, T, geometry, mode):
+def reference_evolve(spec, values, T, geometry):
     """Damped RKC2 steps at the default outer step, each stage one whole-array
     apply followed by a whole-array update on rotating buffers."""
-    op = ReferenceOperator(spec, geometry, mode)
+    op = ReferenceOperator(spec, geometry)
     nsteps = max(1, int(np.ceil(T / min(op.drift_bound, T))))
     tau = T / nsteps
     mt1, coeffs, _ = _rkc_coefficients(_rkc_stages(tau * op.spectral_radius))
@@ -407,21 +407,20 @@ class TestBackwardSolve:
         geo = GridGeometry.cube(-1.2, 1.2, 24)
         nodes = geo.nodes()
         vals = np.einsum("...i,ij,...j->...", nodes, A, nodes) + nodes @ b
-        applied = grid_apply(spec, geo, "backward", vals)
+        applied = grid_apply(_GridOperator(spec, geo), vals)
         idx = tuple(np.array([(5, 6, 7), (12, 12, 12), (18, 4, 9), (8, 15, 3)]).T)
         assert applied[idx] == pytest.approx(generator_apply(spec, f, nodes[idx]), abs=1e-10)
 
-    @pytest.mark.parametrize("mode, sign", [("backward", 1.0), ("forward", -1.0)])
     @pytest.mark.parametrize("xi", [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]])
-    def test_fused_stencil_matches_reference(self, xi, mode, sign):
+    def test_fused_stencil_matches_reference(self, xi):
         # the fused weights only reorder the sums of the unfused stencil,
         # ghost layers included
         spec = rigid_spec(xi=xi)
         geo = GridGeometry(bounds=np.array([[-1.2, 1.2], [-1.0, 1.1], [-0.9, 1.3]]),
                            shape=(12, 10, 9))
         rho = np.random.default_rng(7).normal(size=geo.shape)
-        ref = reference_apply(spec, geo, rho, sign)
-        fused = grid_apply(spec, geo, mode, rho)
+        ref = reference_apply(spec, geo, rho)
+        fused = grid_apply(_GridOperator(spec, geo), rho)
         assert np.max(np.abs(fused - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_cfl_violation_reports_admissible_dt(self):
@@ -466,7 +465,7 @@ class TestGridStepper:
         spec = rigid_spec(xi=xi)
         geo = GridGeometry(bounds=np.array([[-1.2, 1.2], [-1.0, 1.1], [-0.9, 1.3]]),
                            shape=(12, 10, 9))
-        assert admissible_dt(spec, geo) == _GridOperator(spec, geo, "backward").drift_bound
+        assert admissible_dt(spec, geo) == _GridOperator(spec, geo).drift_bound
 
     def test_stage_count_keeps_steps_stable(self):
         # |R(-z)| of the chosen scheme, from its stages stepped on the scalar
@@ -510,10 +509,9 @@ class TestNodeLayout:
         mesh = np.meshgrid(*geo.axes(), indexing="ij")
         assert np.array_equal(nodes, np.stack(mesh, axis=-1))
 
-    @pytest.mark.parametrize("mode", ["backward", "forward"])
     @pytest.mark.parametrize("xi", [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]],
                                     np.eye(3)])
-    def test_coefficients_independent_of_layout(self, monkeypatch, xi, mode):
+    def test_coefficients_independent_of_layout(self, monkeypatch, xi):
         spec = rigid_spec(xi=xi)
         geo = GridGeometry(bounds=np.array([[-1.2, 1.2], [-1.0, 1.1], [-0.9, 1.3]]),
                            shape=(12, 10, 9))
@@ -522,15 +520,12 @@ class TestNodeLayout:
         sys = spec.system
         for fn in (sys.drift, sys.ito_correction, sys.diffusion):
             assert np.array_equal(fn(0.0, nodes), fn(0.0, rows))
-        op = _GridOperator(spec, geo, mode)
+        op = _GridOperator(spec, geo)
         monkeypatch.setattr(GridGeometry, "nodes", lambda self: rows)
-        ref = _GridOperator(spec, geo, mode)
-        (centre, _), *neighbours = op._terms
-        (ref_centre, _), *ref_neighbours = ref._terms
-        assert np.array_equal(centre, ref_centre)
-        assert len(neighbours) == len(ref_neighbours) == 6
-        for (w, k), (w_ref, k_ref) in zip(neighbours, ref_neighbours):
-            assert np.array_equal(w, w_ref) and k == k_ref
+        ref = _GridOperator(spec, geo)
+        assert len(op._terms) == len(ref._terms) == 7
+        for (w, j, k), (w_ref, j_ref, k_ref) in zip(op._terms, ref._terms):
+            assert np.array_equal(w, w_ref) and (j, k) == (j_ref, k_ref) == (0, k)
         assert len(op._cross) == len(ref._cross)
         for (w, ks), (w_ref, ks_ref) in zip(op._cross, ref._cross):
             assert np.array_equal(w, w_ref) and ks == ks_ref
@@ -549,34 +544,38 @@ class TestStageKernel:
         # interior span is cut: several chunks with a remainder, or one
         monkeypatch.setattr(kolmogorov, "_CHUNK", chunk)
         spec, geo = rigid_spec(xi=xi), self.GEO
-        for mode in ("backward", "forward"):
-            chunks = _GridOperator(spec, geo, mode).chunks
-            span = chunks[-1].stop - chunks[0].start
-            if chunk < span:
-                assert len(chunks) > 1 and span % chunk != 0
-            else:
-                assert len(chunks) == 1
-        nodes = geo.nodes()
+        chunks = _GridOperator(spec, geo).chunks
+        span = chunks[-1].stop - chunks[0].start
+        if chunk < span:
+            assert len(chunks) > 1 and span % chunk != 0
+        else:
+            assert len(chunks) == 1
         f0 = ScalarField(value=lambda m: np.sin(2.0 * m[..., 0]) * np.cos(m[..., 1]) + m[..., 2] ** 2)
         back = backward_solve(spec, f0, 0.1, geo)
-        assert np.array_equal(back.values, reference_evolve(spec, f0.evaluate(nodes), 0.1, geo, "backward"))
-        x0 = np.array([0.6, 0.0, 0.3])
-        sigma = kolmogorov._DELTA_WIDTH_CELLS * float(np.mean(geo.dx))
-        r2 = np.sum((nodes - x0) ** 2, axis=-1)
-        delta = np.exp(-0.5 * r2 / sigma ** 2) / ((2.0 * np.pi) ** 1.5 * sigma ** 3)
-        # the box cuts this surrogate, which forward_solve refuses, so the
-        # stages evolve it directly
-        fwd = kolmogorov._evolve(spec, delta, 0.05, geo, None, "forward")
-        assert np.array_equal(fwd.values, reference_evolve(spec, delta, 0.05, geo, "forward"))
+        assert np.array_equal(back.values, reference_evolve(spec, f0.evaluate(geo.nodes()), 0.1, geo))
+
+    @pytest.mark.parametrize("xi", [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]])
+    def test_forward_stages_independent_of_chunking(self, monkeypatch, xi):
+        # A^T's sweep gives each node the same operations however the span
+        # is cut; the box cuts this surrogate, which forward_solve refuses,
+        # so the stages evolve it directly
+        spec, geo = rigid_spec(xi=xi), self.GEO
+        delta = kolmogorov._delta_surrogate(geo, np.array([0.6, 0.0, 0.3]))
+        solves = []
+        for chunk in (100, 1 << 20):
+            monkeypatch.setattr(kolmogorov, "_CHUNK", chunk)
+            op = _GridOperator(spec, geo).transposed()
+            assert (len(op.chunks) > 1) == (chunk == 100)
+            solves.append(kolmogorov._evolve(op, delta, 0.05, geo, None).values)
+        assert np.array_equal(*solves)
 
     @pytest.mark.parametrize("chunk", [100, 1 << 20])
     def test_apply_bit_identical_to_whole_array_apply(self, monkeypatch, chunk):
         monkeypatch.setattr(kolmogorov, "_CHUNK", chunk)
         spec = rigid_spec(xi=[[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]])
         rho = np.random.default_rng(8).normal(size=self.GEO.shape)
-        for mode in ("backward", "forward"):
-            ref = ReferenceOperator(spec, self.GEO, mode).apply(rho, np.empty_like(rho))
-            assert np.array_equal(grid_apply(spec, self.GEO, mode, rho), ref)
+        ref = ReferenceOperator(spec, self.GEO).apply(rho, np.empty_like(rho))
+        assert np.array_equal(grid_apply(_GridOperator(spec, self.GEO), rho), ref)
 
 
 class TestWholeArrayFields:
@@ -593,7 +592,55 @@ class TestWholeArrayFields:
             mc_expectation(sys, pointwise, np.array([0.8, 0.3, 0.5]), 0.1, 4, 8, 0)
 
 
+def dense(apply, shape):
+    """The matrix of a linear map on grid arrays of ``shape``, column n its
+    value on the n-th unit array (C order)."""
+    cols = []
+    for n in range(int(np.prod(shape))):
+        unit = np.zeros(shape)
+        unit[np.unravel_index(n, shape)] = 1.0
+        cols.append(apply(unit).reshape(-1))
+    return np.stack(cols, axis=1)
+
+
 class TestForwardSolve:
+    @pytest.mark.parametrize("xi", [[[1.0, 0.0, 0.0]], XI_PAIR, np.eye(3)],
+                             ids=["1-channel", "2-channel", "3-channel"])
+    def test_operator_is_the_transpose_of_the_backward_operator(self, xi):
+        # probed by unit arrays on every node, the forward operator equals
+        # the dense transpose of the whole-array backward stencil, ghost
+        # extrapolation included, to a few roundings of the largest entry
+        spec, geo = rigid_spec(xi=xi), TestStageKernel.GEO
+        ref = ReferenceOperator(spec, geo)
+        A = dense(lambda u: ref.apply(u, np.empty_like(u)), geo.shape)
+        op = _GridOperator(spec, geo).transposed()
+        assert len(op._terms) == (11 if len(xi) == 1 else 19)
+        At = dense(lambda u: grid_apply(op, u), geo.shape)
+        bound = 16 * np.finfo(float).eps * np.max(np.abs(A))
+        assert np.max(np.abs(At - A.T)) <= bound
+        # A kills constants, so A^T conserves the sum
+        assert np.max(np.abs(A.sum(axis=1))) <= bound
+
+    def test_conserves_the_surrogates_mass(self):
+        spec = rigid_spec(xi=XI_PAIR)
+        geo = GridGeometry.cube(-1.4, 1.4, 32)
+        x0 = np.array([0.8, 0.45, 0.3])
+        fw = forward_solve(spec, x0, 0.2, geo)
+        mass0 = float(np.sum(kolmogorov._delta_surrogate(geo, x0)) * np.prod(geo.dx))
+        assert mass0 == pytest.approx(0.999846, abs=1e-6)
+        assert abs(float(np.sum(fw.values) * np.prod(geo.dx)) - mass0) <= 1e-12
+
+    @pytest.mark.parametrize("xi", [[[1.0, 0.0, 0.0]], XI_PAIR])
+    def test_dual_to_backward_solve(self, xi):
+        # <rho_T, f> = <rho_0, u_T>: the same RKC2 polynomial in A and A^T
+        spec = rigid_spec(xi=xi)
+        geo = GridGeometry.cube(-1.4, 1.4, 32)
+        x0, f = np.array([0.8, 0.45, 0.3]), ScalarField.coordinate(2, 3)
+        fw = forward_solve(spec, x0, 0.2, geo)
+        u = backward_solve(spec, f, 0.2, geo)
+        paired = np.sum(kolmogorov._delta_surrogate(geo, x0) * u.values)
+        assert abs(np.sum(fw.values * f.evaluate(geo.nodes())) - paired) <= 1e-12 * abs(paired)
+
     def test_delta_surrogate_mass(self):
         spec = rigid_spec()
         x0 = np.array([0.6, 0.0, 0.3])
