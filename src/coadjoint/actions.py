@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, builtin
+from .algebra import LieAlgebraSpec, _einsum, builtin
 from .fields import fd_jacobian
 
 __all__ = [
@@ -88,9 +88,9 @@ class ActionChart:
         a = self.coefficients(q)
         da = self.d_coefficients(q)
         # [A_a, A_b]^k = A_a^s dA_b^k/dq^s - A_b^s dA_a^k/dq^s
-        comm = np.einsum("...as,...bks->...abk", a, da)
+        comm = _einsum("...as,...bks->...abk", a, da)
         comm = comm - comm.swapaxes(-3, -2)
-        target = np.einsum("abg,...gk->...abk", self.alg.c, a)
+        target = _einsum("abg,...gk->...abk", self.alg.c, a)
         return float(np.max(np.abs(comm - target)))
 
 
@@ -105,7 +105,7 @@ def momentum_map(chart: ActionChart, state) -> np.ndarray:
         raise ValueError(f"packed phase state has shape {x.shape}; chart {chart.name!r} "
                          f"needs a last axis of 2n = {2 * chart.n}")
     q, p = x[..., : chart.n], x[..., chart.n :]
-    return np.einsum("...ai,...i->...a", chart.coefficients(q), p)
+    return _einsum("...ai,...i->...a", chart.coefficients(q), p)
 
 
 def equivariance_residual(chart: ActionChart, state: PhaseState) -> np.ndarray:
@@ -117,19 +117,19 @@ def equivariance_residual(chart: ActionChart, state: PhaseState) -> np.ndarray:
     q, p = state.q, state.p
     a = chart.coefficients(q)
     da = chart.d_coefficients(q)
-    m = np.einsum("...ai,...i->...a", a, p)
+    m = _einsum("...ai,...i->...a", a, p)
     # {m_a, m_b} = (p_j dA_a^j/dq^k) A_b^k - (p_j dA_b^j/dq^k) A_a^k
-    grad_q_m = np.einsum("...j,...ajk->...ak", p, da)
-    pb = np.einsum("...ak,...bk->...ab", grad_q_m, a)
+    grad_q_m = _einsum("...j,...ajk->...ak", p, da)
+    pb = _einsum("...ak,...bk->...ab", grad_q_m, a)
     pb = pb - pb.swapaxes(-1, -2)
-    return pb + np.einsum("abg,...g->...ab", chart.alg.c, m)
+    return pb + _einsum("abg,...g->...ab", chart.alg.c, m)
 
 
 def _so3_chart() -> ActionChart:
     eps = builtin("so3").c  # Levi-Civita
 
     def A(q):
-        return np.einsum("aij,...j->...ai", eps, q)
+        return _einsum("aij,...j->...ai", eps, q)
 
     def dA(q):
         out = np.empty(q.shape[:-1] + (3, 3, 3))

@@ -26,6 +26,8 @@ nonzero bit, since rounding is symmetric in sign.
 A non-exact spec always takes ``einsum``, whose sums follow the memory
 layout of the state; the integrators keep every state of a batch (E,)
 component-major, so its digits do not depend on the batch size either.
+
+Every einsum of the package goes through one entry point, ``_einsum``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# np.einsum without ``optimize`` returns ``c_einsum(*operands, **kwargs)``, so
+# that C kernel gives the same bits without the dispatch and wrapper, about 1
+# of the 2.8 us of an ad* call on 3-vectors; numpy 1 keeps it in numpy.core.
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:
+    try:
+        from numpy.core.multiarray import c_einsum as _c_einsum
+    except ImportError:
+        _c_einsum = np.einsum
 
 __all__ = [
     "LieAlgebraSpec",
@@ -132,6 +145,11 @@ class LieAlgebraSpec:
             )
 
 
+def _einsum(*operands, out=None):
+    """``np.einsum``'s result from its C kernel, which refuses ``out=None``."""
+    return _c_einsum(*operands) if out is None else _c_einsum(*operands, out=out)
+
+
 def _conform(alg: LieAlgebraSpec, v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != alg.dim:
@@ -149,7 +167,7 @@ def bracket(alg: LieAlgebraSpec, u, v) -> np.ndarray:
     """
     u = _conform(alg, u, "u")
     v = _conform(alg, v, "v")
-    return np.einsum("abg,...a,...b->...g", alg.c, u, v)
+    return _einsum("abg,...a,...b->...g", alg.c, u, v)
 
 
 def ad_star(alg: LieAlgebraSpec, v, m) -> np.ndarray:
@@ -168,7 +186,7 @@ def _ad_star(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray, out=None) -> np.
     if v.size >= alg._triples_from or m.size >= alg._triples_from:
         return _ad_star_triples(alg, v, m, out)
     try:
-        return np.einsum("abg,...g,...b->...a", alg._minus_c, m, v, out=out)
+        return _einsum("abg,...g,...b->...a", alg._minus_c, m, v, out=out)
     except ValueError:
         raise _lead_mismatch(v, m) from None
 
@@ -218,7 +236,7 @@ def jacobi_residual(alg: LieAlgebraSpec) -> float:
     """Max-norm of the cyclic Jacobi sum; 0 for a valid Lie algebra."""
     c = alg.c
     # sum_d c[a][b][d] c[d][g][e] + cyclic in (a, b, g)
-    t = np.einsum("abd,dge->abge", c, c)
+    t = _einsum("abd,dge->abge", c, c)
     cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
     return float(np.max(np.abs(cyc)))
 

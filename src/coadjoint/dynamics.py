@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .actions import ActionChart, momentum_map
-from .algebra import LieAlgebraSpec, _ad_star
+from .algebra import LieAlgebraSpec, _ad_star, _einsum
 from .fields import ScalarField, _dot
 from .integrators import SdeSystem, Trajectory, _stack_buffer
 from .noise import NoiseSpec
@@ -70,7 +70,7 @@ def linear_potential(g) -> ScalarField:
     """V(q) = g . q (heavy-top style gravity term)."""
     g = np.asarray(g, dtype=float)
     return ScalarField(
-        value=lambda q: np.einsum("...i,i->...", q, g),
+        value=lambda q: _einsum("...i,i->...", q, g),
         grad=lambda q: np.broadcast_to(g, q.shape).copy(),
     )
 
@@ -78,7 +78,7 @@ def linear_potential(g) -> ScalarField:
 def quadratic_potential(k: float) -> ScalarField:
     """V(q) = (k/2) |q|^2."""
     return ScalarField(
-        value=lambda q: 0.5 * k * np.einsum("...i,...i->...", q, q),
+        value=lambda q: 0.5 * k * _einsum("...i,...i->...", q, q),
         grad=lambda q: k * q,
     )
 
@@ -174,7 +174,7 @@ class ReducedHamiltonian:
 
     def value(self, m, q=None) -> np.ndarray:
         m = np.asarray(m, dtype=float)
-        kin = 0.5 * np.einsum("...a,ab,...b->...", m, self.kinetic_inverse, m)
+        kin = 0.5 * _einsum("...a,ab,...b->...", m, self.kinetic_inverse, m)
         if q is None:
             return kin
         return kin + self.potential.value(np.asarray(q, dtype=float))
@@ -197,15 +197,13 @@ class ReducedHamiltonian:
 
 
 def _ito_sum(terms: np.ndarray) -> np.ndarray:
-    """(1/2) sum_k DX_{xi_k}(x)[X_{xi_k}(x)] from its terms, channels outermost,
-    summed from zeros in channel order so no row depends on the batch size.
+    """(1/2) sum_k DX_{xi_k}(x)[X_{xi_k}(x)] from its terms, channels first and
+    never innermost in memory, so one reduction adds whole terms to +0.0 in
+    channel order and no row depends on the batch size.
     X_w is the Hamiltonian vector field of <mu, w>, so per coordinate
     function f this is the double bracket (1/2) sum_k {{f, <mu, xi_k>}, <mu, xi_k>}.
     """
-    out = np.zeros(terms.shape[1:])
-    for term in terms:
-        out = out + term
-    return 0.5 * out
+    return 0.5 * np.add.reduce(terms, 0, initial=0.0)
 
 
 def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
@@ -299,7 +297,7 @@ def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
 
 def _chart_jacobian(da: np.ndarray, w) -> np.ndarray:
     """dB^i/dq^j of B^i = A_a^i(q) w^a from ``da`` = dA(q), shape (..., n, n)."""
-    return np.einsum("...aij,...a->...ij", da, w)
+    return _einsum("...aij,...a->...ij", da, w)
 
 
 def _phase_fields(chart: ActionChart):
@@ -316,8 +314,8 @@ def _phase_fields(chart: ActionChart):
         if out is None:
             out = np.empty(np.broadcast(w[..., 0], q[..., 0]).shape + (2 * n,))
         dp = out[..., n:]
-        np.einsum("...ai,...a->...i", a, w, out=out[..., :n])
-        np.einsum("...aji,...j,...a->...i", da, p, w, out=dp)
+        _einsum("...ai,...a->...i", a, w, out=out[..., :n])
+        _einsum("...aji,...j,...a->...i", da, p, w, out=dp)
         np.negative(dp, out=dp)
         return out
 
@@ -325,14 +323,14 @@ def _phase_fields(chart: ActionChart):
         q, p, a, da = s
         vq, vp = v[..., :n], v[..., n:]
         db = _chart_jacobian(da, w)
-        d2b = np.einsum("...aijl,...a->...ijl", chart.d2_coefficients(q), w)
-        dq = np.einsum("...ij,...j->...i", db, vq)
-        dp = (-np.einsum("...lij,...l,...j->...i", d2b, p, vq)
-              - np.einsum("...li,...l->...i", db, vp))
+        d2b = _einsum("...aijl,...a->...ijl", chart.d2_coefficients(q), w)
+        dq = _einsum("...ij,...j->...i", db, vq)
+        dp = (-_einsum("...lij,...l,...j->...i", d2b, p, vq)
+              - _einsum("...li,...l->...i", db, vp))
         return np.concatenate([dq, dp], axis=-1)
 
     def mu(s):
-        return np.einsum("...ai,...i->...a", s[2], s[1])
+        return _einsum("...ai,...i->...a", s[2], s[1])
 
     return at, field, dfield, mu
 
@@ -415,17 +413,17 @@ def hamel_system(
         if out is None:
             out = np.empty(np.broadcast(w[..., 0], m[..., 0]).shape + (r + n,))
         _ad_star(alg, w, m, out[..., :r])
-        np.einsum("...bi,...b->...i", a, w, out=out[..., r:])
+        _einsum("...bi,...b->...i", a, w, out=out[..., r:])
         return out
 
     def dfield(w, s, v):
-        dq = np.einsum("...ij,...j->...i", _chart_jacobian(chart.d_coefficients(s[1]), w),
-                       v[..., r:])
+        dq = _einsum("...ij,...j->...i", _chart_jacobian(chart.d_coefficients(s[1]), w),
+                     v[..., r:])
         return np.concatenate([_ad_star(alg, w, v[..., :r]), dq], axis=-1)
 
     def force(s):
         _, q, a = s
-        return -np.einsum("...aj,...j->...a", a, h.potential.grad(q))
+        return -_einsum("...aj,...j->...a", a, h.potential.grad(q))
 
     labels = tuple(f"m{i+1}" for i in range(r)) + tuple(f"q{i+1}" for i in range(n))
     return _coupled_system(
@@ -482,8 +480,8 @@ def momentum_pairing_field(chart: ActionChart, xi) -> ScalarField:
         q, p = x[..., :n], x[..., n:]
         a = chart.coefficients(q)
         da = chart.d_coefficients(q)
-        gq = np.einsum("...aji,...j,a->...i", da, p, xi)
-        gp = np.einsum("...ai,a->...i", a, xi)
+        gq = _einsum("...aji,...j,a->...i", da, p, xi)
+        gp = _einsum("...ai,a->...i", a, xi)
         return np.concatenate([gq, gp], axis=-1)
 
     return ScalarField(value=value, grad=grad, name="m.xi")

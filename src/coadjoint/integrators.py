@@ -233,11 +233,11 @@ def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
     """One run of ``scheme`` on states like ``x0`` over the rows of ``dW``,
     (M, ..., C), whose leading axes, aligned from the right, make ``lead``.
     Its workspace, which every step reuses, holds the increments (dt, dW^1,
-    ..., dW^C) and their halves, two stage stacks, the predictor and two
+    ..., dW^C) and their halves, two stage stacks, the predictor and three
     component-major states.  Returns ``block(x0, dW)``: it copies x0 into
-    the first state and returns ``step(t, x, row, xn)``, the two states and
-    dW's channel-first rows, in leading slices of the buffers for a block
-    of fewer paths.  The stochastic schemes step the stacked fields,
+    the first state and returns ``step(t, x, row, xn)``, the three states
+    and dW's channel-first rows, in leading slices of the buffers for a
+    block of fewer paths.  The stochastic schemes step the stacked fields,
     euler_ito in Ito mode; rk4 steps the drift alone and takes only the
     number of rows.
     """
@@ -253,19 +253,19 @@ def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
     incs = np.empty((2, 1 + C) + lead + (1,))
     incs[0, 0] = dt
     stacks = _stack_buffer(2 * (1 + C), lead, d)
-    views = (*incs, stacks[:1 + C], stacks[1 + C:], *_stack_buffer(3, lead, d))
+    views = (*incs, stacks[:1 + C], stacks[1 + C:], *_stack_buffer(4, lead, d))
 
     def block(x0, dW):
         x0 = np.asarray(x0, dtype=float)
         dW = np.zeros((len(dW), 0)) if scheme == "rk4" else np.asarray(dW, dtype=float)
         wlead = dW.shape[1:-1]
         here = _lead(x0, wlead)
-        inc, half, fx, out, xp, x, y = views if here == lead else (
+        inc, half, fx, out, xp, x, y, z = views if here == lead else (
             [v[:, :here[0]] for v in views[:4]] + [v[:here[0]] for v in views[4:]])
         x[...] = x0
         rows = dW.transpose(0, -1, *range(1, dW.ndim - 1)).reshape(
             (len(dW), dW.shape[-1]) + (1,) * (len(here) - len(wlead)) + wlead + (1,))
-        return functools.partial(_KERNELS[scheme], F, dt, inc, half, fx, out, xp), x, y, rows
+        return functools.partial(_KERNELS[scheme], F, dt, inc, half, fx, out, xp), x, y, z, rows
 
     return block
 
@@ -274,7 +274,7 @@ def _one_step(sys: SdeSystem, scheme: str, t: float, x, dt: float, dW) -> np.nda
     """One step of a stochastic scheme; the leading axes of x and dW
     broadcast against each other, aligned from the right."""
     dW = _checked_increments(sys, dW)[None]
-    step, x, y, rows = _run(sys, scheme, x, dt, dW)(x, dW)
+    step, x, y, _, rows = _run(sys, scheme, x, dt, dW)(x, dW)
     return step(t, x, rows[0], y)
 
 
@@ -297,6 +297,9 @@ def euler_ito_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.ndarray:
     return _one_step(sys, "euler_ito", t, x, dt, dW)
 
 
+_CHECK_STEPS = 64  # steps per finiteness test in _drive
+
+
 def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
            first_path: int = 0, run=None) -> np.ndarray:
     """Step ``x0``, one state (d,) or a batch (E, d), over the rows of ``dW``,
@@ -309,29 +312,41 @@ def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
     its next block; without one the call sets up its own.  ``states[i]``, if
     given, receives the state after i steps.  The first non-finite row raises
     :class:`IntegrationDiverged` with the step, its last finite state and,
-    for a batch, its path index ``first_path + row``.
+    for a batch, its path index ``first_path + row``.  A step adds the state
+    to its increment, and inf or NaN plus anything is not finite, so the
+    state is tested once per ``_CHECK_STEPS`` steps and after the last; a
+    failed block is stepped again from its first state, testing each step.
     """
-    step, x, y, rows = (run or _run(sys, scheme, x0, dt, dW))(x0, dW)
+    step, x, y, z, rows = (run or _run(sys, scheme, x0, dt, dW))(x0, dW)
     # a single path steps straight into the states it records
     single = states is not None and x.ndim == 1
     if states is not None:
         states[0] = x
-    # blowup is detected and reported below; suppress the transient
-    # overflow warnings the diverging step itself emits
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(rows)):
+
+    def advance(x, y, start, stop, check=False):
+        for i in range(start, stop):
             x_new = step(i * dt, x, rows[i], states[i + 1] if single else y)
-            # the sum of all entries is finite only if every entry is; a
-            # finite state whose sum overflows takes the per-entry check
-            if not math.isfinite(np.add.reduce(x_new, None)) and not np.isfinite(x_new).all():
+            if check and not np.isfinite(x_new).all():
                 if x.ndim == 1:
                     raise IntegrationDiverged(step=i + 1, last_state=x)
                 bad = int(np.argmin(np.isfinite(x_new).all(axis=-1)))
-                raise IntegrationDiverged(step=i + 1, last_state=x[bad],
-                                          path=first_path + bad)
+                raise IntegrationDiverged(step=i + 1, last_state=x[bad], path=first_path + bad)
             if states is not None and not single:
                 states[i + 1] = x_new
             x, y = x_new, x
+        return x, y
+
+    # blowup is detected and reported below; suppress the transient
+    # overflow warnings the diverging steps themselves emit
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(rows), _CHECK_STEPS):
+            stop = min(start + _CHECK_STEPS, len(rows))
+            z[...] = x  # the block's first state, which a replay starts from
+            x, y = advance(x, y, start, stop)
+            # the sum of all entries is finite only if every entry is; a
+            # finite state whose sum overflows takes the per-entry check
+            if not math.isfinite(np.add.reduce(x, None)) and not np.isfinite(x).all():
+                x, y = advance(z, y, start, stop, check=True)
     return x
 
 

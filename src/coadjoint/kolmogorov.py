@@ -27,14 +27,14 @@ solves; the bracket form of L is kept as the independent oracle.
 from __future__ import annotations
 
 import itertools
-import numbers
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec
+from .algebra import LieAlgebraSpec, _einsum
 from .actions import ActionChart
 from .dynamics import ReducedHamiltonian, hamel_system, lie_poisson_system
 from .fields import (
@@ -53,7 +53,7 @@ from .integrators import (
     _write_rows,
     integrate,
 )
-from .noise import NoiseSpec, _check_horizon, _increment_blocks, time_grid
+from .noise import NoiseSpec, _check_horizon, _increment_blocks, _integer, time_grid
 
 __all__ = [
     "GeneratorSpec",
@@ -136,13 +136,6 @@ def generator_apply(spec: GeneratorSpec, f: ScalarField, x):
 def adjoint_apply(spec: GeneratorSpec, f: ScalarField, x):
     """L* f(x) = -{f, psi}(x) + (1/2) sum_k {g_k, {g_k, f}}(x), per state."""
     return _apply(spec, f, x, -1.0)
-
-
-def _integer(value, least: int, rule: str) -> int:
-    """``value`` as an int >= ``least``; refuses a bool or a non-integer, stating ``rule``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{rule}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -287,7 +280,7 @@ class _GridOperator:
         nodes, transport, self.drift_bound = _transport(spec, geometry)
         sigma = spec.system.diffusion(0.0, nodes)
         del nodes
-        a_diag = 0.5 * np.einsum("...ki,...ki->...i", sigma, sigma)
+        a_diag = 0.5 * _einsum("...ki,...ki->...i", sigma, sigma)
 
         # the drift CFL bound bounds the outer step; 2 / (explicit-Euler
         # bound, which also holds min dx^2 / (6 max a_ii)) estimates the
@@ -313,7 +306,7 @@ class _GridOperator:
         # each 3-D temporary is dropped as soon as its weights are built
         self._cross = []
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            w = np.einsum("...k,...k->...", sigma[..., i], sigma[..., j])
+            w = _einsum("...k,...k->...", sigma[..., i], sigma[..., j])
             if np.any(w):
                 self._cross.append((weight(np.multiply, w, 0.5 / (2.0 * dx[i] * dx[j])),
                                     [si * strides[i] + sj * strides[j] for si, sj
@@ -554,15 +547,9 @@ def interpolate(grid: DensityGrid, x) -> float:
     idx = np.clip(np.floor(rel).astype(int), 0, np.array(g.shape) - 2)
     frac = np.clip(rel - idx, 0.0, 1.0)
     out = 0.0
-    for di in (0, 1):
-        for dj in (0, 1):
-            for dk in (0, 1):
-                w = (
-                    (frac[0] if di else 1.0 - frac[0])
-                    * (frac[1] if dj else 1.0 - frac[1])
-                    * (frac[2] if dk else 1.0 - frac[2])
-                )
-                out += w * grid.values[idx[0] + di, idx[1] + dj, idx[2] + dk]
+    for corner in itertools.product((0, 1), repeat=3):
+        w = math.prod(f if c else 1.0 - f for f, c in zip(frac, corner))
+        out += w * grid.values[tuple(idx + corner)]
     return float(out)
 
 

@@ -33,14 +33,24 @@ __all__ = [
 GENERATOR_ID = "philox4x64"
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 def _check_horizon(T: float) -> None:
     """Refuses a horizon T outside 0 < T < inf, NaN included."""
     if not 0 < T < np.inf:
         raise ValueError(f"horizon T must be positive and finite, got {T}")
+
+
+def _integer(value, least: int, rule: str) -> int:
+    """``value`` as an int >= ``least``; refuses a bool or a non-integer, stating ``rule``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{rule}, got {value!r}")
+    return int(value)
+
+
+def _power_of_two(value, rule: str) -> int:
+    """``value`` as an int that is a power of two, by :func:`_integer`'s rule."""
+    if (n := _integer(value, 1, rule)) & (n - 1):
+        raise ValueError(f"{rule}, got {value!r}")
+    return n
 
 
 def _check_seed(seed) -> None:
@@ -149,8 +159,7 @@ def _increment_blocks(seed: int, channels: int, T: float, M: int):
     drawn in order.
     """
     _check_horizon(T)
-    if not _is_power_of_two(M):
-        raise ValueError(f"step count must be a power of two, got {M}")
+    M = _power_of_two(M, "M: the step count must be a power of two")
     _check_seed(seed)
     scale = np.sqrt(T / M)
     # a uint64 key: numpy makes a list holding a seed >= 2**63 a float64 array
@@ -192,8 +201,7 @@ def time_grid(T: float, M: int) -> BrownianGrid:
     random numbers are drawn, so its seed and generator are None.
     """
     _check_horizon(T)
-    if M < 1:
-        raise ValueError(f"step count must be at least 1, got {M}")
+    M = _integer(M, 1, "M: the step count must be an integer of at least 1")
     return BrownianGrid(T=T, steps=M, dW=np.zeros((M, 0)), seed=None, generator=None)
 
 
@@ -203,8 +211,7 @@ def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:
     Blocks are summed by repeated adjacent-pair reduction, so
     coarsen(coarsen(g, 2), 2) is bitwise identical to coarsen(g, 4).
     """
-    if not _is_power_of_two(factor):
-        raise ValueError(f"coarsening factor must be a power of two, got {factor}")
+    factor = _power_of_two(factor, "factor: the coarsening factor must be a power of two")
     if grid.steps % factor != 0:
         raise ValueError(f"factor {factor} does not divide {grid.steps} steps")
     if factor == 1:

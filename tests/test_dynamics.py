@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coadjoint import dynamics
+from coadjoint import algebra, dynamics
 from coadjoint.actions import ActionChart, PhaseState, builtin_chart, momentum_map
 from coadjoint.algebra import _TRIPLE_MIN_ROWS, LieAlgebraSpec, _ad_star, ad_star, builtin
 from coadjoint.diagnostics import observable_series, strong_error
@@ -1048,7 +1048,7 @@ def _level_fields(level, chart):
 
 
 class TestItoCorrectionShape:
-    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 9])
     @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
     def test_channel_first_equals_channel_last(self, level, channels):
         # channels outermost changes where each term is stored, not how it
@@ -1066,3 +1066,134 @@ class TestItoCorrectionShape:
 def _euler_ensemble(sys, x0, T, M, ensemble, seed):
     dW = _increment_blocks(seed, sys.channels, T, M)(ensemble)
     return _drive(sys, "euler_ito", np.broadcast_to(x0, (ensemble, len(x0))), T / M, dW)
+
+
+def _same_bits(a, b):
+    """Equal values, and equal signs on the zeros."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _chart_for(name):
+    """A chart each algebra acts by: the built-in so(3) and h3 charts, se(2)
+    on the plane and so(3) with doubled constants (a non-exact spec) by the
+    doubled rotation fields."""
+    if name in ("so3", "h3"):
+        return builtin_chart(f"{name}_on_r3")
+    if name == "se2":
+        # translations e1, e2 and the rotation (y, -x): [A3, A1] = A2, [A3, A2] = -A1
+        def A(q):
+            out = np.zeros(q.shape[:-1] + (3, 2))
+            out[..., 0, 0] = out[..., 1, 1] = 1.0
+            out[..., 2, 0], out[..., 2, 1] = q[..., 1], -q[..., 0]
+            return out
+
+        def dA(q):
+            out = np.zeros(q.shape[:-1] + (3, 2, 2))
+            out[..., 2, 0, 1], out[..., 2, 1, 0] = 1.0, -1.0
+            return out
+
+        return ActionChart(alg=builtin("se2"), n=2, A=A, dA=dA,
+                           d2A=lambda q: np.zeros(q.shape[:-1] + (3, 2, 2, 2)), name="se2_on_r2")
+    rot = builtin_chart("so3_on_r3")
+    return ActionChart(alg=LieAlgebraSpec(dim=3, c=2.0 * SO3.c, name="so3x2"), n=3,
+                       A=lambda q: 2.0 * rot.A(q), dA=lambda q: 2.0 * rot.dA(q),
+                       d2A=rot.d2A, name="so3x2_on_r3")
+
+
+class TestEinsumEntryPoint:
+    """Every einsum of the package goes through algebra._einsum, which calls
+    numpy's C kernel directly; routed back through np.einsum, every result
+    keeps every bit."""
+
+    def test_finds_the_c_kernel(self):
+        assert algebra._c_einsum is not np.einsum
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_equals_np_einsum(self, with_out):
+        rng = np.random.default_rng(40)
+        m = rng.normal(size=(5, 3))
+        m[0] = [0.0, -0.0, 1.0]
+        v = rng.normal(size=(2, 1, 3))
+        v[1, 0, 1] = -0.0
+        for subscripts, ops in [("abg,...g,...b->...a", (SO3._minus_c, m, v)),
+                                ("abg,...a,...b->...g", (SO3.c, m, v)),
+                                ("...i,...i->...", (m, -m)), ("abd,dge->abge", (SO3.c, SO3.c))]:
+            want = np.einsum(subscripts, *ops)
+            if with_out:
+                out = np.empty_like(want)
+                assert algebra._einsum(subscripts, *ops, out=out) is out
+            else:
+                out = algebra._einsum(subscripts, *ops)
+            assert _same_bits(out, want), subscripts
+        assert np.signbit(algebra._einsum("abg,...g,...b->...a", SO3._minus_c, m, v)).any()
+
+    @pytest.mark.parametrize("layout", ["single", "component_major"])
+    @pytest.mark.parametrize("name", ["so3", "se2", "h3", "so3x2"])
+    def test_fields_and_steps_keep_every_bit(self, monkeypatch, name, layout):
+        chart = _chart_for(name)
+        alg, n = chart.alg, chart.n
+        rng = np.random.default_rng(41)
+        assert chart.closure_residual(rng.normal(size=n)) <= 1e-12
+        noise = NoiseSpec(channels=2, xi=rng.normal(size=(2, 3)), seed=0)
+        L = QuadraticLagrangian(alg=alg, kinetic=G_RIGID, chart=chart,
+                                potential=linear_potential(rng.normal(size=n)))
+        systems = [lie_poisson_system(alg, K_RIGID, noise), phase_space_system(L, noise),
+                   hamel_system(chart, ReducedHamiltonian.from_lagrangian(L), noise)]
+        dW = 0.1 * rng.normal(size=(8, 2))
+
+        def state(d):
+            x = 0.5 * (rng.normal(size=d) if layout == "single" else rng.normal(size=(d, 7)).T)
+            x[..., 0] = -0.0  # a signed zero in every state
+            return x
+
+        x0s = [state(sys.state_dim) for sys in systems]
+        phase_x = x0s[1]
+
+        def results():
+            out = [ad_star(alg, noise.xi[:, None] if layout != "single" else noise.xi, x0s[0]),
+                   momentum_map(chart, phase_x), systems[1].momentum(phase_x)]
+            for sys, x0 in zip(systems, x0s):
+                for scheme in ("heun_strat", "euler_ito"):
+                    states = np.empty((len(dW) + 1,) + x0.shape)
+                    _drive(sys, scheme, x0, 1.0 / 8, dW, states=states)
+                    out.append(states)
+                out.append(sys.drift.stacked(x0.shape[:-1], True)(
+                    0.0, x0, _stack_buffer(3, x0.shape[:-1], sys.state_dim)))
+            return out
+
+        got = results()
+        monkeypatch.setattr(algebra, "_c_einsum", np.einsum)
+        want = results()
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape and _same_bits(a, b), i
+        assert any(np.signbit(a[a == 0]).any() for a in got)
+
+
+def _ito_loop(terms):
+    """(1/2) sum_k terms[k], added to zeros in channel order."""
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out = out + term
+    return 0.5 * out
+
+
+class TestItoSum:
+    @pytest.mark.parametrize("channels", [1, 2, 3, 9])
+    @pytest.mark.parametrize("layout", ["single", "row_major", "component_major"])
+    def test_equals_zero_initialised_loop(self, channels, layout):
+        rng = np.random.default_rng(channels)
+        if layout == "single":
+            terms = rng.normal(size=(channels, 6))
+        elif layout == "row_major":
+            terms = rng.normal(size=(channels, 11, 6))
+        else:
+            terms = _stack_buffer(channels, (11,), 6)
+            terms[...] = rng.normal(size=terms.shape)
+        # signed zeros alone, and against a term that is zero
+        terms[..., 0] = -0.0
+        terms[0, ..., 1] = -0.0
+        terms[-1, ..., 2] = 0.0
+        got = dynamics._ito_sum(terms)
+        want = _ito_loop(terms)
+        assert _same_bits(got, want)
+        assert not np.signbit(got[..., 0]).any()

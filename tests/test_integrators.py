@@ -1,4 +1,6 @@
 import csv
+import math
+import types
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from scipy.linalg import expm
 from coadjoint.algebra import builtin
 from coadjoint.diagnostics import empirical_order
 from coadjoint.dynamics import lie_poisson_system
+from coadjoint import integrators
 from coadjoint.integrators import (
     IntegrationDiverged,
     SdeSystem,
     Trajectory,
     _drive,
+    _one_step,
     euler_ito_step,
     heun_stratonovich_step,
     integrate,
@@ -220,20 +224,22 @@ class TestIntegrate:
             Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 1)))
 
 
-def _first_divergence(sys, x0, dt, dW):
-    """(step, last finite state, path) of the first step whose state has a
-    non-finite entry, found by checking every entry after each step."""
-    x = np.array(x0)
+def _stepwise_divergence(sys, scheme, x0, dt, dW):
+    """(step, last finite state, path, states so far) of the first step
+    whose state has a non-finite entry, testing every entry after every
+    step, or None."""
+    x, states = np.array(x0), [np.array(x0)]
     for i in range(len(dW)):
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = heun_stratonovich_step(sys, i * dt, x, dt, dW[i])
+            x_new = _one_step(sys, scheme, i * dt, x, dt, dW[i])
         finite = np.isfinite(x_new).all(axis=-1)
         if not finite.all():
             if x.ndim == 1:
-                return i + 1, x, None
+                return i + 1, x, None, np.array(states)
             bad = int(np.argmin(finite))
-            return i + 1, x[bad], bad
+            return i + 1, x[bad], bad, np.array(states)
         x = x_new
+        states.append(x)
     return None
 
 
@@ -272,20 +278,130 @@ class TestDivergenceCheck:
         x0 = np.linspace(0.4, 1.2, 14).reshape(7, 2)[[2, 5, 0, 6, 1, 4, 3]]
         T, M = 2.0, 64
         dW = _increment_blocks(4, 1, T, M)(7)
-        step, last, path = _first_divergence(sys, x0, T / M, dW)
+        step, last, path, _ = _stepwise_divergence(sys, "heun_strat", x0, T / M, dW)
         assert path == 3
         with pytest.raises(IntegrationDiverged) as err:
             _drive(sys, "heun_strat", x0, T / M, dW, first_path=100)
         assert (err.value.step, err.value.path) == (step, 100 + path)
         assert np.array_equal(err.value.last_state, last)
         for j in (1, 3):
-            step, last, _ = _first_divergence(sys, x0[j], T / M, dW[:, j])
+            step, last, _, _ = _stepwise_divergence(sys, "heun_strat", x0[j], T / M, dW[:, j])
             grid = BrownianGrid(T=T, steps=M, dW=dW[:, j], seed=4)
             with pytest.raises(IntegrationDiverged) as err:
                 integrate(sys, "heun_strat", grid, x0[j])
             assert (err.value.step, err.value.path) == (step, None)
             assert np.array_equal(err.value.last_state, last)
             assert np.array_equal(err.value.partial.states[-1], last)
+
+
+def _bursting(bad, channels):
+    """x = (s, b) with ds = dt + 0 o dW, db = 0: a state whose s passes b
+    gets drift ``bad`` (inf or NaN) in s.  With dt = 1, Heun's corrector
+    and rk4's last stage see s + 1, so a path from (0, k - 1/2) diverges at
+    step k; Euler-Ito sees s alone, and one from (0, k - 3/2) does.  A
+    non-finite s gets drift 1 again: a blown-up state need not make its
+    fields return non-finite values."""
+    def drift(t, x):
+        out = np.zeros_like(x)
+        out[..., 0] = np.where(x[..., 0] > x[..., 1], bad, 1.0)
+        return out
+
+    return SdeSystem(2, channels, drift=drift,
+                     diffusion=lambda t, x: np.zeros(x.shape[:-1] + (channels, 2)),
+                     ito_correction=lambda t, x: np.zeros_like(x), name="bursting")
+
+
+class TestBlockCheck:
+    """The driver tests finiteness once per block of _CHECK_STEPS steps and
+    replays a failed block step by step; it must report exactly what a test
+    after every step reports."""
+
+    M = 2 * integrators._CHECK_STEPS + 5
+    # step 1, mid-block, the last step of a block, the first step of the
+    # next block and the final step of the run (in a short last block)
+    STEPS = [1, 30, integrators._CHECK_STEPS, integrators._CHECK_STEPS + 1, M]
+
+    def _case(self, scheme, bad, diverge_at):
+        channels = 0 if scheme == "rk4" else 2
+        sys = _bursting(bad, channels)
+        dW = np.random.default_rng(diverge_at).normal(size=(self.M, 5, channels))
+        # rows diverge at diverge_at + (3, 0, 5, 0, 1): rows 1 and 3 first
+        x0 = np.zeros((5, 2))
+        x0[:, 1] = diverge_at + np.array([3, 0, 5, 0, 1]) - (1.5 if scheme == "euler_ito" else 0.5)
+        return sys, x0, dW
+
+    @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito", "rk4"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("diverge_at", STEPS)
+    def test_single_path_matches_per_step_test(self, scheme, bad, diverge_at):
+        sys, x0, dW = self._case(scheme, bad, diverge_at)
+        step, last, path, states = _stepwise_divergence(sys, scheme, x0[1], 1.0, dW[:, 1])
+        assert (step, path) == (diverge_at, None)
+        grid = BrownianGrid(T=float(self.M), steps=self.M, dW=dW[:, 1], seed=0)
+        with pytest.raises(IntegrationDiverged,
+                           match=f"integration diverged at step {diverge_at};") as err:
+            integrate(sys, scheme, grid, x0[1])
+        assert (err.value.step, err.value.path) == (step, None)
+        assert np.array_equal(err.value.last_state, last)
+        partial = err.value.partial
+        assert partial.metadata["diverged_at"] == step
+        assert np.array_equal(partial.states, states)
+        assert np.array_equal(partial.times, np.arange(step) * 1.0)
+        # unrecorded, the driver keeps the block's first state itself
+        with pytest.raises(IntegrationDiverged) as err:
+            _drive(sys, scheme, x0[1], 1.0, dW[:, 1])
+        assert err.value.step == step and np.array_equal(err.value.last_state, last)
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito", "rk4"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("diverge_at", STEPS)
+    def test_batch_matches_per_step_test(self, scheme, bad, diverge_at, recorded):
+        sys, x0, dW = self._case(scheme, bad, diverge_at)
+        step, last, path, states = _stepwise_divergence(sys, scheme, x0, 1.0, dW)
+        assert (step, path) == (diverge_at, 1)
+        recorded_states = np.full((self.M + 1,) + x0.shape, -1.0) if recorded else None
+        with pytest.raises(IntegrationDiverged,
+                           match=f"ensemble path 8 diverged at step {diverge_at};") as err:
+            _drive(sys, scheme, x0, 1.0, dW, states=recorded_states, first_path=7)
+        assert (err.value.step, err.value.path) == (step, 7 + path)
+        assert np.array_equal(err.value.last_state, last)
+        if recorded:
+            assert np.array_equal(recorded_states[:step], states)
+
+    @pytest.mark.parametrize("diverge_at", STEPS)
+    def test_steps_at_most_a_block_past_a_blowup(self, diverge_at):
+        sys, x0, dW = self._case("heun_strat", np.inf, diverge_at)
+        seen = []
+        counted = SdeSystem(2, 2, drift=lambda t, x: seen.append(t) or sys.drift(t, x),
+                            diffusion=sys.diffusion)
+        with pytest.raises(IntegrationDiverged):
+            _drive(counted, "heun_strat", x0, 1.0, dW)
+        # step i's corrector evaluates at t = i: the run steps to the end
+        # of the block that holds the blow-up, then replays that block
+        n = integrators._CHECK_STEPS
+        end = min(-(-diverge_at // n) * n, self.M)
+        assert max(seen) == end and end - diverge_at <= n - 1
+        assert seen[-1] == diverge_at
+
+    def test_finite_run_tests_each_block_once(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(integrators, "math", types.SimpleNamespace(
+            isfinite=lambda v: tested.append(v) or math.isfinite(v)))
+        sys, x0, dW = self._case("heun_strat", np.inf, 10 * self.M)
+        final = _drive(sys, "heun_strat", x0, 1.0, dW)
+        assert len(tested) == -(-self.M // integrators._CHECK_STEPS)
+        assert tested[-1] == np.sum(final)
+
+    @pytest.mark.parametrize("check_steps", [1, 2, 3, 7])
+    def test_outcome_independent_of_block_length(self, monkeypatch, check_steps):
+        sys, x0, dW = self._case("heun_strat", np.nan, 30)
+        step, last, path, states = _stepwise_divergence(sys, "heun_strat", x0, 1.0, dW)
+        monkeypatch.setattr(integrators, "_CHECK_STEPS", check_steps)
+        with pytest.raises(IntegrationDiverged) as err:
+            _drive(sys, "heun_strat", x0, 1.0, dW, first_path=7)
+        assert (err.value.step, err.value.path) == (step, 7 + path)
+        assert np.array_equal(err.value.last_state, last)
 
 
 class TestCsv:

@@ -738,6 +738,20 @@ class TestMcExpectation:
         with pytest.raises(ValueError, match=rf"seed must be an integer .*got {seed!r}"):
             mc_expectation(sys, ScalarField.coordinate(0, 3), np.ones(3), 0.5, 8, 4, seed)
 
+    @pytest.mark.parametrize("channels", [0, 1])
+    @pytest.mark.parametrize("M", [4.0, 2.5, True])
+    def test_step_count_must_be_an_integer(self, channels, M):
+        # 4.0 used to fail inside numpy with "unsupported operand type(s) for &"
+        sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make(np.eye(3)[:channels], seed=0))
+        # without noise one rk4 path steps a time grid, which takes any integer
+        want = re.escape("M: the step count must be " + (
+            "a power of two" if channels else "an integer of at least 1") + f", got {M!r}")
+        with pytest.raises(ValueError, match=want):
+            mc_expectation(sys, ScalarField.coordinate(0, 3), np.ones(3), 1.0, M, 4, 0)
+        if channels:
+            with pytest.raises(ValueError, match=want):
+                ensemble_finals(sys, np.ones(3), 1.0, M, 4, 0)
+
     def test_numpy_integer_ensemble(self):
         sys = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make([[0.0, 0.0, 1.0]], seed=0))
         x0 = np.array([0.8, 0.3, 0.5])
@@ -963,6 +977,33 @@ class TestInterpolate:
         grid = DensityGrid(geometry=geo, values=geo.nodes()[..., 0])
         assert interpolate(grid, [1.0, -1.0, 1.0]) == 1.0
         assert interpolate(grid, [-1.0, 1.0, -1.0]) == -1.0
+
+    def test_equals_nested_corner_loops(self):
+        # the corners in the same order, each weight multiplied in the same order
+        def nested(grid, x):
+            g = grid.geometry
+            rel = (np.asarray(x, dtype=float) - g.bounds[:, 0]) / g.dx
+            idx = np.clip(np.floor(rel).astype(int), 0, np.array(g.shape) - 2)
+            frac = np.clip(rel - idx, 0.0, 1.0)
+            out = 0.0
+            for di in (0, 1):
+                for dj in (0, 1):
+                    for dk in (0, 1):
+                        w = ((frac[0] if di else 1.0 - frac[0])
+                             * (frac[1] if dj else 1.0 - frac[1])
+                             * (frac[2] if dk else 1.0 - frac[2]))
+                        out += w * grid.values[idx[0] + di, idx[1] + dj, idx[2] + dk]
+            return float(out)
+
+        geo = GridGeometry(bounds=np.array([[-1.4, 1.4], [-0.3, 2.0], [-2.0, -1.0]]),
+                           shape=(9, 6, 13))
+        rng = np.random.default_rng(5)
+        grid = DensityGrid(geometry=geo, values=rng.normal(size=geo.shape))
+        points = [geo.bounds[np.arange(3), list(c)] for c in np.ndindex(2, 2, 2)]
+        points += list(rng.uniform(geo.bounds[:, 0], geo.bounds[:, 1], size=(500, 3)))
+        points += list(geo.nodes().reshape(-1, 3)[::37])
+        for x in points:
+            assert interpolate(grid, x) == nested(grid, x), x
 
     def test_point_must_be_one_state(self):
         geo = GridGeometry.cube(-1.0, 1.0, 9)

@@ -67,6 +67,29 @@ class TestSampling:
         assert g.steps == 10000
         assert g.channels == 0
 
+    @pytest.mark.parametrize("M", [2.5, 4.0, True, False, "4", None, 0, -8])
+    def test_time_grid_step_count_must_be_an_integer(self, M):
+        # 2.5 used to fail inside numpy, True to step once
+        with pytest.raises(ValueError, match=re.escape(
+                f"M: the step count must be an integer of at least 1, got {M!r}")):
+            time_grid(1.0, M)
+
+    @pytest.mark.parametrize("M", [4.0, 8.5, True, "8", None])
+    def test_sampled_step_count_must_be_an_integer(self, M):
+        # 4.0 used to fail inside numpy, naming neither M nor the rule
+        with pytest.raises(ValueError, match=re.escape(
+                f"M: the step count must be a power of two, got {M!r}")):
+            sample_grid(spec(), 1.0, M)
+        with pytest.raises(ValueError, match="M: the step count must be a power of two"):
+            _increment_blocks(0, 2, 1.0, M)
+
+    def test_numpy_integer_step_counts_accepted(self):
+        assert time_grid(1.0, np.int64(6)).steps == 6
+        assert np.array_equal(sample_grid(spec(), 1.0, np.int64(8)).dW,
+                              sample_grid(spec(), 1.0, 8).dW)
+        g = sample_grid(spec(), 1.0, 8)
+        assert np.array_equal(coarsen(g, np.int64(4)).dW, coarsen(g, 4).dW)
+
     def test_time_grid_claims_no_generator(self):
         g = time_grid(1.0, 8)
         assert g.seed is None and g.generator is None
@@ -168,10 +191,19 @@ class TestCoarsen:
 
     def test_invalid_factor(self):
         g = sample_grid(spec(), 1.0, 64)
-        with pytest.raises(ValueError, match="power of two"):
+        with pytest.raises(ValueError, match="factor: the coarsening factor must be a power of two, got 3"):
             coarsen(g, 3)
         with pytest.raises(ValueError, match="divide"):
             coarsen(g, 128)
+
+
+    @pytest.mark.parametrize("factor", [True, 2.0, 0.5, "2", 0])
+    def test_factor_must_be_an_integer(self, factor):
+        # True used to return the grid as if the factor were 1
+        g = sample_grid(spec(), 1.0, 64)
+        with pytest.raises(ValueError, match=re.escape(
+                f"factor: the coarsening factor must be a power of two, got {factor!r}")):
+            coarsen(g, factor)
 
 
 class TestSpecValidation:
