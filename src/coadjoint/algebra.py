@@ -27,11 +27,13 @@ A non-exact spec always takes ``einsum``, whose sums follow the memory
 layout of the state; the integrators keep every state of a batch (E,)
 component-major, so its digits do not depend on the batch size either.
 
-Every einsum of the package goes through one entry point, ``_einsum``.
+Every einsum of the package goes through ``_einsum``, or its C kernel bound
+once per run by ``_ad_star_kernel``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -189,6 +191,15 @@ def _ad_star(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray, out=None) -> np.
         return _einsum("abg,...g,...b->...a", alg._minus_c, m, v, out=out)
     except ValueError:
         raise _lead_mismatch(v, m) from None
+
+
+def _ad_star_kernel(alg: LieAlgebraSpec, size=None):
+    """ad*(v, m) as ``kernel(m, v, out=None)``: einsum's C kernel itself for
+    operands whose larger one holds ``size`` entries, fewer than the triple
+    kernel takes; otherwise, or without a size, :func:`_ad_star`'s rule."""
+    if size is not None and size < alg._triples_from:
+        return functools.partial(_c_einsum, "abg,...g,...b->...a", alg._minus_c)
+    return lambda m, v, out=None: _ad_star(alg, v, m, out)
 
 
 def _ad_star_triples(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:

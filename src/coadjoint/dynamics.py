@@ -29,13 +29,14 @@ independent test oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .actions import ActionChart, momentum_map
-from .algebra import LieAlgebraSpec, _ad_star, _einsum
+from .algebra import LieAlgebraSpec, _ad_star_kernel, _einsum
 from .fields import ScalarField, _dot
 from .integrators import SdeSystem, Trajectory, _stack_buffer
 from .noise import NoiseSpec
@@ -71,7 +72,7 @@ def linear_potential(g) -> ScalarField:
     g = np.asarray(g, dtype=float)
     return ScalarField(
         value=lambda q: _einsum("...i,i->...", q, g),
-        grad=lambda q: np.broadcast_to(g, q.shape).copy(),
+        grad=lambda q: np.full(q.shape, g),
     )
 
 
@@ -136,17 +137,9 @@ def _legendre_velocity(K: np.ndarray) -> Callable:
     """
     if np.array_equal(K, np.diag(np.diag(K))):
         k = np.diag(K).copy()
-
-        def velocity(m, out=None):
-            return np.multiply(m, k, out=out)
-    else:
-        def velocity(m, out=None):
-            u = np.add.reduce(np.multiply(K, m[..., None, :], order="C"), -1)
-            if out is None:
-                return u
-            out[...] = u
-            return out
-    return velocity
+        return lambda m, out=None: np.multiply(m, k, out=out)
+    return lambda m, out=None: np.add.reduce(np.multiply(K, m[..., None, :], order="C"), -1,
+                                             out=out)
 
 
 @dataclass(frozen=True)
@@ -206,20 +199,22 @@ def _ito_sum(terms: np.ndarray) -> np.ndarray:
     return 0.5 * np.add.reduce(terms, 0, initial=0.0)
 
 
-def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
+def _coupled_system(alg, at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
                     u_of: Optional[Callable] = None, force=None, **system_kw) -> SdeSystem:
     """The SDE dx = X_u(x) dt + force(x) dt + X_{xi_k}(x) o dW^k of one level.
 
     A level evaluates once per stage what it needs at x: the stage s =
     ``at(x)``, arrays the stage owns (x itself if ``at`` is None).  From s
-    come the action field ``field(w, s, out=None)`` = X_w(x), broadcasting
-    algebra elements w against states, written into ``out`` (a new array
-    without one), ``dfield(w, s, v)`` = DX_w(x)[v] and the momentum map
-    ``mu(s)``.  u is ``u_of(t, x)`` or K mu; ``force`` is None or ``(block,
-    f)``, adding f(s) to the drift's ``[..., block]``.  ``drift.stacked(lead,
-    ito)`` makes the integrators' evaluators (see :class:`SdeSystem`); the
-    other keywords go to SdeSystem.  The three callbacks refuse a state
-    whose last axis is not ``state_dim`` wide.
+    and an ad* kernel ``ad`` of ``alg`` come the action field ``field(ad,
+    s, w, out=None)`` = X_w(x) (ad* itself if None), broadcasting algebra
+    elements w against states, written into ``out`` (a new array without
+    one), ``dfield(ad, s, w, v)`` = DX_w(x)[v] and the momentum map
+    ``mu(s)`` (s if None).  u is ``u_of(t, x)`` or K mu; ``force`` is None
+    or ``(block, f)``, adding f(s) to the drift's ``[..., block]``.
+    ``drift.stacked(lead, ito)`` makes the integrators' evaluators (see
+    :class:`SdeSystem`), binding ad's kernel once per run; the other
+    keywords go to SdeSystem.  The three callbacks refuse a state whose
+    last axis is not ``state_dim`` wide.
     """
     r, C = K.shape[0], noise.channels
     d, name = system_kw["state_dim"], system_kw["name"]
@@ -228,23 +223,25 @@ def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
     # (C, r); the reshape turns the (0, 0) directions of NoiseSpec.make([], seed) into (0, r)
     xi = noise.xi.reshape(C, r)
     stage = at or (lambda x: x)
+    legendre = _legendre_velocity(K)
 
-    # u into ``out`` (a new array without one)
-    if u_of is None:
-        legendre = _legendre_velocity(K)
+    def bind(fn, size=None):
+        # fn on the ad* kernel for operands of ``size`` entries, per call for None
+        ad = _ad_star_kernel(alg, size)
+        return ad if fn is None else functools.partial(fn, ad)
 
-        def velocity(t, x, s, out=None):
-            return legendre(mu(s), out)
-    else:
-        def velocity(t, x, s, out=None):
-            u = np.asarray(u_of(t, x), dtype=float)
-            if u.shape[-1] != r:
-                raise ValueError(f"u policy returned dimension {u.shape[-1]}, expected {r}")
-            if out is not None:
-                out[...] = u
-            return u
-
+    X, DX = bind(field), bind(dfield)
     block, f = force or (None, None)
+
+    def velocity(t, x, s, out=None):  # u into ``out`` (a new array without one)
+        if u_of is None:
+            return legendre(s if mu is None else mu(s), out)
+        u = np.asarray(u_of(t, x), dtype=float)
+        if u.shape[-1] != r:
+            raise ValueError(f"u policy returned dimension {u.shape[-1]}, expected {r}")
+        if out is not None:
+            out[...] = u
+        return u
 
     def checked(x):
         x = np.asarray(x, dtype=float)
@@ -254,20 +251,20 @@ def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
 
     def drift(t, x):
         s = stage(checked(x))
-        out = field(velocity(t, x, s), s)
+        out = X(s, velocity(t, x, s))
         if f is not None:
             out[..., block] += f(s)
         return out
 
     def diffusion(t, x):
-        return field(xi, stage(checked(x)[..., None, :]))
+        return X(stage(checked(x)[..., None, :]), xi)
 
     def correction(t, x):
         x = checked(x)
         # channels outermost, (C, ..., d): a batch is each term's inner axis
         w = xi.reshape((C,) + (1,) * (x.ndim - 1) + (r,))
         s = stage(x)
-        return _ito_sum(dfield(w, s, field(w, s)))
+        return _ito_sum(DX(s, w, X(s, w)))
 
     def stacked(lead, ito=False):
         # the algebra elements (u, xi_1, ..., xi_C) of one run: the noise
@@ -276,19 +273,26 @@ def _coupled_system(at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
         W = _stack_buffer(1 + C, lead, r)
         W[1:] = w
 
-        def evaluate(t, x, out):
-            # a shorter block of the run steps on the leading rows of W
-            Wx = W if x.shape[:-1] == lead else W[:, :len(x)]
-            s = x if at is None else at(x)  # no added call on the collective level
-            velocity(t, x, s, Wx[0])
-            field(Wx, s, out)
-            if f is not None:
-                out[0, ..., block] += f(s)
-            if ito:
-                out[0] += _ito_sum(dfield(w, s, out[1:]))
-            return out
+        @functools.cache
+        def bound(n):
+            # the evaluator of the run's first n rows, its kernels chosen for their shape
+            Wn = W[:, :n]
+            W0, Xw, DXw = Wn[0], bind(field, Wn.size), bind(dfield, Wn[1:].size)
 
-        return evaluate
+            def evaluate(t, x, out):
+                s = x if at is None else at(x)
+                velocity(t, x, s, W0)
+                Xw(s, Wn, out=out)
+                if f is not None:
+                    out[0, ..., block] += f(s)
+                if ito:
+                    out[0] += _ito_sum(DXw(s, w, out[1:]))
+                return out
+
+            return evaluate
+
+        # a shorter block of the run steps on the leading rows of W
+        return bound(None) if not lead else lambda t, x, out: bound(len(x))(t, x, out)
 
     drift.stacked, stacked.fields = stacked, (drift, diffusion, correction)
     return SdeSystem(channels=C, drift=drift, diffusion=diffusion,
@@ -304,12 +308,13 @@ def _phase_fields(chart: ActionChart):
     """X_w(q, p) = (A(q)^T w, -dA(q)^T p . w), the cotangent lift, as the
     stage (q, p, A(q), dA(q)), field, derivative and m = p . A(q)."""
     n = chart.n
+    A, dA = chart.A, chart.dA or chart.d_coefficients
 
     def at(x):
         q = x[..., :n]
-        return q, x[..., n:], chart.coefficients(q), chart.d_coefficients(q)
+        return q, x[..., n:], A(q), dA(q)
 
-    def field(w, s, out=None):
+    def field(ad, s, w, out=None):
         q, p, a, da = s
         if out is None:
             out = np.empty(np.broadcast(w[..., 0], q[..., 0]).shape + (2 * n,))
@@ -319,7 +324,7 @@ def _phase_fields(chart: ActionChart):
         np.negative(dp, out=dp)
         return out
 
-    def dfield(w, s, v):
+    def dfield(ad, s, w, v):
         q, p, a, da = s
         vq, vp = v[..., :n], v[..., n:]
         db = _chart_jacobian(da, w)
@@ -357,7 +362,7 @@ def phase_space_system(
     n = chart.n
     labels = tuple(f"q{i+1}" for i in range(n)) + tuple(f"p{i+1}" for i in range(n))
     return _coupled_system(
-        *_phase_fields(chart), L.kinetic_inverse, noise, u_of,
+        chart.alg, *_phase_fields(chart), L.kinetic_inverse, noise, u_of,
         force=None if L.potential is zero_potential() else (
             slice(n, None), lambda s: -L.potential.grad(s[0])),
         momentum=lambda x: momentum_map(chart, x),
@@ -379,8 +384,8 @@ def lie_poisson_system(
     """
     K = _check_spd(K, "kinetic inverse K", alg.dim)
     return _coupled_system(
-        None, lambda w, m, out=None: _ad_star(alg, w, m, out), lambda w, m, v: _ad_star(alg, w, v),
-        lambda m: m, K, noise, u_of, momentum=lambda m: m,
+        alg, None, None, lambda ad, m, w, v: ad(v, w), None, K, noise, u_of,
+        momentum=lambda m: m,
         state_dim=alg.dim, labels=tuple(f"m{i+1}" for i in range(alg.dim)),
         name=f"lie_poisson[{alg.name}]",
     )
@@ -403,23 +408,23 @@ def hamel_system(
         raise ValueError(f"chart {chart.name!r} acts with algebra {chart.alg.name!r}, "
                          f"the Hamiltonian is on {h.alg.name!r}")
     alg, r, n = h.alg, h.alg.dim, chart.n
+    A, dA = chart.A, chart.dA or chart.d_coefficients
 
     def at(x):
         q = x[..., r:]
-        return x[..., :r], q, chart.coefficients(q)
+        return x[..., :r], q, A(q)
 
-    def field(w, s, out=None):
+    def field(ad, s, w, out=None):
         m, q, a = s
         if out is None:
             out = np.empty(np.broadcast(w[..., 0], m[..., 0]).shape + (r + n,))
-        _ad_star(alg, w, m, out[..., :r])
+        ad(m, w, out=out[..., :r])
         _einsum("...bi,...b->...i", a, w, out=out[..., r:])
         return out
 
-    def dfield(w, s, v):
-        dq = _einsum("...ij,...j->...i", _chart_jacobian(chart.d_coefficients(s[1]), w),
-                     v[..., r:])
-        return np.concatenate([_ad_star(alg, w, v[..., :r]), dq], axis=-1)
+    def dfield(ad, s, w, v):
+        dq = _einsum("...ij,...j->...i", _chart_jacobian(dA(s[1]), w), v[..., r:])
+        return np.concatenate([ad(v[..., :r], w), dq], axis=-1)
 
     def force(s):
         _, q, a = s
@@ -427,7 +432,7 @@ def hamel_system(
 
     labels = tuple(f"m{i+1}" for i in range(r)) + tuple(f"q{i+1}" for i in range(n))
     return _coupled_system(
-        at, field, dfield, lambda s: s[0], h.kinetic_inverse, noise,
+        alg, at, field, dfield, lambda s: s[0], h.kinetic_inverse, noise,
         force=None if h.potential is zero_potential() else (slice(0, r), force),
         momentum=lambda x: x[..., :r],
         state_dim=r + n, labels=labels, name=f"hamel[{chart.name}]",

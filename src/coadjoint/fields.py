@@ -117,7 +117,7 @@ class ScalarField:
         e[i] = 1.0
         return ScalarField(
             value=lambda x, _i=i: x[..., _i],
-            grad=lambda x, _e=e: np.broadcast_to(_e, np.shape(x)).copy(),
+            grad=lambda x, _e=e: np.full(np.shape(x), _e),
             name=name or f"x{i}",
         )
 
@@ -132,7 +132,7 @@ class ScalarField:
         w = np.asarray(w, dtype=float)
         return ScalarField(
             value=lambda x, _w=w: _dot(x, _w),
-            grad=lambda x, _w=w: np.broadcast_to(_w, np.shape(x)).copy(),
+            grad=lambda x, _w=w: np.full(np.shape(x), _w),
             name=name,
         )
 

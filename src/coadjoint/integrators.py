@@ -65,9 +65,10 @@ class SdeSystem:
     writes the drift into ``out[0]`` and the C noise fields into
     ``out[1:]`` of a (1 + C, *lead, d) stack and returns out; x has the
     leading axes ``lead``, or a leading slice of their first axis, which
-    out matches.  F may keep scratch between calls and must not keep out.
-    ``stacked(lead, ito=True)``, the Ito mode, adds the correction, taken
-    from its own noise rows, to row 0.  It serves only while those
+    out matches.  F may keep scratch between calls and must not keep out;
+    it settles what a run fixes (kernels, velocity rule, noise rows) when
+    made.  ``stacked(lead, ito=True)``, the Ito mode, adds the correction,
+    taken from its own noise rows, to row 0.  It serves only while those
     callbacks are the system's own; any other system, such as one rebuilt
     by ``dataclasses.replace``, steps its own callbacks.
     """
@@ -178,19 +179,17 @@ def _checked_state(sys: SdeSystem, x0) -> np.ndarray:
 
 
 # The kernels take one stage evaluator F (the stacked fields, or rk4's
-# drift), the run's workspace views (see _run) and the increments row of
-# one step; each writes the new state into xn and returns it.  Each sum
-# over the leading stack axis adds the drift first, then channels 1..C, as
-# one reduction; the stacks keep that axis outermost in memory, so numpy
-# adds the rows in that order.  The predictor's products go into the second
-# stack before F overwrites it with the corrector's fields, and the
+# drift), the run's workspace views (see _run) and one step's rows of the
+# increment table; each writes the new state into xn and returns it.  Each
+# sum over the leading stack axis adds the drift first, then channels
+# 1..C, as one reduction; the stacks keep that axis outermost in memory, so
+# numpy adds the rows in that order.  The predictor's products go into the
+# second stack before F overwrites it with the corrector's fields, and the
 # corrector and the Euler-Ito step work in place; x + y == y + x, so the
-# predictor and row 0 may take x last.  np.add.reduce(a, 0) is the
-# reduction a.sum(axis=0) runs, without its Python wrapper.
+# predictor and row 0 (fx0, out0) may take x last.  np.add.reduce(a, 0) is
+# the reduction a.sum(axis=0) runs, without its Python wrapper.
 
-def _heun(F, dt, inc, half, fx, out, xp, t, x, row, xn):
-    inc[1:] = row
-    np.multiply(inc, 0.5, out=half)
+def _heun(F, dt, fx, out, fx0, out0, xp, t, x, inc, half, xn):
     F(t, x, fx)
     np.multiply(fx, inc, out=out)
     np.add.reduce(out, 0, out=xp)
@@ -198,19 +197,18 @@ def _heun(F, dt, inc, half, fx, out, xp, t, x, row, xn):
     F(t + dt, xp, out)
     out += fx
     out *= half
-    out[0] += x
+    out0 += x
     return np.add.reduce(out, 0, out=xn)
 
 
-def _euler_ito(F, dt, inc, half, fx, out, xp, t, x, row, xn):
-    inc[1:] = row
+def _euler_ito(F, dt, fx, out, fx0, out0, xp, t, x, inc, half, xn):
     F(t, x, fx)
     fx *= inc
-    fx[0] += x
+    fx0 += x
     return np.add.reduce(fx, 0, out=xn)
 
 
-def _rk4(drift, dt, inc, half, fx, out, xp, t, x, row, xn):
+def _rk4(drift, dt, fx, out, fx0, out0, xp, t, x, inc, half, xn):
     k1 = drift(t, x)
     k2 = drift(t + 0.5 * dt, x + 0.5 * dt * k1)
     k3 = drift(t + 0.5 * dt, x + 0.5 * dt * k2)
@@ -232,14 +230,17 @@ def _lead(x0: np.ndarray, wlead: tuple) -> tuple:
 def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
     """One run of ``scheme`` on states like ``x0`` over the rows of ``dW``,
     (M, ..., C), whose leading axes, aligned from the right, make ``lead``.
-    Its workspace, which every step reuses, holds the increments (dt, dW^1,
-    ..., dW^C) and their halves, two stage stacks, the predictor and three
-    component-major states.  Returns ``block(x0, dW)``: it copies x0 into
-    the first state and returns ``step(t, x, row, xn)``, the three states
-    and dW's channel-first rows, in leading slices of the buffers for a
-    block of fewer paths.  The stochastic schemes step the stacked fields,
-    euler_ito in Ito mode; rk4 steps the drift alone and takes only the
-    number of rows.
+    Its workspace, which every step reuses, holds a table of increments
+    (dt, dW^1, ..., dW^C) and their halves, for a single path up to
+    ``_CHECK_STEPS`` steps at the state's width, for a batch one step (1 +
+    C, *lead, 1); two stage stacks, the predictor and three component-major
+    states.  Returns ``block(x0, dW)``: it copies x0 into the first state
+    and returns ``step(t, x, inc, half, xn)``, ``table(lo, hi)``, which
+    yields (i, inc, half) for rows lo..hi, laid out a table at a time in two
+    calls, the three states and the number of rows, in leading slices of
+    the buffers for a block of fewer paths.  The stochastic schemes step
+    the stacked fields, euler_ito in Ito mode; rk4 steps the drift alone
+    and takes only the number of rows.
     """
     x0 = np.asarray(x0, dtype=float)
     if scheme == "euler_ito" and sys.ito_correction is None:
@@ -250,22 +251,33 @@ def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
     wlead = () if scheme == "rk4" else _checked_increments(sys, dW).shape[1:-1]
     lead, C, d = _lead(x0, wlead), sys.channels, x0.shape[-1]
     F = sys.drift if scheme == "rk4" else _stacked(sys, lead, ito=scheme == "euler_ito")
-    incs = np.empty((2, 1 + C) + lead + (1,))
-    incs[0, 0] = dt
+    steps, width = (min(_CHECK_STEPS, len(dW)), d) if not lead else (1, 1)
+    tables = np.empty((2, steps, 1 + C) + lead + (width,))
+    tables[0, :, 0] = dt
     stacks = _stack_buffer(2 * (1 + C), lead, d)
-    views = (*incs, stacks[:1 + C], stacks[1 + C:], *_stack_buffer(4, lead, d))
+    views = (*tables, stacks[:1 + C], stacks[1 + C:], *_stack_buffer(4, lead, d))
 
     def block(x0, dW):
         x0 = np.asarray(x0, dtype=float)
         dW = np.zeros((len(dW), 0)) if scheme == "rk4" else np.asarray(dW, dtype=float)
         wlead = dW.shape[1:-1]
         here = _lead(x0, wlead)
-        inc, half, fx, out, xp, x, y, z = views if here == lead else (
-            [v[:, :here[0]] for v in views[:4]] + [v[:here[0]] for v in views[4:]])
+        inc, half, fx, out, xp, x, y, z = views if here == lead else [
+            v[(slice(None),) * (v.ndim - len(lead) - 1) + (slice(here[0]),)] for v in views]
         x[...] = x0
         rows = dW.transpose(0, -1, *range(1, dW.ndim - 1)).reshape(
             (len(dW), dW.shape[-1]) + (1,) * (len(here) - len(wlead)) + wlead + (1,))
-        return functools.partial(_KERNELS[scheme], F, dt, inc, half, fx, out, xp), x, y, z, rows
+        step = functools.partial(_KERNELS[scheme], F, dt, fx, out, fx[0], out[0], xp)
+        incs, halves, noise = list(inc), list(half), inc[:, 1:]
+
+        def table(lo, hi):
+            for a in range(lo, hi, len(incs)):
+                n = min(len(incs), hi - a)
+                noise[:n] = rows[a:a + n]
+                np.multiply(inc, 0.5, out=half)
+                yield from zip(range(a, a + n), incs, halves)
+
+        return step, table, x, y, z, len(rows)
 
     return block
 
@@ -274,8 +286,9 @@ def _one_step(sys: SdeSystem, scheme: str, t: float, x, dt: float, dW) -> np.nda
     """One step of a stochastic scheme; the leading axes of x and dW
     broadcast against each other, aligned from the right."""
     dW = _checked_increments(sys, dW)[None]
-    step, x, y, _, rows = _run(sys, scheme, x, dt, dW)(x, dW)
-    return step(t, x, rows[0], y)
+    step, table, x, y, _, _ = _run(sys, scheme, x, dt, dW)(x, dW)
+    (_, inc, half), = table(0, 1)
+    return step(t, x, inc, half, y)
 
 
 def heun_stratonovich_step(sys: SdeSystem, t: float, x, dt: float, dW) -> np.ndarray:
@@ -317,15 +330,15 @@ def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
     state is tested once per ``_CHECK_STEPS`` steps and after the last; a
     failed block is stepped again from its first state, testing each step.
     """
-    step, x, y, z, rows = (run or _run(sys, scheme, x0, dt, dW))(x0, dW)
+    step, table, x, y, z, M = (run or _run(sys, scheme, x0, dt, dW))(x0, dW)
     # a single path steps straight into the states it records
     single = states is not None and x.ndim == 1
     if states is not None:
         states[0] = x
 
     def advance(x, y, start, stop, check=False):
-        for i in range(start, stop):
-            x_new = step(i * dt, x, rows[i], states[i + 1] if single else y)
+        for i, inc, half in table(start, stop):
+            x_new = step(i * dt, x, inc, half, states[i + 1] if single else y)
             if check and not np.isfinite(x_new).all():
                 if x.ndim == 1:
                     raise IntegrationDiverged(step=i + 1, last_state=x)
@@ -339,8 +352,8 @@ def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
     # blowup is detected and reported below; suppress the transient
     # overflow warnings the diverging steps themselves emit
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(rows), _CHECK_STEPS):
-            stop = min(start + _CHECK_STEPS, len(rows))
+        for start in range(0, M, _CHECK_STEPS):
+            stop = min(start + _CHECK_STEPS, M)
             z[...] = x  # the block's first state, which a replay starts from
             x, y = advance(x, y, start, stop)
             # the sum of all entries is finite only if every entry is; a

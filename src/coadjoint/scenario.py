@@ -297,7 +297,7 @@ def build_scenario(doc: dict) -> BuiltScenario:
                            dtype=float)
         if value.shape != (alg.dim,):
             raise ScenarioError(f"$.u_policy.value: need a {alg.dim}-vector")
-        u_of = lambda t, x: np.broadcast_to(value, x.shape[:-1] + (alg.dim,))
+        u_of = lambda t, x: np.full(x.shape[:-1] + (alg.dim,), value)
     if system == "lie_poisson":
         state = np.asarray(doc["m0"], dtype=float)
         if state.shape != (alg.dim,):

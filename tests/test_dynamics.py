@@ -1,11 +1,13 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coadjoint import algebra, dynamics
+from coadjoint import algebra, dynamics, integrators
 from coadjoint.actions import ActionChart, PhaseState, builtin_chart, momentum_map
-from coadjoint.algebra import _TRIPLE_MIN_ROWS, LieAlgebraSpec, _ad_star, ad_star, builtin
+from coadjoint.algebra import (_TRIPLE_MIN_ROWS, LieAlgebraSpec, _ad_star, _ad_star_kernel,
+                               ad_star, builtin)
 from coadjoint.diagnostics import observable_series, strong_error
 from coadjoint.dynamics import (
     QuadraticLagrangian,
@@ -27,7 +29,7 @@ from coadjoint.fields import (
     ScalarField,
     double_bracket,
 )
-from coadjoint.integrators import (_drive, _stack_buffer, _stacked, euler_ito_step,
+from coadjoint.integrators import (_drive, _run, _stack_buffer, _stacked, euler_ito_step,
                                    heun_stratonovich_step, integrate)
 from coadjoint.kolmogorov import ensemble_finals
 from coadjoint.noise import BrownianGrid, NoiseSpec, _increment_blocks, sample_grid, time_grid
@@ -862,21 +864,37 @@ class TestOneEvaluationPerStage:
 
     def test_collective_euler_ito_step_makes_two_ad_star_calls(self, monkeypatch):
         # one call for the field at (u, xi_1, ..., xi_C), one for DX_xi on
-        # the evaluator's own noise rows
+        # the evaluator's own noise rows, each to a kernel bound for the run
+        self._assert_bound_kernel_calls(monkeypatch, "euler_ito", euler_ito_step, 2)
+
+    def test_collective_heun_step_makes_two_ad_star_calls(self, monkeypatch):
+        # one call for the field at (u, xi_1, ..., xi_C) per stage
+        self._assert_bound_kernel_calls(monkeypatch, "heun_strat", heun_stratonovich_step, 2)
+
+    @staticmethod
+    def _assert_bound_kernel_calls(monkeypatch, scheme, step, per_step):
         calls = []
 
-        def counting(alg, v, m, out=None):
-            calls.append(v.shape)
-            return _ad_star(alg, v, m, out)
+        def counting(alg, size=None):
+            kernel = _ad_star_kernel(alg, size)
 
-        monkeypatch.setattr(dynamics, "_ad_star", counting)
+            def call(*args, **kwargs):
+                calls.append(size)
+                return kernel(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(dynamics, "_ad_star_kernel", counting)
         noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
         lp = lie_poisson_system(SO3, K_RIGID, noise)
         for x, dW in ((np.array([0.8, 0.3, 0.5]), np.array([0.1, -0.2])),
                       (np.ones((7, 3)), np.full((7, 2), 0.1))):
             calls.clear()
-            euler_ito_step(lp, 0.0, x, 0.01, dW)
-            assert len(calls) == 2, calls
+            step(lp, 0.0, x, 0.01, dW)
+            assert len(calls) == per_step and None not in calls, calls
+            calls.clear()
+            _drive(lp, scheme, x, 0.01, np.tile(dW, (5,) + (1,) * dW.ndim))
+            assert len(calls) == 5 * per_step and None not in calls, calls
 
 
 def _einsum_velocity_drift(level, K, x):
@@ -887,7 +905,7 @@ def _einsum_velocity_drift(level, K, x):
     if level == "phase_space":
         u = np.einsum("ab,...b->...a", K, momentum_map(chart, x))
         at, field, _, _ = dynamics._phase_fields(chart)
-        return field(u, at(x))
+        return field(None, at(x), u)
     u = np.einsum("ab,...b->...a", K, x[..., :3])
     if level == "lie_poisson":
         return ad_star(SO3, u, x)
@@ -1031,7 +1049,7 @@ def _level_fields(level, chart):
     written out."""
     if level == "phase_space":
         at, field, dfield, _ = dynamics._phase_fields(chart)
-        return (lambda w, x: field(w, at(x))), (lambda w, x, v: dfield(w, at(x), v))
+        return (lambda w, x: field(None, at(x), w)), (lambda w, x, v: dfield(None, at(x), w, v))
     if level == "lie_poisson":
         return (lambda w, m: _ad_star(SO3, w, m)), (lambda w, m, v: _ad_star(SO3, w, v))
 
@@ -1197,3 +1215,111 @@ class TestItoSum:
         want = _ito_loop(terms)
         assert _same_bits(got, want)
         assert not np.signbit(got[..., 0]).any()
+
+
+def _oracle_states(sys, scheme, x0, dt, dW):
+    """Every state of the per-step oracle through the public callbacks."""
+    loop = _loop_heun if scheme == "heun_strat" else _loop_euler_ito
+    states = [np.asarray(x0, dtype=float)]
+    for i, row in enumerate(dW):
+        states.append(loop(sys, i * dt, states[-1], dt, row))
+    return np.array(states)
+
+
+class TestBlockTable:
+    """A run lays out its increments one table at a time: a single path's
+    holds a block of _CHECK_STEPS steps at the state's width, a batch's one
+    step.  133 steps are two full blocks and a short last block of 5."""
+
+    M, DT = 2 * integrators._CHECK_STEPS + 5, 0.01
+
+    def _case(self, level):
+        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
+        x0 = np.random.default_rng(43).normal(size=(7, sys.state_dim))
+        x0[:, 0] = -0.0  # a signed zero the first step must keep or lose as the oracle does
+        dW = np.random.default_rng(37).normal(scale=self.DT ** 0.5, size=(self.M, 7, 2))
+        return sys, x0, dW
+
+    @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito"])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_single_path_equals_per_step_oracle(self, level, scheme):
+        sys, x0, dW = self._case(level)
+        want = _oracle_states(sys, scheme, x0[2], self.DT, dW[:, 2])
+        grid = BrownianGrid(T=self.M * self.DT, steps=self.M, dW=dW[:, 2], seed=37)
+        assert _same_bits(integrate(sys, scheme, grid, x0[2]).states, want)
+        assert _same_bits(_drive(sys, scheme, x0[2], self.DT, dW[:, 2]), want[-1])
+
+    @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito"])
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_batch_equals_per_step_oracle(self, level, scheme):
+        # every row of a 7-row batch, recorded, and of a 4-row block stepped
+        # in the 7-row run's workspace, as the ensembles' short last block is
+        sys, x0, dW = self._case(level)
+        want = np.stack([_oracle_states(sys, scheme, x0[j], self.DT, dW[:, j])
+                         for j in range(7)], axis=1)
+        states = np.empty((self.M + 1, 7, sys.state_dim))
+        run = _run(sys, scheme, x0, self.DT, dW)
+        assert _same_bits(_drive(sys, scheme, x0, self.DT, dW, states=states, run=run), want[-1])
+        assert _same_bits(states, want)
+        assert _same_bits(_drive(sys, scheme, x0[:4], self.DT, dW[:, :4], run=run), want[-1, :4])
+
+    @pytest.mark.parametrize("level", ["phase_space", "lie_poisson"])
+    def test_table_shapes(self, level):
+        # a single path's table holds a block of steps at the state's
+        # width; a batch's is one step, no larger than one row of increments
+        sys, x0, dW = self._case(level)
+        d = sys.state_dim
+        for x, w, steps, shape in ((x0[0], dW[:, 0], integrators._CHECK_STEPS, (3, d)),
+                                   (x0, dW, 1, (3, 7, 1))):
+            _, table, *_ = _run(sys, "heun_strat", x, self.DT, w)(x, w)
+            seen = []
+            for i, inc, half in table(0, self.M):
+                want = np.empty(shape)
+                want[0] = self.DT
+                want[1:] = w[i][:, None] if x.ndim == 1 else w[i].T[..., None]
+                assert _same_bits(inc, want) and _same_bits(half, 0.5 * want)
+                seen.append((i, inc))
+            assert [i for i, _ in seen] == list(range(self.M))
+            # the table's rows are reused once per table length
+            for i, inc in seen:
+                assert np.shares_memory(inc, seen[i % steps][1])
+                assert not any(np.shares_memory(inc, other) for _, other in seen[i - i % steps:i])
+
+
+class TestConstantFields:
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 4, 3)])
+    def test_grads_keep_bits_and_are_fresh(self, shape):
+        # the gradient of V = g . q, of a linear field and of a coordinate
+        # function: g broadcast over the states' leading axes, -0.0 kept,
+        # in a new writable array on every call
+        g = np.array([-0.0, 0.0, 1.5])
+        e = np.array([0.0, 1.0, 0.0])
+        x = np.random.default_rng(44).normal(size=shape)
+        for grad, value in ((linear_potential(g).grad, g), (ScalarField.linear(g).grad, g),
+                            (ScalarField.coordinate(1, 3).grad, e)):
+            first, second = grad(x), grad(x)
+            assert _same_bits(first, np.broadcast_to(value, shape).copy())
+            assert first.flags.writeable and first.flags.c_contiguous
+            assert not np.shares_memory(first, second) and not np.shares_memory(first, value)
+            first[...] = 7.0
+            assert _same_bits(grad(x), second)
+
+    @pytest.mark.parametrize("policy", [{"id": "constant", "value": [-0.0, 0.5, -1.25]},
+                                        {"id": "zero"}])
+    def test_scenario_policy_keeps_bits(self, policy):
+        # a scenario's constant or zero u policy steps as the same policy
+        # given as a broadcast view
+        from coadjoint.scenario import build_scenario, load_scenario
+
+        doc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "rigid_body.json")
+        built = build_scenario({**doc, "u_policy": policy})
+        value = np.array(policy.get("value", [0.0, 0.0, 0.0]))
+        view = lie_poisson_system(built.alg, built.hamiltonian.kinetic_inverse, built.noise,
+                                  u_of=lambda t, x: np.broadcast_to(value, x.shape[:-1] + (3,)))
+        x = np.random.default_rng(45).normal(size=(7, 3))
+        assert _same_bits(built.system.drift(0.3, x), view.drift(0.3, x))
+        grid = sample_grid(built.noise, 0.5, 64)
+        for scheme in ("heun_strat", "euler_ito"):
+            assert _same_bits(integrate(built.system, scheme, grid, built.x0).states,
+                              integrate(view, scheme, grid, built.x0).states)
