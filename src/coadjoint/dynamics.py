@@ -270,7 +270,7 @@ def _coupled_system(alg, at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
         # the algebra elements (u, xi_1, ..., xi_C) of one run: the noise
         # rows are set once, so each stage writes only the velocity row
         w = xi.reshape((C,) + (1,) * len(lead) + (r,))
-        W = _stack_buffer(1 + C, lead, r)
+        W = _stack_buffer((1 + C,), lead, r)
         W[1:] = w
 
         @functools.cache

@@ -19,6 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .algebra import _aligned
+
 __all__ = [
     "SdeSystem",
     "Trajectory",
@@ -123,13 +125,16 @@ class Trajectory:
         return float(np.max(np.abs(self.states)))
 
 
-def _stack_buffer(rows: int, lead: tuple, width: int) -> np.ndarray:
-    """An empty (rows, *lead, width) array with the stack axis outermost in
-    memory.  A batch (E,) gets component-major rows: the layout ensemble
-    states keep, in which the fields evaluate several times faster."""
+def _stack_buffer(rows: tuple, lead: tuple, width: int) -> np.ndarray:
+    """An empty (*rows, *lead, width) array with the stack axes outermost in
+    memory.  A batch (E,) gets component-major rows, the layout ensemble
+    states keep, in which the fields evaluate several times faster; else each
+    index of the first axis is one block.  Each row or block of a cache line
+    or more starts on one, in any leading slice too (``algebra._aligned``)."""
     if len(lead) == 1:
-        return np.empty((rows, width) + lead).transpose(0, 2, 1)
-    return np.empty((rows,) + lead + (width,))
+        return _aligned(rows + (width,) + lead).swapaxes(-1, -2)
+    block = math.prod(rows[1:] + lead) * width
+    return _aligned((rows[0], block)).reshape(rows + lead + (width,))
 
 
 def _stacked(sys: SdeSystem, lead: tuple, ito: bool = False):
@@ -234,13 +239,13 @@ def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
     (dt, dW^1, ..., dW^C) and their halves, for a single path up to
     ``_CHECK_STEPS`` steps at the state's width, for a batch one step (1 +
     C, *lead, 1); two stage stacks, the predictor and three component-major
-    states.  Returns ``block(x0, dW)``: it copies x0 into the first state
-    and returns ``step(t, x, inc, half, xn)``, ``table(lo, hi)``, which
-    yields (i, inc, half) for rows lo..hi, laid out a table at a time in two
-    calls, the three states and the number of rows, in leading slices of
-    the buffers for a block of fewer paths.  The stochastic schemes step
-    the stacked fields, euler_ito in Ito mode; rk4 steps the drift alone
-    and takes only the number of rows.
+    states, laid out by :func:`_stack_buffer`.  Returns ``block(x0, dW)``: it
+    copies x0 into the first state and returns ``step(t, x, inc, half, xn)``,
+    ``table(lo, hi)``, which yields (i, inc, half) for rows lo..hi, laid out
+    a table at a time in two calls, the three states and the number of rows,
+    in leading slices of the buffers for a block of fewer paths.  The
+    stochastic schemes step the stacked fields, euler_ito in Ito mode; rk4
+    steps the drift alone and takes only the number of rows.
     """
     x0 = np.asarray(x0, dtype=float)
     if scheme == "euler_ito" and sys.ito_correction is None:
@@ -252,10 +257,9 @@ def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
     lead, C, d = _lead(x0, wlead), sys.channels, x0.shape[-1]
     F = sys.drift if scheme == "rk4" else _stacked(sys, lead, ito=scheme == "euler_ito")
     steps, width = (min(_CHECK_STEPS, len(dW)), d) if not lead else (1, 1)
-    tables = np.empty((2, steps, 1 + C) + lead + (width,))
+    tables = _stack_buffer((2, steps, 1 + C), lead, width)
     tables[0, :, 0] = dt
-    stacks = _stack_buffer(2 * (1 + C), lead, d)
-    views = (*tables, stacks[:1 + C], stacks[1 + C:], *_stack_buffer(4, lead, d))
+    views = (*tables, *_stack_buffer((2, 1 + C), lead, d), *_stack_buffer((4,), lead, d))
 
     def block(x0, dW):
         x0 = np.asarray(x0, dtype=float)
@@ -400,11 +404,11 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
 
 
 def _write_rows(path, header, rows) -> None:
-    """CSV of a header row, then rows of floats as shortest-roundtrip float64 text."""
+    """CSV of a header row, then rows of floats as their repr, the shortest round-trip text."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([repr(float(v)) for v in row] for row in rows)
+        writer.writerows(np.asarray(rows, dtype=float).tolist())
 
 
 def _write_json(path, doc) -> None:

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, _einsum
+from .algebra import LieAlgebraSpec, _aligned, _einsum
 from .actions import ActionChart
 from .dynamics import ReducedHamiltonian, hamel_system, lie_poisson_system
 from .fields import (
@@ -229,19 +229,21 @@ def _transport(spec: GeneratorSpec, geometry: GridGeometry):
 # 32^3 grid is one chunk, a 48^3 grid three.  Median CPU ms of 25 rounds
 # (backward) and 100 solves (forward), sizes shuffled within each round,
 # and the median per-round ratio to 40960; one pinned CPU of a 2-CPU Xeon
-# (2 MiB L2 per core), numpy 2.4.6, rigid-body generator with one channel:
+# (2 MiB L2 per core), numpy 2.4.6, rigid-body generator with one channel,
+# every state and chunk buffer on a cache line (:func:`_padded`):
 #
 #     chunk            8192   16384  32768  40960  65536  whole span
-#     backward 48^3     209    206    185    183    206    255
-#       ratio          1.13   1.05   1.01   1      1.13   1.40
-#     forward 32^3     18.6   19.4   17.3   16.2   18.1   16.4
-#       ratio          1.10   1.15   1.07   1      1.06   1.03
+#     backward 48^3     150    135    131    130    144    201
+#       ratio          1.13   1.04   1.00   1      1.11   1.52
+#     forward 32^3     13.3   12.8   12.7   12.3   12.3   12.3
+#       ratio          1.09   1.04   1.03   1      1.00   1.00
 _CHUNK = 40960
 
 
 def _padded(shape: tuple):
-    """A zero C-order flat array of the padded ``shape`` and a view of its grid nodes."""
-    flat = np.zeros(int(np.prod(shape)))
+    """A zero C-order flat array of the padded ``shape`` and a view of its grid
+    nodes; its first grid node, so every chunk of 8n nodes, is on a cache line."""
+    flat = _aligned((math.prod(shape),), shape[1] * shape[2] + shape[2] + 1, np.zeros)
     return flat, flat.reshape(shape)[1:-1, 1:-1, 1:-1]
 
 
@@ -272,7 +274,10 @@ class _GridOperator:
     over whole planes (so edges and corners take the last axis's
     extrapolation), then walks the interior span, from the first interior
     node to the last, in chunks of ``_CHUNK`` nodes; pad nodes inside the
-    span get zero-weight values that the next refill overwrites.
+    span get zero-weight values that the next refill overwrites.  Every
+    chunk of a padded array and the buffers ``_out`` and ``_tmp`` start on a
+    cache line: placed by the heap, the 48^3 backward solve took 152-158 CPU
+    ms, aligned 127-136 (one pinned CPU, medians of 3 processes).
     """
 
     def __init__(self, spec: GeneratorSpec, geometry: GridGeometry):
@@ -322,7 +327,7 @@ class _GridOperator:
             (weight(np.add if s > 0 else np.subtract, second[..., i], first[..., i]),
              0, s * strides[i]) for i in range(3) for s in (1, -1)]
         del second, first
-        self._out, self._tmp = (np.empty(self.chunks[0].stop - self.chunks[0].start)
+        self._out, self._tmp = (_aligned((self.chunks[0].stop - self.chunks[0].start,))
                                 for _ in range(2))
 
     def transposed(self) -> "_GridOperator":
@@ -557,15 +562,15 @@ def interpolate(grid: DensityGrid, x) -> float:
 # _BLOCK_VALUES // ((1 + C) d) consecutive paths, so each (1 + C, paths, d)
 # stack of a Heun stage (512 KiB at 2^16) stays in L2 from the field call
 # to its reduction.  Median CPU ms of ensemble_finals on so(3), stepping
-# every block in one workspace, budgets shuffled within each round, one
-# pinned CPU of a 2-CPU Xeon (2 MiB L2 per core), numpy 2.4.6; 40 rounds of
-# the short-time check (5e4 paths x 2 steps, 2 channels) and 12 of the MC
-# cross-check (1e4 x 256, 1 channel), where 2^16 and up are all one
-# 1e4-path block and differ only by noise:
+# every block in one workspace laid out on cache lines, budgets shuffled
+# within each round, one pinned CPU of a 2-CPU Xeon (2 MiB L2 per core),
+# numpy 2.4.6; 40 rounds of the short-time check (5e4 paths x 2 steps, 2
+# channels) and 12 of the MC cross-check (1e4 x 256, 1 channel), where 2^16
+# and up are all one 1e4-path block and differ only by noise:
 #
 #     values per stack    2^14   2^15   2^16   2^17   2^18   whole ensemble
-#     5e4 x 2, C = 2      21.5   17.4   15.5   15.9   18.6   22.3
-#     1e4 x 256, C = 1     265    206    187    176    203    190
+#     5e4 x 2, C = 2      17.8   11.1   10.8   12.0   15.6   18.2
+#     1e4 x 256, C = 1     211    150    155    148    153    155
 _BLOCK_VALUES = 2 ** 16
 
 
@@ -683,6 +688,5 @@ def write_density_slice_csv(path, grid: DensityGrid, axis: int, index: int) -> N
     rest = [i for i in range(3) if i != axis]
     plane = np.take(grid.values, index, axis=axis)
     names = ["m1", "m2", "m3"]
-    _write_rows(path, (names[rest[0]], names[rest[1]], "value"),
-                ((a, b, plane[i, j]) for i, a in enumerate(axes[rest[0]])
-                 for j, b in enumerate(axes[rest[1]])))
+    _write_rows(path, (names[rest[0]], names[rest[1]], "value"), np.stack(np.broadcast_arrays(
+        axes[rest[0]][:, None], axes[rest[1]], plane), axis=-1).reshape(-1, 3))

@@ -21,6 +21,8 @@ from typing import Optional
 
 import numpy as np
 
+from .algebra import _aligned
+
 __all__ = [
     "GENERATOR_ID",
     "NoiseSpec",
@@ -125,19 +127,6 @@ class BrownianGrid:
     def dt(self) -> float:
         return self.T / self.steps
 
-    def variance_deviation(self) -> float:
-        """Per-channel |sample variance - T/M| in units of the chi^2 noise floor.
-
-        The sample variance of M centred Gaussians has standard deviation
-        (T/M) sqrt(2/M); returns the worst channel's deviation divided by
-        that, so values <~ 5 are statistically unremarkable.
-        """
-        if self.channels == 0:
-            return 0.0
-        target = self.dt
-        sample = np.mean(self.dW ** 2, axis=0)
-        return float(np.max(np.abs(sample - target)) / (target * np.sqrt(2.0 / self.steps)))
-
 
 # Paths drawn per generator call when filling an increment table; it
 # bounds the (rows, M) temporary of one call and changes no value, since
@@ -152,11 +141,11 @@ def _increment_blocks(seed: int, channels: int, T: float, M: int):
     The drawer refills one table, allocated by the first call (and again by
     any call for more paths), and returns its leading ``paths`` columns, so
     a call overwrites what the call before it returned; copy a block to keep
-    it.  Channel k keeps one Philox stream keyed (seed, k) across calls, so
-    the j-th path drawn, counting over all calls, takes draws j*M ...
-    j*M + M - 1 of each stream whatever the block sizes.  The ziggurat
-    normals take a variable number of counter words, so blocks must be
-    drawn in order.
+    it; each step's row starts on a cache line.  Channel k keeps one Philox
+    stream keyed (seed, k) across calls, so the j-th path drawn, counting
+    over all calls, takes draws j*M ... j*M + M - 1 of each stream whatever
+    the block sizes.  The ziggurat normals take a variable number of counter
+    words, so blocks must be drawn in order.
     """
     _check_horizon(T)
     M = _power_of_two(M, "M: the step count must be a power of two")
@@ -170,7 +159,7 @@ def _increment_blocks(seed: int, channels: int, T: float, M: int):
     def draw(paths: int) -> np.ndarray:
         nonlocal table
         if table.shape[1] < paths:
-            table = np.empty((M, paths, channels))
+            table = _aligned((M, paths * channels)).reshape(M, paths, channels)
         dW = table[:, :paths]
         for k, gen in enumerate(gens):
             for j in range(0, paths, _FILL_ROWS):

@@ -146,7 +146,7 @@ def _kernel_operands(shape, layout, E, C, rng):
     if shape == "stack":
         if layout == "row":
             return rng.normal(size=(1 + C, E, 3)), m
-        v = _stack_buffer(1 + C, (E,), 3)
+        v = _stack_buffer((1 + C,), (E,), 3)
         v[...] = rng.normal(size=v.shape)
         return v, m
     return rng.normal(size=(C, 3)), m[:, None, :]

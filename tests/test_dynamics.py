@@ -684,7 +684,7 @@ def _evaluate(sys, t, x, ito=False, stacked=None):
     for x's batch shape, on x, into a new stack."""
     lead = x.shape[:-1]
     F = (stacked or sys.drift.stacked)(lead, ito)
-    return F(t, x, _stack_buffer(1 + sys.channels, lead, sys.state_dim))
+    return F(t, x, _stack_buffer((1 + sys.channels,), lead, sys.state_dim))
 
 
 def _own_callbacks(sys):
@@ -768,10 +768,10 @@ class TestStackedFields:
         sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
         x = np.random.default_rng(4).normal(size=(5, sys.state_dim))
         F = sys.drift.stacked((5,))
-        first = F(0.1, x, _stack_buffer(3, (5,), sys.state_dim))
+        first = F(0.1, x, _stack_buffer((3,), (5,), sys.state_dim))
         kept = first.copy()
         for arg in (x[:3], x, x[:1]):
-            out = _stack_buffer(3, arg.shape[:-1], sys.state_dim)
+            out = _stack_buffer((3,), arg.shape[:-1], sys.state_dim)
             assert F(0.1, arg, out) is out
             assert np.array_equal(out, _evaluate(sys, 0.1, arg))
         assert np.array_equal(first, kept)
@@ -856,7 +856,7 @@ class TestOneEvaluationPerStage:
         x = np.random.default_rng(41).normal(size=(7, sys.state_dim))
         for arg in (x, x[0]):
             F = sys.drift.stacked(arg.shape[:-1], ito)
-            out = _stack_buffer(3, arg.shape[:-1], sys.state_dim)
+            out = _stack_buffer((3,), arg.shape[:-1], sys.state_dim)
             calls.clear()
             F(0.3, arg, out)
             want = ["A", "dA"] if level == "phase_space" or ito else ["A"]
@@ -1176,7 +1176,7 @@ class TestEinsumEntryPoint:
                     _drive(sys, scheme, x0, 1.0 / 8, dW, states=states)
                     out.append(states)
                 out.append(sys.drift.stacked(x0.shape[:-1], True)(
-                    0.0, x0, _stack_buffer(3, x0.shape[:-1], sys.state_dim)))
+                    0.0, x0, _stack_buffer((3,), x0.shape[:-1], sys.state_dim)))
             return out
 
         got = results()
@@ -1205,7 +1205,7 @@ class TestItoSum:
         elif layout == "row_major":
             terms = rng.normal(size=(channels, 11, 6))
         else:
-            terms = _stack_buffer(channels, (11,), 6)
+            terms = _stack_buffer((channels,), (11,), 6)
             terms[...] = rng.normal(size=terms.shape)
         # signed zeros alone, and against a term that is zero
         terms[..., 0] = -0.0

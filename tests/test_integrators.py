@@ -428,3 +428,17 @@ class TestCsv:
         write_trajectory_csv(traj, p1)
         write_trajectory_csv(traj, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_floats_written_as_the_per_value_repr(self, tmp_path):
+        # csv prints a Python float as its repr: the same bytes as formatting
+        # each value with repr(float(v)), on the edge cases of that text
+        rows = np.array([[-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308],
+                         [1.0, -2.0, 1e16, 3.0, 0.1, -1e-300, 2.0 ** 53]])
+        path, expected = tmp_path / "rows.csv", tmp_path / "expected.csv"
+        integrators._write_rows(path, ("a", "b", "c", "d", "e", "f", "g"), rows)
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("a", "b", "c", "d", "e", "f", "g"))
+            writer.writerows([repr(float(v)) for v in row] for row in rows)
+        assert path.read_bytes() == expected.read_bytes()
+        assert path.read_text().splitlines()[1] == "-0.0,0.0,inf,-inf,nan,5e-324,1e+308"

@@ -21,6 +21,16 @@ def spec(channels=2, seed=42):
     return NoiseSpec(channels=channels, xi=np.zeros((channels, 3)), seed=seed)
 
 
+def variance_deviation(g: BrownianGrid) -> float:
+    """The worst channel's |sample variance - T/M| in units of its chi^2
+    noise floor (T/M) sqrt(2/M), so values <~ 5 are unremarkable; 0 without
+    channels."""
+    if g.channels == 0:
+        return 0.0
+    sample = np.mean(g.dW ** 2, axis=0)
+    return float(np.max(np.abs(sample - g.dt)) / (g.dt * np.sqrt(2.0 / g.steps)))
+
+
 class TestSampling:
     def test_deterministic(self):
         a = sample_grid(spec(), 1.0, 256)
@@ -41,12 +51,12 @@ class TestSampling:
 
     def test_variance_within_sampling_noise(self):
         g = sample_grid(spec(channels=3, seed=1), 2.0, 2 ** 12)
-        assert g.variance_deviation() <= 5.0
+        assert variance_deviation(g) <= 5.0
 
     def test_zero_channels(self):
         g = sample_grid(spec(channels=0), 1.0, 8)
         assert g.dW.shape == (8, 0)
-        assert g.variance_deviation() == 0.0
+        assert variance_deviation(g) == 0.0
 
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -187,7 +197,7 @@ class TestCoarsen:
         g = sample_grid(spec(channels=1, seed=3), 1.0, 2 ** 10)
         c = coarsen(g, 2 ** ex)
         assert c.dt == pytest.approx(2.0 ** ex / 2 ** 10)
-        assert c.variance_deviation() <= 5.0
+        assert variance_deviation(c) <= 5.0
 
     def test_invalid_factor(self):
         g = sample_grid(spec(), 1.0, 64)
