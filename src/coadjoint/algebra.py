@@ -11,16 +11,18 @@ These match a right group action on the configuration manifold; with the
 Levi-Civita constants of so(3) they give the classical Euler equations
 dm/dt = m x u.
 
-ad* has two kernels, and a call takes one by a rule on what it can see.
-An *exact* spec, one whose every ad* component has at most two nonzero
-terms, each with c = +-1 (so3, se2, h3 and every abelian algebra), takes
-the triple kernel when an operand holds at least ``_TRIPLE_MIN_ROWS``
-rows: it writes each component from that component's nonzero (b, g, c)
-terms only.  Every other call takes the ``einsum`` over all of -c.  On an
-exact spec both kernels round each product m_g v^b once, the extra zero
-terms of ``einsum`` add exactly, and a sum of two rounded terms does not
-depend on their order, so the kernels agree bit for bit (up to the sign of
-an exact zero) and a row's result does not depend on the batch it is in.
+ad* has three kernels: einsum, triples and a run's fixed noise rows.  An
+*exact* spec, one whose every ad* component has at most two nonzero terms,
+each with c = +-1 (so3, se2, h3 and every abelian algebra), takes the
+triple kernel when an operand holds at least ``_TRIPLE_MIN_ROWS`` rows: it
+writes each component from that component's nonzero (b, g, c) terms only.
+Every other call takes the ``einsum`` over all of -c.  A collective run at
+triple size binds its noise rows as fixed maps: ad*(xi_k, .) keeps only the
+terms with xi_k^b != 0, as m_g (s xi_k^b), exact for s = +-1.  On an exact
+spec all three round each product once, the zero terms they keep add
+exactly, and a sum of two rounded terms does not depend on their order, so
+the kernels agree bit for bit (up to the sign of an exact zero) and a row's
+result does not depend on the batch it is in.
 Contracting -c rather than negating the contraction of c changes no
 nonzero bit, since rounding is symmetric in sign.
 A non-exact spec always takes ``einsum``, whose sums follow the memory
@@ -211,15 +213,35 @@ def _ad_star(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray, out=None, scratc
         raise _lead_mismatch(v, m) from None
 
 
-def _ad_star_kernel(alg: LieAlgebraSpec, size=None):
+def _ad_star_kernel(alg: LieAlgebraSpec, size=None, xi=None):
     """ad*(v, m) as ``kernel(m, v, out=None)``: einsum's C kernel itself for
     operands whose larger one holds ``size`` entries, fewer than the triple
     kernel takes; otherwise, or without a size, :func:`_ad_star`'s rule, a
-    sized one keeping the triple kernel's scratch rows per operand shape."""
+    sized one keeping the triple kernel's scratch rows per operand shape.
+    Given a run's fixed rows ``xi`` (C, r), a sized triple kernel takes v =
+    (u, xi_1, ..., xi_C) and writes row k by the fixed map ad*(xi_k, .)."""
     if size is not None and size < alg._triples_from:
         return functools.partial(_c_einsum, "abg,...g,...b->...a", alg._minus_c)
     scratch = None if size is None else functools.cache(_aligned)
-    return lambda m, v, out=None: _ad_star(alg, v, m, out, scratch)
+    if size is None or xi is None:
+        return lambda m, v, out=None: _ad_star(alg, v, m, out, scratch)
+    plan = [(k, a, [(g, s * float(x[b])) for b, g, s in terms if x[b] != 0])
+            for k, x in enumerate(xi, 1) for a, terms in enumerate(alg._terms)]
+
+    def kernel(m, v, out):
+        _ad_star_triples(alg, v[0], m, out[0], scratch)
+        for k, a, terms in plan:
+            row = out[k, ..., a]
+            if not terms:
+                row.fill(0.0)
+                continue
+            (g, c), *rest = terms
+            np.multiply(m[..., g], c, out=row)
+            for g, c in rest:
+                row += np.multiply(m[..., g], c, out=scratch(row.shape))
+        return out
+
+    return kernel
 
 
 def _ad_star_triples(alg: LieAlgebraSpec, v: np.ndarray, m: np.ndarray, out=None, scratch=None):

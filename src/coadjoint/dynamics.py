@@ -212,9 +212,11 @@ def _coupled_system(alg, at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
     ``mu(s)`` (s if None).  u is ``u_of(t, x)`` or K mu; ``force`` is None
     or ``(block, f)``, adding f(s) to the drift's ``[..., block]``.
     ``drift.stacked(lead, ito)`` makes the integrators' evaluators (see
-    :class:`SdeSystem`), binding ad's kernel once per run; the other
-    keywords go to SdeSystem.  The three callbacks refuse a state whose
-    last axis is not ``state_dim`` wide.
+    :class:`SdeSystem`), binding ad's kernels once per run: with ``field``
+    None, one of triple size writes the noise rows by the fixed maps
+    ad*(xi_k, .), the Ito mode's DX_xi by the generic kernel (no workload
+    steps Euler-Ito at that size).  The other keywords go to SdeSystem.  The
+    three callbacks refuse a state whose last axis is not ``state_dim`` wide.
     """
     r, C = K.shape[0], noise.channels
     d, name = system_kw["state_dim"], system_kw["name"]
@@ -225,9 +227,9 @@ def _coupled_system(alg, at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
     stage = at or (lambda x: x)
     legendre = _legendre_velocity(K)
 
-    def bind(fn, size=None):
+    def bind(fn, size=None, rows=None):
         # fn on the ad* kernel for operands of ``size`` entries, per call for None
-        ad = _ad_star_kernel(alg, size)
+        ad = _ad_star_kernel(alg, size, rows)
         return ad if fn is None else functools.partial(fn, ad)
 
     X, DX = bind(field), bind(dfield)
@@ -277,7 +279,8 @@ def _coupled_system(alg, at, field, dfield, mu, K: np.ndarray, noise: NoiseSpec,
         def bound(n):
             # the evaluator of the run's first n rows, its kernels chosen for their shape
             Wn = W[:, :n]
-            W0, Xw, DXw = Wn[0], bind(field, Wn.size), bind(dfield, Wn[1:].size)
+            W0, DXw = Wn[0], bind(dfield, Wn[1:].size)
+            Xw = bind(field, Wn.size, None if field else xi)  # collective: fixed noise maps
 
             def evaluate(t, x, out):
                 s = x if at is None else at(x)

@@ -68,11 +68,11 @@ class SdeSystem:
     ``out[1:]`` of a (1 + C, *lead, d) stack and returns out; x has the
     leading axes ``lead``, or a leading slice of their first axis, which
     out matches.  F may keep scratch between calls and must not keep out;
-    it settles what a run fixes (kernels, velocity rule, noise rows) when
-    made.  ``stacked(lead, ito=True)``, the Ito mode, adds the correction,
-    taken from its own noise rows, to row 0.  It serves only while those
-    callbacks are the system's own; any other system, such as one rebuilt
-    by ``dataclasses.replace``, steps its own callbacks.
+    it settles what a run fixes (kernels, velocity rule, noise rows or
+    maps) when made.  ``stacked(lead, ito=True)``, the Ito mode, adds the
+    correction, taken from its own noise rows, to row 0.  It serves only
+    while those callbacks are the system's own; any other system, such as
+    one rebuilt by ``dataclasses.replace``, steps its own callbacks.
     """
 
     state_dim: int

@@ -198,6 +198,48 @@ class TestAdStarKernel:
         ad_star(_kernel_algebra("so3x2"), rng.normal(size=(4 * N, 3)), rng.normal(size=3))
         assert len(calls) == 2
 
+    # a run's fixed noise rows: with zeros, with negative entries, with -0.0, with no zeros
+    FIXED_ROWS = {
+        "zeros": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        "negative": [[-0.7, 0.0, 2.5], [0.3, -1.2, -0.4]],
+        "minus_zero": [[-0.0, 0.4, -0.0], [0.9, -0.0, -1.1]],
+        "no_zeros": [[0.3, 0.4, 0.1], [-1.3, 0.25, 2.0]],
+    }
+
+    @pytest.mark.parametrize("name", ["so3", "se2", "h3", "abelian", "swap+", "swap-"])
+    @pytest.mark.parametrize("layout", ["row", "component"])
+    @pytest.mark.parametrize("rows", list(FIXED_ROWS))
+    def test_fixed_noise_rows_equal_triples_and_einsum(self, name, layout, rows):
+        # a sized kernel given the run's rows xi writes row 0 by triples and
+        # row k from ad*(xi_k, .)'s terms with xi_k^b != 0 alone
+        alg, xi = _kernel_algebra(name), np.array(self.FIXED_ROWS[rows])
+        v, m = _kernel_operands("stack", layout, N + 5, 2, np.random.default_rng(17))
+        v[1:] = xi[:, None, :]
+        out = np.full_like(v, np.nan)
+        assert algebra._ad_star_kernel(alg, v.size, xi)(m, v, out=out) is out
+        tri = algebra._ad_star_triples(alg, v, m)
+        assert np.array_equal(out, _einsum_ad_star(alg, v, m))
+        assert np.array_equal(out, tri)
+        # the signs of zeros agree wherever no operand is zero: m and u have
+        # no zeros, a component of row k none where its terms' xi_k^b are nonzero
+        signed = np.ones(out.shape[::2], bool)
+        for k, x in enumerate(xi, 1):
+            signed[k] = [all(x[b] != 0 for b, _, _ in terms) for terms in alg._terms]
+        mask = np.broadcast_to(signed[:, None, :], out.shape)
+        assert np.array_equal(np.signbit(out)[mask], np.signbit(tri)[mask])
+
+    def test_fixed_noise_rows_only_at_triple_size(self):
+        # below the triple kernel's size every row is read from v, from that
+        # size on only row 0 is
+        so3, xi = builtin("so3"), np.array(self.FIXED_ROWS["zeros"])
+        v, m = _kernel_operands("stack", "component", N, 2, np.random.default_rng(18))
+        fixed = v.copy()
+        fixed[1:] = xi[:, None, :]
+        out = algebra._ad_star_kernel(so3, 3 * N - 1, xi)(m, v)
+        assert np.array_equal(out, _einsum_ad_star(so3, v, m))
+        out = algebra._ad_star_kernel(so3, 3 * N, xi)(m, v, out=np.empty_like(v))
+        assert np.array_equal(out, _einsum_ad_star(so3, fixed, m))
+
     @pytest.mark.parametrize("name,rows", [("so3", 1), ("so3", 4 * N), ("so3x2", 4 * N)])
     def test_leading_axes_mismatch_names_both_operands(self, name, rows):
         alg = _kernel_algebra(name)

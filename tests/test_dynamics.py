@@ -37,6 +37,7 @@ from coadjoint.noise import BrownianGrid, NoiseSpec, _increment_blocks, sample_g
 SO3 = builtin("so3")
 K_RIGID = np.diag([1.0, 0.5, 1.0 / 3.0])
 G_RIGID = np.diag([1.0, 2.0, 3.0])
+XI_PAIR = [[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]]
 # a rigid body off its principal axes
 K_DENSE = np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 1.0 / 3.0]])
 
@@ -610,19 +611,24 @@ class TestCoupling:
         assert np.array_equal(batch[3], alone)
 
     @pytest.mark.parametrize("scheme", ["heun_strat", "euler_ito"])
-    @pytest.mark.parametrize("level", ["lie_poisson-se2", "lie_poisson-h3", "hamel-so3"])
-    def test_rows_independent_of_ad_star_kernel(self, level, scheme):
-        # a batch of N + 7 rows steps through the triple kernel of ad*, a row
-        # alone through einsum; every row ends bit for bit where it ends alone
+    @pytest.mark.parametrize("level, xi", [
+        ("lie_poisson-se2", XI_PAIR), ("lie_poisson-h3", XI_PAIR), ("hamel-so3", XI_PAIR),
+        ("lie_poisson-so3", XI_PAIR), ("lie_poisson-so3", [[1.0, 0.0, 0.0]])],
+        ids=["lie_poisson-se2", "lie_poisson-h3", "hamel-so3", "lie_poisson-so3", "lie_poisson-so3-e1"])
+    def test_rows_independent_of_ad_star_kernel(self, level, xi, scheme):
+        # a batch of N + 7 rows steps through the triple kernel of ad* (on the
+        # collective level, the drift row alone, the noise rows through the
+        # fixed maps ad*(xi_k, .)), a row alone through einsum; every row
+        # ends bit for bit where it ends alone
         level, _, name = level.partition("-")
-        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
+        noise = NoiseSpec.make(xi, seed=0)
         if level == "hamel":
             sys = _three_levels(noise, linear_potential([0.0, 0.0, 1.0]))[level]
         else:
             sys = lie_poisson_system(builtin(name), K_RIGID, noise)
         E, T, M = _TRIPLE_MIN_ROWS + 7, 0.5, 16
         x0 = np.random.default_rng(13).normal(size=(E, sys.state_dim))
-        dW = _increment_blocks(29, 2, T, M)(E)
+        dW = _increment_blocks(29, len(xi), T, M)(E)
         batch = _drive(sys, scheme, x0, T / M, dW)
         for j in range(E):
             assert np.array_equal(batch[j], _drive(sys, scheme, x0[j], T / M, dW[:, j])), j
@@ -871,12 +877,39 @@ class TestOneEvaluationPerStage:
         # one call for the field at (u, xi_1, ..., xi_C) per stage
         self._assert_bound_kernel_calls(monkeypatch, "heun_strat", heun_stratonovich_step, 2)
 
+    @pytest.mark.parametrize("xi", [XI_PAIR, [[1.0, 0.0, 0.0]]], ids=["pair", "e1"])
+    def test_collective_batch_at_triple_size_calls_triples_on_the_drift_row_only(
+            self, monkeypatch, xi):
+        # the noise rows come from the run's fixed maps ad*(xi_k, .), which
+        # read neither the triple kernel nor the noise rows of W
+        calls, made = [], []
+        triples, stack_buffer = algebra._ad_star_triples, dynamics._stack_buffer
+        monkeypatch.setattr(algebra, "_ad_star_triples",
+                            lambda alg, v, m, *a: calls.append(v.shape) or triples(alg, v, m, *a))
+        monkeypatch.setattr(dynamics, "_stack_buffer",
+                            lambda *a: made.append(stack_buffer(*a)) or made[-1])
+        lp = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make(xi, seed=0))
+        E, C = _TRIPLE_MIN_ROWS + 7, len(xi)
+        x = np.random.default_rng(43).normal(size=(E, 3))
+        F = lp.drift.stacked((E,))
+        W, = made
+        W[1:] = np.nan
+        for n in (E, E - 5):
+            calls.clear()
+            out = F(0.0, x[:n], _stack_buffer((1 + C,), (n,), 3))
+            assert calls == [(n, 3)]
+            assert np.array_equal(out[0], lp.drift(0.0, x[:n]))
+            assert np.array_equal(out[1:], np.moveaxis(lp.diffusion(0.0, x[:n]), -2, 0))
+        calls.clear()
+        _drive(lp, "heun_strat", x, 0.01, np.full((5, E, C), 0.1))
+        assert calls == [(E, 3)] * 10
+
     @staticmethod
     def _assert_bound_kernel_calls(monkeypatch, scheme, step, per_step):
         calls = []
 
-        def counting(alg, size=None):
-            kernel = _ad_star_kernel(alg, size)
+        def counting(alg, size=None, rows=None):
+            kernel = _ad_star_kernel(alg, size, rows)
 
             def call(*args, **kwargs):
                 calls.append(size)

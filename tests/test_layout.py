@@ -89,6 +89,26 @@ class TestRunWorkspace:
         assert on_line(W) if not lead else rows_on_lines(W, 1)
 
 
+    @pytest.mark.parametrize("paths", [10_000, 7281])
+    def test_scratch_of_the_fixed_noise_rows(self, monkeypatch, paths):
+        # the drift row's triple kernel and the fixed noise rows share one
+        # scratch row per block shape; XI_PAIR has no zero, so every so(3)
+        # component of a noise row adds its second term through it
+        made, aligned = [], algebra._aligned
+
+        def recording(*args):
+            made.append(aligned(*args))
+            return made[-1]
+
+        monkeypatch.setattr(algebra, "_aligned", recording)
+        sys = system(XI_PAIR)
+        x = np.broadcast_to(X0, (paths, 3)).copy(order="F")
+        out = np.stack([np.empty((3, paths)).T] * 3)
+        for n in (paths, paths - 5):
+            sys.drift.stacked((paths,))(0.0, x[:n], out[:, :n])
+        assert len(made) == 2 and all(on_line(a) for a in made)
+
+
 class TestGridLayout:
     GEO = GridGeometry.cube(-1.4, 1.4, 48)
 
