@@ -1,11 +1,11 @@
 """Coordinate charts for Lie algebra actions on Q and the cotangent-lift momentum map.
 
 A chart stores the coefficient functions A_a^i(q) of the action vector
-fields, plus their first and second derivatives (analytic for the built-in
-charts, central finite differences as a fallback for user charts).  The
-rotation chart's sign is pinned so that the vector-field commutators close
-on the so(3) structure constants of :mod:`coadjoint.algebra` with a plus
-sign; with that choice the momentum map is m = p x q.
+fields and their first and second derivatives, which every chart supplies
+(analytic for the built-in charts).  The rotation chart's sign is pinned so
+that the vector-field commutators close on the so(3) structure constants of
+:mod:`coadjoint.algebra` with a plus sign; with that choice the momentum map
+is m = p x q.
 
 All chart callbacks broadcast over leading axes of q, which the ensemble
 Monte-Carlo paths rely on.
@@ -14,12 +14,11 @@ Monte-Carlo paths rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .algebra import LieAlgebraSpec, _einsum, builtin
-from .fields import fd_jacobian
 
 __all__ = [
     "ActionChart",
@@ -56,32 +55,26 @@ class ActionChart:
 
     ``A(q)`` returns shape (..., r, n); ``dA(q)`` shape (..., r, n, n) with
     dA[..., a, i, j] = dA_a^i/dq^j; ``d2A(q)`` shape (..., r, n, n, n) with
-    the two derivative indices last.  Missing derivative callbacks fall back
-    to :func:`coadjoint.fields.fd_jacobian` (built-in charts are always analytic).
+    the two derivative indices last.  All three are required; a chart
+    without closed forms may pass central differences,
+    ``dA=lambda q: fd_jacobian(A, q)`` (:func:`coadjoint.fields.fd_jacobian`).
     """
 
     alg: LieAlgebraSpec
     n: int
     A: Callable[[np.ndarray], np.ndarray]
-    dA: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2A: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    dA: Callable[[np.ndarray], np.ndarray]
+    d2A: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def coefficients(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        return np.asarray(self.A(q), dtype=float)
+        return np.asarray(self.A(np.asarray(q, dtype=float)), dtype=float)
 
     def d_coefficients(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if self.dA is not None:
-            return np.asarray(self.dA(q), dtype=float)
-        return fd_jacobian(self.coefficients, q)
+        return np.asarray(self.dA(np.asarray(q, dtype=float)), dtype=float)
 
     def d2_coefficients(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if self.d2A is not None:
-            return np.asarray(self.d2A(q), dtype=float)
-        return fd_jacobian(self.d_coefficients, q)
+        return np.asarray(self.d2A(np.asarray(q, dtype=float)), dtype=float)
 
     def closure_residual(self, q) -> float:
         """max |[A_a, A_b]^k - c_ab^g A_g^k| at q."""

@@ -311,7 +311,7 @@ def _phase_fields(chart: ActionChart):
     """X_w(q, p) = (A(q)^T w, -dA(q)^T p . w), the cotangent lift, as the
     stage (q, p, A(q), dA(q)), field, derivative and m = p . A(q)."""
     n = chart.n
-    A, dA = chart.A, chart.dA or chart.d_coefficients
+    A, dA = chart.A, chart.dA
 
     def at(x):
         q = x[..., :n]
@@ -411,7 +411,7 @@ def hamel_system(
         raise ValueError(f"chart {chart.name!r} acts with algebra {chart.alg.name!r}, "
                          f"the Hamiltonian is on {h.alg.name!r}")
     alg, r, n = h.alg, h.alg.dim, chart.n
-    A, dA = chart.A, chart.dA or chart.d_coefficients
+    A, dA = chart.A, chart.dA
 
     def at(x):
         q = x[..., r:]

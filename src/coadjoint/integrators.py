@@ -183,16 +183,17 @@ def _checked_state(sys: SdeSystem, x0) -> np.ndarray:
     return x
 
 
-# The kernels take one stage evaluator F (the stacked fields, or rk4's
-# drift), the run's workspace views (see _run) and one step's rows of the
-# increment table; each writes the new state into xn and returns it.  Each
-# sum over the leading stack axis adds the drift first, then channels
-# 1..C, as one reduction; the stacks keep that axis outermost in memory, so
-# numpy adds the rows in that order.  The predictor's products go into the
-# second stack before F overwrites it with the corrector's fields, and the
+# The kernels take one stage evaluator F (the stacked fields), the run's
+# workspace views (see _run) and one step's rows of the increment table;
+# each writes the new state into xn and returns it.  Each sum over the
+# leading stack axis adds the drift first, then channels 1..C, as one
+# reduction; the stacks keep that axis outermost in memory, so numpy adds
+# the rows in that order.  The predictor's products go into the second
+# stack before F overwrites it with the corrector's fields, and the
 # corrector and the Euler-Ito step work in place; x + y == y + x, so the
 # predictor and row 0 (fx0, out0) may take x last.  np.add.reduce(a, 0) is
-# the reduction a.sum(axis=0) runs, without its Python wrapper.
+# the reduction a.sum(axis=0) runs, without its Python wrapper.  rk4 reads
+# row 0 alone and rounds as x + dt/6 (k1 + 2 k2 + 2 k3 + k4) does.
 
 def _heun(F, dt, fx, out, fx0, out0, xp, t, x, inc, half, xn):
     F(t, x, fx)
@@ -213,12 +214,18 @@ def _euler_ito(F, dt, fx, out, fx0, out0, xp, t, x, inc, half, xn):
     return np.add.reduce(fx, 0, out=xn)
 
 
-def _rk4(drift, dt, fx, out, fx0, out0, xp, t, x, inc, half, xn):
-    k1 = drift(t, x)
-    k2 = drift(t + 0.5 * dt, x + 0.5 * dt * k1)
-    k3 = drift(t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = drift(t + dt, x + dt * k3)
-    xn[...] = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(F, dt, fx, out, fx0, out0, xp, t, x, inc, half, xn):
+    F(t, x, fx)
+    k = fx0
+    for c, w in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+        np.multiply(k, c, out=xp)
+        xp += x
+        F(t + c, xp, out)
+        np.multiply(out0, w, out=xn)
+        fx0 += xn
+        k = out0
+    np.multiply(fx0, dt / 6.0, out=xn)
+    xn += x
     return xn
 
 
@@ -243,9 +250,9 @@ def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
     copies x0 into the first state and returns ``step(t, x, inc, half, xn)``,
     ``table(lo, hi)``, which yields (i, inc, half) for rows lo..hi, laid out
     a table at a time in two calls, the three states and the number of rows,
-    in leading slices of the buffers for a block of fewer paths.  The
-    stochastic schemes step the stacked fields, euler_ito in Ito mode; rk4
-    steps the drift alone and takes only the number of rows.
+    in leading slices of the buffers for a block of fewer paths.  Every
+    scheme steps the stacked fields of :func:`_stacked`, euler_ito in Ito
+    mode; rk4 reads their drift row.
     """
     x0 = np.asarray(x0, dtype=float)
     if scheme == "euler_ito" and sys.ito_correction is None:
@@ -253,9 +260,13 @@ def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
             f"system {sys.name!r} has no ito_correction; supply one "
             "(exactly zero is acceptable) before using the euler_ito scheme"
         )
-    wlead = () if scheme == "rk4" else _checked_increments(sys, dW).shape[1:-1]
-    lead, C, d = _lead(x0, wlead), sys.channels, x0.shape[-1]
-    F = sys.drift if scheme == "rk4" else _stacked(sys, lead, ito=scheme == "euler_ito")
+    if scheme == "rk4" and sys.channels:
+        raise ValueError(
+            f"rk4 steps the drift alone; system {sys.name!r} has {sys.channels} "
+            "noise channels (use heun_strat or euler_ito)"
+        )
+    lead = _lead(x0, _checked_increments(sys, dW).shape[1:-1])
+    F, C, d = _stacked(sys, lead, ito=scheme == "euler_ito"), sys.channels, x0.shape[-1]
     steps, width = (min(_CHECK_STEPS, len(dW)), d) if not lead else (1, 1)
     tables = _stack_buffer((2, steps, 1 + C), lead, width)
     tables[0, :, 0] = dt
@@ -263,7 +274,7 @@ def _run(sys: SdeSystem, scheme: str, x0, dt: float, dW):
 
     def block(x0, dW):
         x0 = np.asarray(x0, dtype=float)
-        dW = np.zeros((len(dW), 0)) if scheme == "rk4" else np.asarray(dW, dtype=float)
+        dW = np.asarray(dW, dtype=float)
         wlead = dW.shape[1:-1]
         here = _lead(x0, wlead)
         inc, half, fx, out, xp, x, y, z = views if here == lead else [
@@ -322,7 +333,7 @@ def _drive(sys: SdeSystem, scheme: str, x0, dt: float, dW, states=None,
     """Step ``x0``, one state (d,) or a batch (E, d), over the rows of ``dW``,
     (M, C) or (M, E, C), and return the final state.  A step's increments
     line up with the state's leading axes from the right, so an (M, C) table
-    drives every row of a batch alike; rk4 takes only the number of rows.
+    drives every row of a batch alike.
 
     ``run``, a ``_run`` of the same system, scheme and dt for at least as
     many paths, lends its workspace, which the returned state lives in until
@@ -375,11 +386,6 @@ def integrate(sys: SdeSystem, scheme: str, grid, x0) -> Trajectory:
     """
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {tuple(_KERNELS)}")
-    if scheme == "rk4" and sys.channels:
-        raise ValueError(
-            f"rk4 steps the drift alone; system {sys.name!r} has {sys.channels} "
-            "noise channels (use heun_strat or euler_ito)"
-        )
     x = _checked_state(sys, x0)
     M = grid.steps
     dt = grid.dt

@@ -141,7 +141,11 @@ class TestEquivariance:
             out[..., 0, :] = out[..., 0, :] + np.array([0.0, 0.2, 0.1]) * q[..., 0, None]
             return out
 
-        corrupt = ActionChart(alg=rotation.alg, n=3, A=bad_A, name="corrupt")
+        def bad_dA(q):
+            return fd_jacobian(bad_A, q)
+
+        corrupt = ActionChart(alg=rotation.alg, n=3, A=bad_A, dA=bad_dA,
+                              d2A=lambda q: fd_jacobian(bad_dA, q), name="corrupt")
         s = PhaseState(np.array([0.9, -0.4, 0.2]), np.array([1.1, 0.5, -0.7]))
         assert np.max(np.abs(equivariance_residual(corrupt, s))) > 1e-3
 
@@ -199,15 +203,14 @@ class TestBuiltinCharts:
 
 
 class TestUserCharts:
-    def test_chart_with_fd_fallback(self, rotation):
-        # same rotation coefficients, but derivatives left to finite differences
-        chart = ActionChart(alg=builtin("so3"), n=3, A=rotation.A, name="user_rot")
-        rng = np.random.default_rng(7)
-        qs = rng.uniform(-1, 1, size=(50, 3))
-        assert chart.closure_residual(qs) <= 1e-9
-        q = np.array([0.4, -0.2, 0.6])
-        assert np.allclose(chart.d_coefficients(q), rotation.d_coefficients(q), atol=1e-7)
-        assert np.allclose(chart.d2_coefficients(q), 0.0, atol=1e-4)
+    @pytest.mark.parametrize("missing", [("dA",), ("d2A",), ("dA", "d2A")])
+    def test_chart_without_derivatives_refused(self, rotation, missing):
+        # a chart carries its own dA and d2A: no finite-difference fallback
+        # stands in for a missing one
+        kw = {k: getattr(rotation, k) for k in ("dA", "d2A") if k not in missing}
+        with pytest.raises(TypeError, match=r"missing \d required positional arguments?: "
+                                            + " and ".join(f"'{k}'" for k in missing)):
+            ActionChart(alg=builtin("so3"), n=3, A=rotation.A, name="user_rot", **kw)
 
 
 class TestScalarField:

@@ -28,6 +28,7 @@ from coadjoint.fields import (
     LiePoissonBracket,
     ScalarField,
     double_bracket,
+    fd_jacobian,
 )
 from coadjoint.integrators import (_drive, _run, _stack_buffer, _stacked, euler_ito_step,
                                    heun_stratonovich_step, integrate)
@@ -502,8 +503,14 @@ class TestCasimir:
 
 
 def fd_rotation_chart():
-    """The rotation chart with its derivatives left to finite differences."""
-    return ActionChart(alg=SO3, n=3, A=rotation_chart().A, name="fd_rotation")
+    """The rotation chart with its derivatives by central finite differences."""
+    A = rotation_chart().A
+
+    def dA(q):
+        return fd_jacobian(A, q)
+
+    return ActionChart(alg=SO3, n=3, A=A, dA=dA, d2A=lambda q: fd_jacobian(dA, q),
+                       name="fd_rotation")
 
 
 def _three_levels(noise, potential=None, chart=None):
@@ -683,6 +690,17 @@ def _loop_euler_ito(sys, t, x, dt, dW):
     for k in range(sys.channels):
         out = out + gx[..., k, :] * dW[..., k, None]
     return out
+
+
+def _loop_rk4(sys, t, x, dt, dW):
+    """Classical RK4 on the public drift, four calls and the textbook sum,
+    the reference the in-place kernel on the drift row must reproduce; dW,
+    which holds no increments, is unused."""
+    k1 = sys.drift(t, x)
+    k2 = sys.drift(t + 0.5 * dt, x + 0.5 * dt * k1)
+    k3 = sys.drift(t + 0.5 * dt, x + 0.5 * dt * k2)
+    k4 = sys.drift(t + dt, x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _evaluate(sys, t, x, ito=False, stacked=None):
@@ -877,6 +895,11 @@ class TestOneEvaluationPerStage:
         # one call for the field at (u, xi_1, ..., xi_C) per stage
         self._assert_bound_kernel_calls(monkeypatch, "heun_strat", heun_stratonovich_step, 2)
 
+    def test_collective_rk4_step_makes_four_ad_star_calls(self, monkeypatch):
+        # rk4 steps the same bound evaluator: one call for the drift row per
+        # stage on a zero-channel system, none through the public drift
+        self._assert_bound_kernel_calls(monkeypatch, "rk4", None, 4, xi=[])
+
     @pytest.mark.parametrize("xi", [XI_PAIR, [[1.0, 0.0, 0.0]]], ids=["pair", "e1"])
     def test_collective_batch_at_triple_size_calls_triples_on_the_drift_row_only(
             self, monkeypatch, xi):
@@ -905,7 +928,7 @@ class TestOneEvaluationPerStage:
         assert calls == [(E, 3)] * 10
 
     @staticmethod
-    def _assert_bound_kernel_calls(monkeypatch, scheme, step, per_step):
+    def _assert_bound_kernel_calls(monkeypatch, scheme, step, per_step, xi=XI_PAIR):
         calls = []
 
         def counting(alg, size=None, rows=None):
@@ -918,13 +941,14 @@ class TestOneEvaluationPerStage:
             return call
 
         monkeypatch.setattr(dynamics, "_ad_star_kernel", counting)
-        noise = NoiseSpec.make([[0.0, 0.0, 1.0], [0.3, 0.4, 0.1]], seed=0)
-        lp = lie_poisson_system(SO3, K_RIGID, noise)
+        lp = lie_poisson_system(SO3, K_RIGID, NoiseSpec.make(xi, seed=0))
         for x, dW in ((np.array([0.8, 0.3, 0.5]), np.array([0.1, -0.2])),
                       (np.ones((7, 3)), np.full((7, 2), 0.1))):
-            calls.clear()
-            step(lp, 0.0, x, 0.01, dW)
-            assert len(calls) == per_step and None not in calls, calls
+            dW = dW[..., :len(xi)]
+            if step is not None:
+                calls.clear()
+                step(lp, 0.0, x, 0.01, dW)
+                assert len(calls) == per_step and None not in calls, calls
             calls.clear()
             _drive(lp, scheme, x, 0.01, np.tile(dW, (5,) + (1,) * dW.ndim))
             assert len(calls) == 5 * per_step and None not in calls, calls
@@ -1252,7 +1276,7 @@ class TestItoSum:
 
 def _oracle_states(sys, scheme, x0, dt, dW):
     """Every state of the per-step oracle through the public callbacks."""
-    loop = _loop_heun if scheme == "heun_strat" else _loop_euler_ito
+    loop = {"heun_strat": _loop_heun, "euler_ito": _loop_euler_ito, "rk4": _loop_rk4}[scheme]
     states = [np.asarray(x0, dtype=float)]
     for i, row in enumerate(dW):
         states.append(loop(sys, i * dt, states[-1], dt, row))
@@ -1296,6 +1320,26 @@ class TestBlockTable:
         assert _same_bits(_drive(sys, scheme, x0, self.DT, dW, states=states, run=run), want[-1])
         assert _same_bits(states, want)
         assert _same_bits(_drive(sys, scheme, x0[:4], self.DT, dW[:, :4], run=run), want[-1, :4])
+
+    @pytest.mark.parametrize("level", ["phase_space", "hamel", "lie_poisson"])
+    def test_rk4_equals_textbook_formula(self, level):
+        # rk4 steps the bound drift row in place and keeps every bit of the
+        # textbook formula on the public drift: one path recorded by
+        # integrate, and a batch at the collective triple-kernel size
+        # stepped on one shared (M, 0) table and on per-row (M, E, 0) rows
+        sys = _three_levels(no_noise(), linear_potential([0.0, 0.0, 1.0]))[level]
+        E = _TRIPLE_MIN_ROWS + 7
+        x0 = np.random.default_rng(45).normal(size=(E, sys.state_dim))
+        x0[:, 0] = -0.0
+        dW = np.zeros((self.M, 0))
+        grid = time_grid(self.M * self.DT, self.M)
+        assert _same_bits(integrate(sys, "rk4", grid, x0[2]).states,
+                          _oracle_states(sys, "rk4", x0[2], self.DT, dW))
+        want = _oracle_states(sys, "rk4", x0, self.DT, dW)
+        states = np.empty((self.M + 1, E, sys.state_dim))
+        assert _same_bits(_drive(sys, "rk4", x0, self.DT, dW, states=states), want[-1])
+        assert _same_bits(states, want)
+        assert _same_bits(_drive(sys, "rk4", x0, self.DT, np.zeros((self.M, E, 0))), want[-1])
 
     @pytest.mark.parametrize("level", ["phase_space", "lie_poisson"])
     def test_table_shapes(self, level):

@@ -188,18 +188,23 @@ class TestIntegrate:
             integrate(sys, "heun_strat", g, np.array([0.8, 0.3, 0.5]))
 
     def test_rk4_rejects_noise(self):
-        # rk4 steps the drift alone and would silently drop the noise
+        # rk4 steps the drift alone and would silently drop the noise, on
+        # a recorded path and in the driver that ensembles step through
         with pytest.raises(ValueError, match="rk4.*1 noise channels"):
             integrate(scalar_multiplicative(), "rk4", time_grid(1.0, 4), np.array([1.0]))
+        with pytest.raises(ValueError, match="rk4.*1 noise channels"):
+            _drive(scalar_multiplicative(), "rk4", np.ones((3, 1)), 0.25, np.zeros((4, 3, 1)))
 
-    def test_rk4_ignores_sampled_channels(self):
-        # a noise-free system stepped by rk4 on a sampled grid that carries
-        # increments takes only the number of steps from it
-        sys = SdeSystem(1, 0, drift=lambda t, x: -x, diffusion=lambda t, x: x[..., None, :])
+    def test_rk4_refuses_sampled_channels(self):
+        # rk4 checks its increments like every scheme: a noise-free system
+        # on a sampled grid that carries increments is refused by the same
+        # run set-up check that names dW and the system
+        sys = SdeSystem(1, 0, drift=lambda t, x: -x, diffusion=lambda t, x: x[..., None, :],
+                        name="decay")
         sampled = sample_grid(NoiseSpec(channels=2, xi=np.eye(2), seed=3), 1.0, 8)
-        plain = integrate(sys, "rk4", time_grid(1.0, 8), np.array([1.0]))
-        assert np.array_equal(integrate(sys, "rk4", sampled, np.array([1.0])).states,
-                              plain.states)
+        with pytest.raises(ValueError, match="^dW holds 2 increments per step, system "
+                                             "'decay' has 0 noise channels$"):
+            integrate(sys, "rk4", sampled, np.array([1.0]))
 
     def test_unknown_scheme(self):
         g = time_grid(1.0, 4)
